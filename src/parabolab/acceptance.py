@@ -401,15 +401,6 @@ CRITERIA = [
 ]
 
 
-def run_criterion(index: int) -> CriterionResult:
-    for i, name, fn in CRITERIA:
-        if i == index:
-            start = time.perf_counter()
-            passed, detail = fn()
-            return CriterionResult(i, name, passed, time.perf_counter() - start, detail)
-    raise ValueError(f"no criterion with index {index}")
-
-
 def run_all(indices=None, progress=print) -> list[CriterionResult]:
     results = []
     for i, name, fn in CRITERIA:

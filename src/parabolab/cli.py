@@ -31,7 +31,9 @@ from . import mixed_norms as mn
 from . import pde_solver as pde
 from . import sde_mc as sde
 from . import variational as vr
-from .embeddings import ExponentConfig, check_Re01, check_Re1, in_I_d_p0
+from .cutoffs import CutoffFamilyError
+from .embeddings import (ExponentConfig, ExponentDomainError, PreconditionError, check_Re01,
+                         check_Re1, in_I_d_p0)
 from .mixed_norms import INF, GridFunction, MixedNormSpec
 
 EXIT_OK = 0
@@ -335,6 +337,8 @@ def run_pde(config: ExperimentConfig, outdir: Path) -> dict:
         kwargs = {"alpha": p["alpha"], "R": p["R"], "n": p["n"]}
     elif p["fixture"] == "identity":
         kwargs = {"d": p["d"]}
+    elif p["fixture"] == "rotation-drift":
+        kwargs = {"pure": False}  # the box is periodic
     field = pde.build_field(p["fixture"], **kwargs)
     field = field.with_forcing(lambda t, X: np.exp(-((X**2).sum(axis=-1)) / 0.32))
     box = [(-p["box"], p["box"])] * field.d
@@ -379,6 +383,9 @@ def run_sde(config: ExperimentConfig, outdir: Path) -> dict:
     p = config.parameters
     coeffs = sde.build_coefficients(p["family"], d=p["d"], R=p["R"], alpha=p["alpha"],
                                     beta=p["beta"], lam=p["lambda"], n=p["n"])
+    if len(p["x0"]) != coeffs.d:
+        raise ValidationError(f"parameter x0 must have length d = {coeffs.d}, "
+                              f"got {len(p['x0'])}")
     steps = int(round(p["T"] / p["dt"]))
     ens = sde.euler_maruyama(coeffs, p["x0"], 0.0, steps * p["dt"], p["dt"],
                              p["n_paths"], config.seed)
@@ -419,14 +426,17 @@ def run(config: ExperimentConfig) -> int:
     outdir = Path(config.output_dir)
     try:
         body = RUNNERS[config.kind](config, outdir if outdir.exists() else _mkdir(outdir))
-    except (ValidationError, pde.SolverConfigError, sde.SdeParameterError,
-            vr.FeasibilityError, mn.GridError, mn.ExponentError) as exc:
+    except (ValidationError, pde.CoefficientError, pde.SolverConfigError,
+            sde.SdeParameterError, vr.FeasibilityError, mn.GridError, mn.ExponentError,
+            ExponentDomainError, PreconditionError, CutoffFamilyError) as exc:
         _write_error(outdir, config, "validation", str(exc))
         return EXIT_VALIDATION
-    except (pde.SolverError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (pde.SolverError, dg.DiagnosticAnomaly, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         _write_error(outdir, config, "numerical", str(exc))
         return EXIT_NUMERICAL
     _write_report(outdir, config, body, started)
+    (outdir / "error.json").unlink(missing_ok=True)
     if config.kind == "acceptance" and not body.get("all_passed", True):
         return EXIT_ACCEPTANCE
     return EXIT_OK
@@ -439,6 +449,8 @@ def _mkdir(p: Path) -> Path:
 
 def _write_error(outdir: Path, config: ExperimentConfig, category: str, message: str) -> None:
     _mkdir(outdir)
+    for stale in ("report.json", "meta.json"):
+        (outdir / stale).unlink(missing_ok=True)
     record = {"error": category, "message": message, "kind": config.kind,
               "config_hash": config_hash(config)}
     (outdir / "error.json").write_text(json.dumps(record, sort_keys=True, indent=1) + "\n")
@@ -469,8 +481,6 @@ def main(argv=None) -> int:
         sp.add_argument("--config", default=None, help="JSON experiment config")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent sub-experiments")
     args = parser.parse_args(argv)
     if args.command == "fixtures":
         print(json.dumps(list_builtin_fixtures(), sort_keys=True, indent=1))

@@ -424,6 +424,8 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
     for finite p, plain max for p = inf).
     """
     a = np.abs(arr)
+    if not kernel.any():  # grid too coarse for any cell center to fall in the ball
+        return np.zeros_like(a)
     if math.isinf(p):
         shape = kernel.shape
         origins = [lo + s // 2 for lo, s in zip(o_mins, shape)]

@@ -19,8 +19,9 @@ upwinding); off-diagonal support exists but is excluded from those guarantees.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -83,8 +84,7 @@ class CoefficientField:
 
     ``a(t, X) -> (..., d, d)`` symmetric PSD; optional fast path ``a_diag``
     for diagonal fields.  ``b1``/``b2`` map ``(t, X) -> (..., d)``; ``forcing``
-    maps ``(t, X) -> (...)``.  ``exponents`` carries the declared
-    integrability indices used by the hypothesis checks.
+    maps ``(t, X) -> (...)``.
     """
 
     name: str
@@ -94,9 +94,6 @@ class CoefficientField:
     b1: Callable | None = None
     b2: Callable | None = None
     forcing: Callable | None = None
-    exponents: ExponentConfig | None = None
-    time_dependent: bool = False
-    params: dict = dc_field(default_factory=dict)
 
     def b_total(self, t, X):
         out = np.zeros(X.shape[:-1] + (self.d,))
@@ -126,8 +123,7 @@ class CoefficientField:
         return self.a_diag is not None and self.a is None
 
     def with_forcing(self, forcing) -> "CoefficientField":
-        return CoefficientField(self.name, self.d, self.a, self.a_diag, self.b1, self.b2,
-                                forcing, self.exponents, self.time_dependent, dict(self.params))
+        return dataclasses.replace(self, forcing=forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +146,7 @@ def diagonal_power_field(d: int, alpha: float, R: float = 1.0, n: float = INF,
     def a_diag(t, X):
         return fam.f_n(X**2)
 
-    return CoefficientField("diagonal-power", d, None, a_diag, forcing=forcing,
-                            params={"alpha": alpha, "R": R, "n": n})
+    return CoefficientField("diagonal-power", d, None, a_diag, forcing=forcing)
 
 
 def example_61_field(d: int = 3, alpha: float = 0.3, R: float = 2.0, n: float = INF,
@@ -169,8 +164,7 @@ def example_61_field(d: int = 3, alpha: float = 0.3, R: float = 2.0, n: float = 
         scalar = fam.f_n((X**2).sum(axis=-1))
         return np.repeat(scalar[..., None], d, axis=-1)
 
-    return CoefficientField("example-6.1", d, None, a_diag, forcing=forcing,
-                            params={"alpha": alpha, "R": R, "n": n})
+    return CoefficientField("example-6.1", d, None, a_diag, forcing=forcing)
 
 
 def example_62_field(alpha: float = 0.2, R: float = 1.0, n: float = INF,
@@ -183,8 +177,7 @@ def example_62_field(alpha: float = 0.2, R: float = 1.0, n: float = INF,
     def a_diag(t, X):
         return np.stack([fam.f_n(X[..., 1] ** 2), fam.f_n(X[..., 0] ** 2)], axis=-1)
 
-    return CoefficientField("example-6.2", 2, None, a_diag, forcing=forcing,
-                            params={"alpha": alpha, "R": R, "n": n})
+    return CoefficientField("example-6.2", 2, None, a_diag, forcing=forcing)
 
 
 def rotation_drift_field(pure: bool = True, chi_radius: float = 3.0, forcing=None) -> CoefficientField:
@@ -206,8 +199,7 @@ def rotation_drift_field(pure: bool = True, chi_radius: float = 3.0, forcing=Non
         chi = np.exp(-((r2 / chi_radius**2) ** 4))
         return rot * chi[..., None]
 
-    return CoefficientField("rotation-drift", 2, None, a_diag, b2=b2, forcing=forcing,
-                            params={"pure": pure, "chi_radius": chi_radius})
+    return CoefficientField("rotation-drift", 2, None, a_diag, b2=b2, forcing=forcing)
 
 
 def tabulated_diagonal_field(diag_entries: list[GridFunction], forcing=None) -> CoefficientField:
@@ -447,15 +439,14 @@ def check_hypotheses(field: CoefficientField, cfg: ExponentConfig, x0, dx, nx,
 # ---------------------------------------------------------------------------
 
 
+CFL_LIMIT = 0.9  # largest admissible advective Courant number dt*max|b|/dx
+
+
 @dataclass
 class SolverConfig:
     dt: float
     T: float
-    dx: float | None = None
-    scheme: str = "implicit-diffusion+explicit-upwind-drift"
     linear_tol: float = 1e-10
-    max_iter: int = 2000
-    cfl_limit: float = 0.9
 
     def __post_init__(self):
         if not (self.dt > 0 and self.T > 0):
@@ -467,171 +458,100 @@ class SolverConfig:
             raise SolverConfigError("T must be an integer number of steps")
 
 
-def _shift(u: np.ndarray, axis: int, shift: int, periodic: bool) -> np.ndarray:
-    """Neighbor values with boundary ghosts: wrap, or odd mirror for zero walls."""
-    rolled = np.roll(u, -shift, axis=axis)
+def _neighbor(nx, axis: int, shift: int, periodic: bool):
+    """Flat index and sign of each cell's unit-step neighbour along ``axis``.
+
+    A periodic box wraps.  Past a zero wall the neighbour is the odd-mirror
+    ghost, which is the cell itself with sign -1.
+    """
+    pos = np.indices(nx)
+    p = pos[axis] + shift
+    n = nx[axis]
+    sign = np.ones(nx)
     if periodic:
-        return rolled
-    out = rolled.copy()
-    sl = [slice(None)] * u.ndim
-    if shift == 1:
-        sl[axis] = -1
-        edge = [slice(None)] * u.ndim
-        edge[axis] = -1
-        out[tuple(sl)] = -u[tuple(edge)]
-    elif shift == -1:
-        sl[axis] = 0
-        edge = [slice(None)] * u.ndim
-        edge[axis] = 0
-        out[tuple(sl)] = -u[tuple(edge)]
+        pos[axis] = p % n
     else:
-        raise ValueError("only unit shifts supported")
-    return out
+        sign[(p < 0) | (p > n - 1)] = -1.0
+        pos[axis] = np.clip(p, 0, n - 1)
+    return np.ravel_multi_index(tuple(pos), nx).ravel(), sign.ravel()
 
 
-class _IndexMap:
-    """Composable neighbor indices with odd-mirror signs for zero walls."""
+def _assemble_diffusion(field: CoefficientField, t: float, x0, dx, nx, nbrs):
+    """Sparse conservative discretization of ``div(a grad .)`` (no dt factor).
 
-    def __init__(self, nx, periodic):
-        self.nx = nx
-        self.periodic = periodic
-        grids = np.meshgrid(*[np.arange(n) for n in nx], indexing="ij")
-        self.pos = [g.copy() for g in grids]
-        self.sign = np.ones(nx)
-
-    def step(self, axis: int, shift: int) -> "_IndexMap":
-        out = _IndexMap.__new__(_IndexMap)
-        out.nx = self.nx
-        out.periodic = self.periodic
-        out.pos = [p.copy() for p in self.pos]
-        out.sign = self.sign.copy()
-        p = out.pos[axis] + shift
-        n = self.nx[axis]
-        if self.periodic:
-            out.pos[axis] = p % n
-        else:
-            over = p > n - 1
-            under = p < 0
-            p = np.where(over, 2 * n - 1 - p, p)
-            p = np.where(under, -1 - p, p)
-            out.sign = np.where(over | under, -out.sign, out.sign)
-            out.pos[axis] = np.clip(p, 0, n - 1)
-        return out
-
-    def flat(self) -> np.ndarray:
-        return np.ravel_multi_index([p.ravel() for p in self.pos], self.nx)
-
-
-def _assemble_diffusion(field: CoefficientField, t: float, x0, dx, nx, periodic: bool):
-    """Sparse conservative discretization of ``div(a grad .)`` (no dt factor)."""
+    ``nbrs[k][s]`` is the ``_neighbor`` map one step ``s`` (+1 or -1) along axis k.
+    """
     d = len(nx)
     N = int(np.prod(nx))
+    idx = np.arange(N)
     rows, cols, data = [], [], []
-    base = _IndexMap(nx, periodic)
-    idx_flat = base.flat()
     diag = np.zeros(N)
 
-    # padded cell-center coordinates per axis for ghost evaluation
-    def centers(axis, pad):
-        return x0[axis] + (np.arange(-pad, nx[axis] + pad) + 0.5) * dx[axis]
+    # cell centers plus one ghost layer on each side of ``axis``
+    def padded_mesh(axis):
+        pads = [int(a == axis) for a in range(d)]
+        axes = [x0[a] + (np.arange(-pads[a], nx[a] + pads[a]) + 0.5) * dx[a] for a in range(d)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    # diagonal part, axis by axis (flux form on faces)
+    # diagonal part, axis by axis: each face has conductance g = mean of a_kk / dx^2
     for k in range(d):
-        axes = [centers(a, 1 if a == k else 0) for a in range(d)]
-        Xp = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        akk = field.a_diagonal(t, Xp)[..., k]
-        sl_mid = [slice(None)] * d
-        sl_mid[k] = slice(1, -1)
-        a_mid = akk[tuple(sl_mid)]
-        sl_up = [slice(None)] * d
-        sl_up[k] = slice(2, None)
-        sl_dn = [slice(None)] * d
-        sl_dn[k] = slice(0, -2)
-        if periodic:
-            a_up = np.roll(a_mid, -1, axis=k)
-        else:
-            a_up = akk[tuple(sl_up)]
-        g_plus = 0.5 * (a_mid + a_up) / dx[k] ** 2  # face between j and j+1 (or wall)
-        nb = base.step(k, 1)
-        nb_flat = nb.flat()
-        nb_sign = nb.sign.ravel()
-        gp = g_plus.ravel()
-        if periodic:
-            rows.extend([idx_flat, nb_flat])
-            cols.extend([nb_flat, idx_flat])
-            data.extend([gp, gp])
-            diag += -gp
-            minus = np.zeros(N)
-            np.add.at(minus, nb_flat, gp)
-            diag += -minus
-        else:
-            interior = np.ones(nx, dtype=bool)
-            sl_last = [slice(None)] * d
-            sl_last[k] = -1
-            interior[tuple(sl_last)] = False
-            interior = interior.ravel()
-            rows.append(idx_flat[interior])
-            cols.append(nb_flat[interior])
-            data.append(gp[interior])
-            rows.append(nb_flat[interior])
-            cols.append(idx_flat[interior])
-            data.append(gp[interior])
-            np.add.at(diag, idx_flat[interior], -gp[interior])
-            np.add.at(diag, nb_flat[interior], -gp[interior])
-            # wall faces: ghost = -u_j pairs with the mirror, total -2g on the diagonal
-            wall = ~interior
-            np.add.at(diag, idx_flat[wall], -2.0 * gp[wall])
-            a_dn = akk[tuple(sl_dn)]
-            g_minus_wall = 0.5 * (a_mid + a_dn) / dx[k] ** 2
-            first = np.zeros(nx, dtype=bool)
-            sl_first = [slice(None)] * d
-            sl_first[k] = 0
-            first[tuple(sl_first)] = True
-            gm = g_minus_wall.ravel()
-            fm = first.ravel()
-            np.add.at(diag, idx_flat[fm], -2.0 * gm[fm])
+        akk = field.a_diagonal(t, padded_mesh(k))[..., k]
+        a_dn, a_mid, a_up = (np.take(akk, np.arange(j, j + nx[k]), axis=k).ravel()
+                             for j in range(3))
+        walls = []
+        for s, a_ghost in ((1, a_up), (-1, a_dn)):
+            nb, sign = nbrs[k][s]
+            inner = sign > 0
+            g = 0.5 * (a_mid + np.where(inner, a_mid[nb], a_ghost)) / dx[k] ** 2
+            rows.append(idx[inner])
+            cols.append(nb[inner])
+            data.append(g[inner])
+            diag[inner] -= g[inner]
+            walls.append((~inner, g))
+        # a wall face pairs the cell with its odd-mirror ghost: -2g on the diagonal
+        for wall, g in walls:
+            diag[wall] -= 2.0 * g[wall]
 
-    rows.append(idx_flat)
-    cols.append(idx_flat)
+    rows.append(idx)
+    cols.append(idx)
     data.append(diag)
 
     # off-diagonal cross terms (centered), only for full-matrix fields
     if not field.is_diagonal:
-        X = _mesh(x0, dx, nx)
-        A = field.a_matrix(t, X)
         for i in range(d):
+            A = field.a_matrix(t, padded_mesh(i))
             for k in range(d):
                 if i == k:
                     continue
                 for si in (1, -1):
-                    mid = base.step(i, si)
-                    # a_ik at the shifted cell; ghost positions evaluated directly
-                    axes = [centers(a, 1 if a == i else 0) for a in range(d)]
-                    Xp = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-                    Ap = field.a_matrix(t, Xp)[..., i, k]
-                    sl = [slice(None)] * d
-                    sl[i] = slice(1 + si, nx[i] + 1 + si) if si == 1 else slice(0, nx[i])
-                    a_sh = Ap[tuple(sl)]
-                    coef = si / (4.0 * dx[i] * dx[k]) * a_sh
+                    nb_i, s_i = nbrs[i][si]
+                    # a_ik at the neighbour cell; ghost positions evaluated directly
+                    a_sh = np.take(A[..., i, k], np.arange(1 + si, nx[i] + 1 + si), axis=i)
+                    coef = si / (4.0 * dx[i] * dx[k]) * a_sh.ravel()
                     for sk in (1, -1):
-                        tgt = mid.step(k, sk)
-                        rows.append(idx_flat)
-                        cols.append(tgt.flat())
-                        data.append((sk * coef * tgt.sign).ravel())
+                        nb_k, s_k = nbrs[k][sk]
+                        rows.append(idx)
+                        cols.append(nb_k[nb_i])
+                        data.append(sk * coef * (s_i * s_k[nb_i]))
 
-    rows = np.concatenate([np.asarray(r) for r in rows])
-    cols = np.concatenate([np.asarray(c) for c in cols])
-    data = np.concatenate([np.asarray(v, dtype=float) for v in data])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    data = np.concatenate(data)
     return sparse.csr_matrix((data, (rows, cols)), shape=(N, N))
 
 
-def _upwind_drift(u: np.ndarray, b_vals: np.ndarray, dx, periodic: bool) -> np.ndarray:
+def _upwind_drift(u: np.ndarray, b_vals: np.ndarray, dx, nbrs) -> np.ndarray:
+    flat = u.ravel()
     out = np.zeros_like(u)
-    d = u.ndim
-    for k in range(d):
+
+    def ghost(k, s):  # neighbour values, odd-mirrored past a zero wall
+        nb, sign = nbrs[k][s]
+        return (sign * flat[nb]).reshape(u.shape)
+
+    for k in range(u.ndim):
         bk = b_vals[..., k]
-        back = (u - _shift(u, k, -1, periodic)) / dx[k]
-        fwd = (_shift(u, k, 1, periodic) - u) / dx[k]
+        back = (u - ghost(k, -1)) / dx[k]
+        fwd = (ghost(k, 1) - u) / dx[k]
         out += np.maximum(bk, 0.0) * back + np.minimum(bk, 0.0) * fwd
     return out
 
@@ -639,16 +559,15 @@ def _upwind_drift(u: np.ndarray, b_vals: np.ndarray, dx, periodic: bool) -> np.n
 def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridFunction:
     """March the implicit-diffusion / explicit-upwind-drift scheme to T.
 
-    Returns the space-time solution sampled at the step times k*dt (the
-    output grid's cells are centered on those nodes).  Raises SolverError if
-    an implicit solve misses ``linear_tol``; raises SolverConfigError on an
-    advective CFL violation.
+    ``a`` is assembled and factorized once, at t = 0.  Returns the space-time
+    solution sampled at the step times k*dt (the output grid's cells are
+    centered on those nodes).  Raises SolverError if an implicit solve misses
+    ``linear_tol``; raises SolverConfigError on an advective CFL violation.
     """
     d = u0.d
     x0, dx, nx = u0.x0, u0.dx, u0.nx
-    if cfg.dx is not None and any(abs(h - cfg.dx) > 1e-12 for h in dx):
-        raise SolverConfigError("config dx does not match the initial-condition grid")
     periodic = u0.boundary == "periodic"
+    nbrs = [{s: _neighbor(nx, k, s, periodic) for s in (1, -1)} for k in range(d)]
     n_steps = int(round(cfg.T / cfg.dt))
     X = _mesh(x0, dx, nx)
 
@@ -659,14 +578,14 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
             bv = field.b_total(t, X)
             for k in range(d):
                 bmax = max(bmax, float(np.abs(bv[..., k]).max()) * cfg.dt / dx[k])
-        if bmax > cfg.cfl_limit:
+        if bmax > CFL_LIMIT:
             raise SolverConfigError(
-                f"advective CFL dt*max|b|/dx = {bmax:.3f} exceeds {cfg.cfl_limit}")
+                f"advective CFL dt*max|b|/dx = {bmax:.3f} exceeds {CFL_LIMIT}")
 
     N = int(np.prod(nx))
-    L = _assemble_diffusion(field, 0.0, x0, dx, nx, periodic)
+    L = _assemble_diffusion(field, 0.0, x0, dx, nx, nbrs)
     M = sparse.identity(N, format="csr") - cfg.dt * L
-    lu = None if field.time_dependent else splinalg.splu(M.tocsc())
+    lu = splinalg.splu(M.tocsc())
 
     u = np.asarray(u0.values[0], dtype=float).copy()
     out = np.empty((n_steps + 1,) + nx)
@@ -675,19 +594,10 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
         t = step * cfg.dt
         rhs = u.copy()
         if has_drift:
-            rhs += cfg.dt * _upwind_drift(u, field.b_total(t, X), dx, periodic)
+            rhs += cfg.dt * _upwind_drift(u, field.b_total(t, X), dx, nbrs)
         if field.forcing is not None:
             rhs += cfg.dt * field.forcing(t, X)
-        if field.time_dependent:
-            L = _assemble_diffusion(field, t + cfg.dt, x0, dx, nx, periodic)
-            M = sparse.identity(N, format="csr") - cfg.dt * L
-            sol, info = splinalg.bicgstab(M, rhs.ravel(), x0=u.ravel(),
-                                          rtol=cfg.linear_tol, maxiter=cfg.max_iter)
-            if info != 0:
-                res = np.linalg.norm(M @ sol - rhs.ravel())
-                raise SolverError(f"implicit solve failed at step {step}: residual {res:.3e}")
-        else:
-            sol = lu.solve(rhs.ravel())
+        sol = lu.solve(rhs.ravel())
         res = np.linalg.norm(M @ sol - rhs.ravel())
         if not res <= cfg.linear_tol * (np.linalg.norm(rhs) + 1.0):
             raise SolverError(f"implicit solve residual {res:.3e} exceeds tolerance")

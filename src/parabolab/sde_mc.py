@@ -107,7 +107,7 @@ def build_coefficients(
 
     if family_tag == "example-6.1":
         d = d or 3
-        hi = min(d / 2 - 1, 0.5 + 1.0 / (d - 1))
+        hi = min(d / 2 - 1, 0.5 + 1.0 / max(d - 1, 1))  # no admissible alpha for d < 3
         if d < 3 or not 0 < alpha < hi:
             raise SdeParameterError(
                 f"example-6.1 requires d >= 3 and 0 < alpha < min(d/2 - 1, 1/2 + 1/(d-1)) = {hi}")
@@ -131,7 +131,7 @@ def build_coefficients(
 
     if family_tag == "prop-6.1":
         d = d or 3
-        hi = min(d / 2 - 1, 0.5 + 1.0 / (d - 1))
+        hi = min(d / 2 - 1, 0.5 + 1.0 / max(d - 1, 1))  # no admissible alpha for d < 3
         if d < 3 or not 0 <= alpha < hi:
             raise SdeParameterError(
                 f"prop-6.1 requires d >= 3 and 0 <= alpha < min(d/2 - 1, 1/2 + 1/(d-1)) = {hi}")
@@ -500,7 +500,10 @@ def uniqueness_perturbation_report(
 
 
 def export_ensemble(ens: PathEnsemble, path_prefix) -> tuple[Path, Path]:
-    """Binary path array + JSON header {family_tag, params, seed, dt, T, n_paths}."""
+    """Binary path array + JSON header {family_tag, params, seed, dt, T, n_paths, frozen}.
+
+    ``frozen`` lists the indices of the frozen paths.
+    """
     prefix = Path(path_prefix)
     header = {
         "family_tag": ens.family_tag,
@@ -515,6 +518,7 @@ def export_ensemble(ens: PathEnsemble, path_prefix) -> tuple[Path, Path]:
         "d": ens.d,
         "scheme_tag": ens.scheme_tag,
         "n_frozen": ens.n_frozen,
+        "frozen": np.flatnonzero(~ens.alive()).tolist(),
     }
     jpath = prefix.with_suffix(".json")
     bpath = prefix.with_suffix(".bin")
@@ -529,5 +533,7 @@ def load_ensemble(path_prefix) -> PathEnsemble:
     paths = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
     paths = paths.reshape(header["n_paths"], header["n_steps"] + 1, header["d"])
     params = {k: (math.inf if v is None else v) for k, v in header["params"].items()}
+    frozen = np.zeros(header["n_paths"], dtype=bool)
+    frozen[header.get("frozen", [])] = True  # older headers carry no list
     return PathEnsemble(paths, header["t0"], header["dt"], header["seed"],
-                        header["scheme_tag"], header["family_tag"], params)
+                        header["scheme_tag"], header["family_tag"], params, frozen)

@@ -1,10 +1,8 @@
 """Acceptance gate: every criterion runs at its pinned tolerance.
 
-One test per criterion; each prints its PASS/FAIL line so ``pytest -v -s``
-doubles as the acceptance protocol transcript.
+One test per criterion; ``run_all`` prints its PASS/FAIL line so
+``pytest -v -s`` doubles as the acceptance protocol transcript.
 """
-
-import time
 
 import pytest
 
@@ -16,15 +14,11 @@ RUNTIME_BUDGETS = {
 }
 
 
-@pytest.mark.parametrize("index,name,fn",
-                         acceptance.CRITERIA,
+@pytest.mark.parametrize("index,name",
+                         [(i, n) for i, n, _ in acceptance.CRITERIA],
                          ids=[f"{i:02d}_{n.replace(' ', '_')}" for i, n, _ in acceptance.CRITERIA])
-def test_criterion(index, name, fn):
-    start = time.perf_counter()
-    passed, detail = fn()
-    elapsed = time.perf_counter() - start
-    tag = "PASS" if passed else "FAIL"
-    print(f"[{tag}] criterion {index:02d} {name} ({elapsed:.1f}s): {detail}")
-    assert passed, f"criterion {index} ({name}): {detail}"
-    assert elapsed <= RUNTIME_BUDGETS[index], (
-        f"criterion {index} took {elapsed:.1f}s, budget {RUNTIME_BUDGETS[index]}s")
+def test_criterion(index, name):
+    [res] = acceptance.run_all(indices=[index], progress=print)
+    assert res.passed, f"criterion {index} ({name}): {res.detail}"
+    assert res.runtime <= RUNTIME_BUDGETS[index], (
+        f"criterion {index} took {res.runtime:.1f}s, budget {RUNTIME_BUDGETS[index]}s")

@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parabolab import cli
 from parabolab import mixed_norms as mn
+from parabolab import pde_solver as pde
+from parabolab import sde_mc as sde
+from parabolab.embeddings import ExponentConfig
 
 
 class TestConfigValidation:
@@ -33,6 +41,20 @@ class TestConfigValidation:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"kind": "pde", "parameters": {"fixture": "wat"}}))
         assert cli.main(["pde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_coefficient_error_is_validation(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "pde", "parameters": {"fixture": "example-6.1"}}))
+        assert cli.main(["pde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert err["error"] == "validation" and "d >= 3" in err["message"]
+
+    def test_sde_start_length_must_match_d(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "sde", "parameters": {"x0": [0.0, 0.0, 0.0]}}))
+        assert cli.main(["sde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert err["error"] == "validation" and "x0" in err["message"]
 
 
 class TestExperiments:
@@ -96,6 +118,20 @@ class TestExperiments:
         rep = json.loads((out / "report.json").read_text())
         assert "max_principle" in rep and "hypotheses" in rep and "grad_sup" in rep
 
+    def test_pde_rotation_drift_uses_the_periodic_cutoff(self, tmp_path):
+        nx = 16
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "pde", "parameters": {
+            "fixture": "rotation-drift", "nx": nx, "dt": 0.05, "T": 0.1}}))
+        assert cli.main(["pde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        rep = json.loads((tmp_path / "o" / "report.json").read_text())
+        p = cli.DEFAULTS["pde"]
+        exp_cfg = ExponentConfig(d=2, p0=p["p0"], p4=p["p4"], q4=p["q4"])
+        h = 2 * p["box"] / nx
+        want = pde.check_hypotheses(pde.rotation_drift_field(pure=False), exp_cfg,
+                                    (-p["box"],) * 2, (h, h), (nx, nx))
+        assert rep["hypotheses"]["b2_norm"] == want.b2_norm
+
 
 class TestFixtures:
     def test_catalog_contents(self, capsys):
@@ -114,3 +150,60 @@ class TestFixtures:
         rep = json.loads((tmp_path / "acc" / "report.json").read_text())
         assert [r["index"] for r in rep["criteria"]] == [2, 4]
         assert rep["all_passed"] is True
+
+
+_ANY_EXPONENT = st.one_of(st.floats(1.0, 8.0), st.just("inf"))
+
+# small configs of the cheap kinds; every value passes the schema, so any
+# failure happens inside ``cli.run``
+CHEAP_CONFIGS = st.one_of(
+    st.tuples(st.just("norms"), st.fixed_dictionaries({
+        "fixture": st.sampled_from(["constant", "bump", "indicator", "random"]),
+        "d": st.integers(1, 2), "nt": st.integers(2, 8), "nx": st.integers(2, 8),
+        "p": st.floats(1.0, 8.0), "q": _ANY_EXPONENT,
+        "lattice_step": st.floats(0.05, 1.0)})),
+    st.tuples(st.just("embed"), st.fixed_dictionaries({
+        "d": st.integers(1, 3), "p0": st.one_of(st.floats(0.6, 8.0), st.just("inf")),
+        "n_points": st.integers(1, 5)})),
+    st.tuples(st.just("pde"), st.fixed_dictionaries({
+        "fixture": st.sampled_from(sorted(pde.PDE_FIXTURES)),
+        "d": st.integers(1, 3), "alpha": st.floats(0.01, 1.0), "R": st.floats(1.0, 3.0),
+        "n": st.one_of(st.integers(1, 8), st.just("inf")), "nx": st.integers(4, 10),
+        "dt": st.sampled_from([0.05, 0.1, 0.5]), "T": st.sampled_from([0.1, 0.2]),
+        "box": st.floats(0.5, 4.0), "p0": st.one_of(st.floats(0.6, 8.0), st.just("inf")),
+        "p4": _ANY_EXPONENT, "q4": _ANY_EXPONENT})),
+    st.tuples(st.just("sde"), st.fixed_dictionaries({
+        "family": st.sampled_from(sorted(sde.SDE_FAMILIES)), "d": st.integers(1, 3),
+        "alpha": st.floats(0.0, 1.0), "beta": st.floats(0.0, 1.0),
+        "lambda": st.floats(0.0, 2.0), "n_paths": st.integers(2, 20),
+        "dt": st.sampled_from([0.005, 0.01]), "T": st.sampled_from([0.02, 0.05]),
+        "x0": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)})),
+    st.tuples(st.just("degiorgi"), st.fixed_dictionaries({
+        "nx": st.integers(4, 24), "dt": st.sampled_from([0.1, 0.25, 0.5]),
+        "level": st.floats(0.0, 0.5), "p4": st.one_of(st.floats(2.0, 8.0), st.just("inf"))})),
+)
+
+
+class TestExitContract:
+    @settings(max_examples=40, deadline=None, derandomize=True)  # seeded, like every check
+    @given(CHEAP_CONFIGS, st.integers(0, 2**31 - 1))
+    def test_exit_codes_and_no_stale_outputs(self, kind_params, seed):
+        kind, params = kind_params
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            out.mkdir()
+            for stale in ("report.json", "meta.json", "error.json"):
+                (out / stale).write_text("stale\n")
+            cfg = Path(tmp) / "c.json"
+            cfg.write_text(json.dumps({"kind": kind, "parameters": params, "seed": seed}))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main([kind, "--config", str(cfg), "--out", str(out)])
+            assert rc in (0, 2, 3, 4)
+            if rc == 0:
+                assert not (out / "error.json").exists()
+                assert json.loads((out / "report.json").read_text())["kind"] == kind
+            else:
+                assert json.loads((out / "error.json").read_text())["kind"] == kind
+                assert not (out / "report.json").exists()
+                assert not (out / "meta.json").exists()

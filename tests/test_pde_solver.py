@@ -299,3 +299,26 @@ def test_build_field_catalog():
         pde.build_field("nonsense")
     with pytest.raises(pde.CoefficientError):
         pde.example_61_field(d=3, alpha=0.7)  # above min(d/2-1, 1/2+1/(d-1)) = 1/2
+
+
+class TestNeighborRule:
+    def test_wrap_and_odd_mirror(self):
+        nb, sign = pde._neighbor((4,), 0, 1, periodic=True)
+        assert nb.tolist() == [1, 2, 3, 0] and sign.tolist() == [1, 1, 1, 1]
+        nb, sign = pde._neighbor((4,), 0, 1, periodic=False)
+        assert nb.tolist() == [1, 2, 3, 3] and sign.tolist() == [1, 1, 1, -1]
+        nb, sign = pde._neighbor((4,), 0, -1, periodic=False)
+        assert nb.tolist() == [0, 0, 1, 2] and sign.tolist() == [-1, 1, 1, 1]
+        nb, sign = pde._neighbor((2, 3), 1, -1, periodic=False)  # flat C order
+        assert nb.tolist() == [0, 0, 1, 3, 3, 4] and sign.tolist() == [-1, 1, 1, -1, 1, 1]
+
+    def test_zero_wall_stencil(self):
+        # unit diffusion: the odd-mirror ghost puts -3/dx^2 on a wall cell's diagonal
+        nx, periodic = (5,), False
+        nbrs = [{s: pde._neighbor(nx, 0, s, periodic) for s in (1, -1)}]
+        L = pde._assemble_diffusion(pde.identity_field(1), 0.0, (0.0,), (0.5,), nx, nbrs)
+        want = (np.diag([-3.0, -2.0, -2.0, -2.0, -3.0]) + np.eye(5, k=1) + np.eye(5, k=-1)) / 0.25
+        assert np.array_equal(L.toarray(), want)
+        u = np.arange(1.0, 6.0)
+        drift = pde._upwind_drift(u, np.full((5, 1), -1.0), (0.5,), nbrs)
+        assert np.array_equal(drift, -np.array([1.0, 1.0, 1.0, 1.0, -10.0]) / 0.5)

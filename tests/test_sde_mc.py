@@ -308,3 +308,17 @@ class TestEnsembleExport:
         assert np.array_equal(back.paths, ens.paths)
         assert back.family_tag == "example-6.2"
         assert back.seed == 19
+
+        def overflowing_drift(t, X):
+            with np.errstate(over="ignore"):
+                return np.where(X > 0.8, np.exp(800.0 * X), 0.0)
+
+        c = sde.SdeCoefficients(1, "custom", {}, b=overflowing_drift,
+                                sigma_diag=lambda t, X: np.ones(X.shape[:-1] + (1,)))
+        ens = sde.euler_maruyama(c, [0.0], 0.0, 1.0, 0.01, 200, 3)
+        assert ens.n_frozen > 0
+        sde.export_ensemble(ens, tmp_path / "frozen")
+        back = sde.load_ensemble(tmp_path / "frozen")
+        assert np.array_equal(back.frozen, ens.frozen)
+        assert back.n_frozen == ens.n_frozen
+        assert sde.sup_moment(back) == sde.sup_moment(ens)
