@@ -429,11 +429,11 @@ def run(config: ExperimentConfig) -> int:
     except (ValidationError, pde.CoefficientError, pde.SolverConfigError,
             sde.SdeParameterError, vr.FeasibilityError, mn.GridError, mn.ExponentError,
             ExponentDomainError, PreconditionError, CutoffFamilyError) as exc:
-        _write_error(outdir, config, "validation", str(exc))
+        _write_error(outdir, config.kind, config_hash(config), "validation", str(exc))
         return EXIT_VALIDATION
     except (pde.SolverError, dg.DiagnosticAnomaly, FloatingPointError,
             np.linalg.LinAlgError) as exc:
-        _write_error(outdir, config, "numerical", str(exc))
+        _write_error(outdir, config.kind, config_hash(config), "numerical", str(exc))
         return EXIT_NUMERICAL
     _write_report(outdir, config, body, started)
     (outdir / "error.json").unlink(missing_ok=True)
@@ -447,12 +447,11 @@ def _mkdir(p: Path) -> Path:
     return p
 
 
-def _write_error(outdir: Path, config: ExperimentConfig, category: str, message: str) -> None:
+def _write_error(outdir: Path, kind: str, chash, category: str, message: str) -> None:
     _mkdir(outdir)
     for stale in ("report.json", "meta.json"):
         (outdir / stale).unlink(missing_ok=True)
-    record = {"error": category, "message": message, "kind": config.kind,
-              "config_hash": config_hash(config)}
+    record = {"error": category, "message": message, "kind": kind, "config_hash": chash}
     (outdir / "error.json").write_text(json.dumps(record, sort_keys=True, indent=1) + "\n")
 
 
@@ -489,6 +488,8 @@ def main(argv=None) -> int:
         config = load_config(args.config, args.command, args.seed, args.out)
     except (ValidationError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.out is not None:  # a rejected config has no hash
+            _write_error(Path(args.out), args.command, None, "validation", str(exc))
         return EXIT_VALIDATION
     rc = run(config)
     if rc == EXIT_OK:

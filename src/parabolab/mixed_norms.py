@@ -389,6 +389,8 @@ def _ball_kernel(dx: Sequence[float], radius: float):
     grids = np.meshgrid(*axes, indexing="ij")
     dist2 = sum(g**2 for g in grids)
     kernel = (dist2 <= radius**2 * (1 + 1e-12)).astype(float)
+    if not kernel.any():
+        raise GridError("grid spacing exceeds the window ball; no cell center lies in it")
     return kernel, [lo for lo, _ in ranges]
 
 
@@ -424,8 +426,6 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
     for finite p, plain max for p = inf).
     """
     a = np.abs(arr)
-    if not kernel.any():  # grid too coarse for any cell center to fall in the ball
-        return np.zeros_like(a)
     if math.isinf(p):
         shape = kernel.shape
         origins = [lo + s // 2 for lo, s in zip(o_mins, shape)]

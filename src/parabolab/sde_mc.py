@@ -535,5 +535,8 @@ def load_ensemble(path_prefix) -> PathEnsemble:
     params = {k: (math.inf if v is None else v) for k, v in header["params"].items()}
     frozen = np.zeros(header["n_paths"], dtype=bool)
     frozen[header.get("frozen", [])] = True  # older headers carry no list
+    if frozen.sum() != header["n_frozen"]:
+        raise SdeParameterError(f"header lists {int(frozen.sum())} frozen paths but "
+                                f"n_frozen is {header['n_frozen']}")
     return PathEnsemble(paths, header["t0"], header["dt"], header["seed"],
                         header["scheme_tag"], header["family_tag"], params, frozen)

@@ -27,6 +27,19 @@ class TestConfigValidation:
         cfg.write_text(json.dumps({"kind": "norms", "parameters": {"nope": 1}}))
         assert cli.main(["norms", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_rejected_config_replaces_stale_report(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        for stale in ("report.json", "meta.json"):
+            (out / stale).write_text("stale\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "norms", "parameters": {"nope": 1}}))
+        assert cli.main(["norms", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "validation" and "nope" in err["message"]
+        assert err["kind"] == "norms" and err["config_hash"] is None
+        assert not (out / "report.json").exists() and not (out / "meta.json").exists()
+
     def test_kind_mismatch(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"kind": "sde"}))

@@ -211,6 +211,17 @@ class TestLocalizedNorm:
         with pytest.raises(mn.GridError):
             mn.localized_norm(unit_box_constant, MixedNormSpec(2, 2), lattice_step=1.5)
 
+    def test_empty_ball_rejected(self):
+        # spacing 3 > ball diameter 2: no cell center lies in any window ball,
+        # so an infinite sample must not aggregate to 0
+        for p in (INF, 2.4):
+            with pytest.raises(mn.GridError):
+                mn.localized_spatial_norm([np.inf, 1.0, 1.0], (0.0,), (3.0,), p)
+        f = constant_field(t_span=(0, 1), nt=8, box=((-4, 4),), nx=(3,))
+        for method in ("direct", "fft"):
+            with pytest.raises(mn.GridError):
+                mn.localized_norm(f, MixedNormSpec(2, 2), method=method)
+
 
 class TestCoveringEquivalence:
     def test_identical_windows(self, unit_box_constant):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -322,3 +323,17 @@ class TestEnsembleExport:
         assert np.array_equal(back.frozen, ens.frozen)
         assert back.n_frozen == ens.n_frozen
         assert sde.sup_moment(back) == sde.sup_moment(ens)
+
+    def test_header_without_frozen_list(self, tmp_path):
+        # headers written before the frozen list load only if nothing froze
+        c = sde.build_coefficients("example-6.2", R=1.0, alpha=0.2, n=4)
+        ens = sde.euler_maruyama(c, [0.3, -0.2], 0.0, 0.1, 0.01, 20, 5)
+        jpath, _ = sde.export_ensemble(ens, tmp_path / "ens")
+        header = json.loads(jpath.read_text())
+        del header["frozen"]
+        jpath.write_text(json.dumps(header))
+        assert sde.load_ensemble(tmp_path / "ens").n_frozen == 0
+        header["n_frozen"] = 3
+        jpath.write_text(json.dumps(header))
+        with pytest.raises(sde.SdeParameterError):
+            sde.load_ensemble(tmp_path / "ens")
