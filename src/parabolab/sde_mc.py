@@ -5,8 +5,10 @@ simulated families are bounded after the truncation shift; the raw singular
 field is only simulated with an evaluation floor and is documented as a
 heuristic).  Each path owns an independent counter-based Philox stream keyed
 by ``(seed, path_index)``, so ensembles are bitwise reproducible and the first
-k paths of a run coincide with a k-path run at the same seed.  Statistics are
-fixed-order numpy reductions.
+k paths of a run coincide with a k-path run at the same seed; one generator is
+re-keyed per path, so no OS entropy is read per path.  Statistics are
+fixed-order numpy reductions over blocks of about ``BLOCK_BYTES`` of live
+paths, so they need O(block) extra memory, not copies of the path array.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 RAW_FIELD_FLOOR = 1e-12
+BLOCK_BYTES = 1 << 19  # path values per statistics block: about 0.5 MB, cache sized
 
 
 class SdeParameterError(ValueError):
@@ -227,10 +230,13 @@ class PathEnsemble:
 def _path_noise(seed: int, start: int, count: int, n_steps: int, d: int) -> np.ndarray:
     """Per-path Philox streams keyed (seed, path_index); path-major draws."""
     out = np.empty((count, n_steps, d))
+    bitgen = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter zero, buffer empty: a fresh generator's state
     for i in range(count):
-        key = np.array([seed, start + i], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        out[i] = gen.standard_normal((n_steps, d))
+        state["state"]["key"] = np.array([seed, start + i], dtype=np.uint64)
+        bitgen.state = state
+        gen.standard_normal(out=out[i])
     return out
 
 
@@ -298,6 +304,43 @@ def euler_maruyama(
 # ---------------------------------------------------------------------------
 
 
+def _horizon(ens: PathEnsemble, T: float | None) -> int:
+    """Number of grid times in [t0, T]; T must be on the ensemble's time grid."""
+    if T is None:
+        return ens.n_steps + 1
+    steps = (T - ens.t0) / ens.dt
+    k = int(round(steps)) if math.isfinite(steps) else -1
+    if not 0 <= k <= ens.n_steps or abs(ens.t0 + k * ens.dt - T) > 1e-10:
+        raise SdeParameterError(f"T={T} is not a grid time of the ensemble "
+                                f"[{ens.t0}, {ens.t0 + ens.n_steps * ens.dt}] step {ens.dt}")
+    return k + 1
+
+
+def _live_rows(alive: np.ndarray) -> np.ndarray:
+    """Indices of the live paths; a statistic over none of them is an error."""
+    rows = np.flatnonzero(alive)
+    if rows.size == 0:
+        raise SdeParameterError("no live paths left in the ensemble")
+    return rows
+
+
+def _row_blocks(rows: np.ndarray, n_keep: int, d: int) -> list:
+    """Split ``rows`` into blocks of about BLOCK_BYTES of path values each."""
+    step = max(1, BLOCK_BYTES // (n_keep * d * 8))
+    return [rows[lo:lo + step] for lo in range(0, rows.size, step)]
+
+
+def _sup_sq_norm(P: np.ndarray) -> np.ndarray:
+    """Per path, ``max_t |P_t|^2`` (the square root commutes with the max bitwise)."""
+    return (P**2).sum(axis=2).max(axis=1)
+
+
+def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """(mean, stderr) over the paths; the stderr of a single path is 0."""
+    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return float(vals.mean()), se
+
+
 def _grid_lookup(f: GridFunction, t: float, X: np.ndarray) -> np.ndarray:
     """Piecewise-constant cell lookup of f at (t, X); zero outside the grid."""
     it = math.floor((t - f.t0) / f.dt)
@@ -322,17 +365,14 @@ def krylov_functional(ens: PathEnsemble, f: GridFunction, t0: float, t1: float
     over the non-frozen paths.
     """
     times = ens.times()
-    alive = ens.alive()
+    rows = _live_rows(ens.alive())
     k_idx = np.nonzero((times >= t0 - 1e-12) & (times < t1 - 1e-12))[0]
     if k_idx.size == 0:
         raise SdeParameterError("[t0, t1] does not meet the ensemble time grid")
     acc = np.zeros(ens.n_paths)
     for k in k_idx:
         acc += _grid_lookup(f, times[k], ens.paths[:, k, :]) * ens.dt
-    vals = acc[alive]
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return est, stderr
+    return _mean_stderr(acc[rows])
 
 
 @dataclass
@@ -347,48 +387,55 @@ class ModulusReport:
 def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> ModulusReport:
     """Least-squares slope of ``log E[sup_t sup_(s<=delta) |X_(t+s) - X_t|^(1/2)]`` vs log delta.
 
-    Each delta must be a multiple of dt and the grid must span at least 1.5
+    Each delta must be a multiple of dt shorter than the horizon ``T`` (a grid
+    time; default the ensemble's end), and the grid must span at least 1.5
     decades with at least 3 values.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size < 3:
         raise SdeParameterError("need at least 3 delta values for the fit")
-    if math.log10(deltas.max() / deltas.min()) < 1.5 - 1e-9:
-        raise SdeParameterError("delta grid must span at least 1.5 decades")
-    n_keep = ens.n_steps + 1 if T is None else int(round((T - ens.t0) / ens.dt)) + 1
-    P = ens.paths[ens.alive(), :n_keep, :]
     lags = []
     for delta in deltas:
-        m = int(round(delta / ens.dt))
+        m = int(round(delta / ens.dt)) if math.isfinite(delta) else 0
         if m < 1 or abs(m * ens.dt - delta) > 1e-10:
             raise SdeParameterError(f"delta={delta} is not a multiple of dt={ens.dt}")
         lags.append(m)
-    # one incremental sweep over lags; snapshot the running max at each delta
-    best = np.zeros(P.shape[0])
-    snapshots = {}
-    j = 1
-    for m in sorted(set(lags)):
-        while j <= m:
-            diff = P[:, j:, :] - P[:, :-j, :]
-            dist = np.sqrt((diff**2).sum(axis=2)).max(axis=1)
-            np.maximum(best, dist, out=best)
-            j += 1
-        snapshots[m] = np.sqrt(best)
-    moments = np.array([snapshots[m].mean() for m in lags])
-    errs = np.array([snapshots[m].std(ddof=1) / math.sqrt(snapshots[m].size) for m in lags])
+    if math.log10(deltas.max() / deltas.min()) < 1.5 - 1e-9:
+        raise SdeParameterError("delta grid must span at least 1.5 decades")
+    n_keep = _horizon(ens, T)
+    if max(lags) >= n_keep:
+        raise SdeParameterError(f"delta={deltas.max()} does not fit in the horizon "
+                                f"of {n_keep - 1} steps")
+    rows = _live_rows(ens.alive())
+    order = sorted(set(lags))
+
+    def block_best(P):
+        # running max over lags j <= m of the squared increment norm, one row per m
+        best = np.zeros(P.shape[0])
+        out = np.empty((len(order), P.shape[0]))
+        j = 1
+        for i, m in enumerate(order):
+            while j <= m:
+                np.maximum(best, _sup_sq_norm(P[:, j:, :] - P[:, :-j, :]), out=best)
+                j += 1
+            out[i] = best
+        return out
+
+    best = np.concatenate([block_best(ens.paths[b, :n_keep, :])
+                           for b in _row_blocks(rows, n_keep, ens.d)], axis=1)
+    roots = np.sqrt(np.sqrt(best))
+    moments, errs = np.array([_mean_stderr(roots[order.index(m)]) for m in lags]).T
     slope, intercept = np.polyfit(np.log(deltas), np.log(moments), 1)
     return ModulusReport(deltas, moments, errs, float(slope), float(intercept))
 
 
 def sup_moment(ens: PathEnsemble, T: float | None = None) -> tuple[float, float]:
-    """(mean, stderr) of ``sup_(t<=T) |X_t|`` over the non-frozen paths."""
-    n_keep = ens.n_steps + 1 if T is None else int(round((T - ens.t0) / ens.dt)) + 1
-    P = ens.paths[ens.alive(), :n_keep, :]
-    if P.shape[0] == 0:
-        raise SdeParameterError("no live paths left in the ensemble")
-    sups = np.sqrt((P**2).sum(axis=2)).max(axis=1)
-    se = float(sups.std(ddof=1) / math.sqrt(sups.size)) if sups.size > 1 else 0.0
-    return float(sups.mean()), se
+    """(mean, stderr) of ``sup_(t<=T) |X_t|`` over the non-frozen paths; T is a grid time."""
+    n_keep = _horizon(ens, T)
+    rows = _live_rows(ens.alive())
+    sq = np.concatenate([_sup_sq_norm(ens.paths[b, :n_keep, :])
+                         for b in _row_blocks(rows, n_keep, ens.d)])
+    return _mean_stderr(np.sqrt(sq))
 
 
 def sliced_wasserstein1(A: np.ndarray, B: np.ndarray) -> float:
@@ -481,10 +528,11 @@ def uniqueness_perturbation_report(
         shifted = x0.copy()
         shifted[0] += eps
         pert = euler_maruyama(coeffs, shifted, 0.0, T, dt, n_paths, seed)
-        alive = base.alive() & pert.alive()
-        diff = np.sqrt(((base.paths[alive] - pert.paths[alive]) ** 2).sum(axis=2)).max(axis=1)
-        rows.append({"eps": eps, "divergence": float(diff.mean()),
-                     "stderr": float(diff.std(ddof=1) / math.sqrt(max(diff.size, 2)))})
+        live = _live_rows(base.alive() & pert.alive())
+        sq = np.concatenate([_sup_sq_norm(base.paths[b] - pert.paths[b])
+                             for b in _row_blocks(live, base.n_steps + 1, base.d)])
+        divergence, stderr = _mean_stderr(np.sqrt(sq))
+        rows.append({"eps": eps, "divergence": divergence, "stderr": stderr})
     eps_arr = [r["eps"] for r in rows]
     div_arr = [r["divergence"] for r in rows]
     pos = [i for i, e in enumerate(eps_arr) if e > 0]

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,149 @@ class TestSupMoment:
         allowance = 1.5 * 0.5826 * math.sqrt(2.0) * math.sqrt(dt)
         assert m <= oracle + 3 * se
         assert m >= oracle - allowance - 3 * se
+
+
+def _one_shot_modulus(ens, deltas, T=None):
+    """The whole-array modulus formula the blocked sweep must reproduce bitwise."""
+    n_keep = ens.n_steps + 1 if T is None else int(round((T - ens.t0) / ens.dt)) + 1
+    P = ens.paths[ens.alive(), :n_keep, :]
+    lags = [int(round(delta / ens.dt)) for delta in deltas]
+    best = np.zeros(P.shape[0])
+    snapshots = {}
+    j = 1
+    for m in sorted(set(lags)):
+        while j <= m:
+            diff = P[:, j:, :] - P[:, :-j, :]
+            np.maximum(best, np.sqrt((diff**2).sum(axis=2)).max(axis=1), out=best)
+            j += 1
+        snapshots[m] = np.sqrt(best)
+    moments = np.array([snapshots[m].mean() for m in lags])
+    errs = np.array([snapshots[m].std(ddof=1) / math.sqrt(snapshots[m].size) for m in lags])
+    slope, intercept = np.polyfit(np.log(deltas), np.log(moments), 1)
+    return moments, errs, slope, intercept
+
+
+def _one_shot_sups(P):
+    return np.sqrt((P**2).sum(axis=2)).max(axis=1)
+
+
+def _freezing_ensemble(d, n_paths, seed):
+    def overflowing_drift(t, X):
+        with np.errstate(over="ignore"):
+            return np.where(X > 0.8, np.exp(800.0 * X), 0.0)
+
+    c = sde.SdeCoefficients(d, "custom", {}, b=overflowing_drift,
+                            sigma_diag=lambda t, X: np.ones(X.shape[:-1] + (d,)))
+    return sde.euler_maruyama(c, np.zeros(d), 0.0, 0.5, 1.0 / 256, n_paths, seed)
+
+
+@pytest.fixture(scope="module")
+def blocked_ensembles():
+    brownian = sde.euler_maruyama(sde.build_coefficients("brownian", d=1), [0.0], 0.0, 0.5,
+                                  1.0 / 256, 211, 8)
+    frozen = _freezing_ensemble(3, 150, 3)
+    assert 0 < frozen.n_frozen < frozen.n_paths
+    return {"d1": brownian, "d3-frozen": frozen}
+
+
+class TestBlockedStatistics:
+    """Blocked statistics equal the one-shot formulas bitwise, whatever the block size."""
+
+    # 64 B holds less than one row: one path per block; 8 KiB splits 211 paths unevenly
+    @pytest.fixture(params=[sde.BLOCK_BYTES, 8192, 64], ids=["default", "8KiB", "row"])
+    def block_bytes(self, request, monkeypatch):
+        monkeypatch.setattr(sde, "BLOCK_BYTES", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("lags,T", [
+        ([1, 2, 4, 8, 16, 32], None),
+        ([32, 1, 8, 4, 2, 16], None),
+        ([4, 1, 32, 1, 4, 2], 0.25),
+    ], ids=["sorted", "unsorted", "repeated-T-cut"])
+    @pytest.mark.parametrize("name", ["d1", "d3-frozen"])
+    def test_modulus_matches_one_shot(self, blocked_ensembles, block_bytes, name, lags, T):
+        ens = blocked_ensembles[name]
+        deltas = np.array(lags) * ens.dt
+        rep = sde.modulus_report(ens, deltas, T)
+        moments, errs, slope, intercept = _one_shot_modulus(ens, deltas, T)
+        assert np.array_equal(rep.moments, moments)
+        assert np.array_equal(rep.stderrs, errs)
+        assert (rep.slope, rep.intercept) == (slope, intercept)
+
+    @pytest.mark.parametrize("T", [None, 0.25, 0.0])
+    @pytest.mark.parametrize("name", ["d1", "d3-frozen"])
+    def test_sup_moment_matches_one_shot(self, blocked_ensembles, block_bytes, name, T):
+        ens = blocked_ensembles[name]
+        n_keep = ens.n_steps + 1 if T is None else int(round(T / ens.dt)) + 1
+        sups = _one_shot_sups(ens.paths[ens.alive(), :n_keep, :])
+        se = float(sups.std(ddof=1) / math.sqrt(sups.size))
+        assert sde.sup_moment(ens, T) == (float(sups.mean()), se)
+
+    def test_uniqueness_rows_match_one_shot(self, block_bytes):
+        eps_list, x0 = [1e-1, 1e-3, 0.0], np.full(3, 0.5)
+        kw = dict(family_tag="prop-6.1", d=3, alpha=0.3, beta=0.2, lam=1.0, n=INF)
+        out = sde.uniqueness_perturbation_report(eps_list, x0, 0.1, 0.005, 97, 13, **kw)
+        coeffs = sde.build_coefficients("prop-6.1", d=3, alpha=0.3, beta=0.2, lam=1.0, n=INF)
+        base = sde.euler_maruyama(coeffs, x0, 0.0, 0.1, 0.005, 97, 13)
+        for eps, row in zip(eps_list, out["rows"]):
+            shifted = x0.copy()
+            shifted[0] += eps
+            pert = sde.euler_maruyama(coeffs, shifted, 0.0, 0.1, 0.005, 97, 13)
+            alive = base.alive() & pert.alive()
+            diff = _one_shot_sups(base.paths[alive] - pert.paths[alive])
+            assert row == {"eps": eps, "divergence": float(diff.mean()),
+                           "stderr": float(diff.std(ddof=1) / math.sqrt(diff.size))}
+
+    def test_path_noise_is_one_fresh_stream_per_path(self):
+        noise = sde._path_noise(5, 17, 4, 30, 3)
+        for i in range(4):
+            gen = np.random.Generator(np.random.Philox(key=np.array([5, 17 + i],
+                                                                     dtype=np.uint64)))
+            assert np.array_equal(noise[i], gen.standard_normal((30, 3)))
+
+
+def _all_frozen():
+    c = sde.build_coefficients("brownian", d=1)
+    ens = sde.euler_maruyama(c, [0.0], 0.0, 0.64, 0.01, 6, 1)
+    ens.frozen = np.ones(ens.n_paths, dtype=bool)
+    return ens
+
+
+def _ball():
+    return mn.from_callable(lambda t, X: np.ones(X.shape[:-1]), (0, 1), 10, [(-1, 1)], (4,))
+
+
+LAGS = np.array([1, 2, 4, 8, 16, 32]) * 0.01
+
+
+class TestDegenerateStatistics:
+    """Degenerate inputs raise SdeParameterError, never a numpy error or NaN."""
+
+    @pytest.mark.parametrize("stat", [
+        lambda ens: sde.modulus_report(_all_frozen(), LAGS),
+        lambda ens: sde.krylov_functional(_all_frozen(), _ball(), 0.0, 0.5),
+        lambda ens: sde.sup_moment(_all_frozen()),
+        lambda ens: sde.modulus_report(ens, LAGS[:-1].tolist() + [0.65]),
+        lambda ens: sde.modulus_report(ens, LAGS, T=0.3),
+        lambda ens: sde.sup_moment(ens, T=-1.0),
+        lambda ens: sde.sup_moment(ens, T=0.65),
+        lambda ens: sde.modulus_report(ens, LAGS, T=0.65),
+        lambda ens: sde.sup_moment(ens, T=0.505),
+        lambda ens: sde.modulus_report(ens, LAGS, T=0.505),
+        lambda ens: sde.sup_moment(ens, T=math.nan),
+        lambda ens: sde.sup_moment(ens, T=math.inf),
+        lambda ens: sde.modulus_report(ens, [0.01, math.nan, 0.32]),
+    ], ids=["modulus-all-frozen", "krylov-all-frozen", "sup-all-frozen",
+            "lag-past-horizon", "T-before-largest-lag", "sup-negative-T", "sup-T-past-end",
+            "modulus-T-past-end", "sup-T-off-grid", "modulus-T-off-grid", "sup-T-nan",
+            "sup-T-inf", "modulus-delta-nan"])
+    def test_rejected(self, stat):
+        ens = sde.euler_maruyama(sde.build_coefficients("brownian", d=1), [0.0], 0.0, 0.64,
+                                 0.01, 6, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(sde.SdeParameterError):
+                stat(ens)
 
 
 class TestCauchyAndUniqueness:
