@@ -78,6 +78,7 @@ _BOUNDARY_TAGS = ("zero-extension", "periodic")
 
 # work threshold above which localized norms switch to the convolution path
 _FFT_WORK_THRESHOLD = 2.0e7
+FFT_BLOCK_BYTES = 1 << 19  # input slices per batched FFT convolution: about 0.5 MB
 
 
 def _check_exponent(e: float, name: str = "exponent") -> float:
@@ -400,21 +401,14 @@ def _strides(f: GridFunction, lattice_step: float) -> tuple[int, list[int]]:
     return st_t, st_x
 
 
-def _window_sum_time(arr: np.ndarray, o_min: int, o_max: int, dt: float) -> np.ndarray:
-    """Edge-centered sliding window sums over cell offsets [o_min, o_max] (zero fill)."""
+def _window_sum_time(arr: np.ndarray, o_min: int, o_max: int, dt: float,
+                     rows: np.ndarray) -> np.ndarray:
+    """Edge-centered window sums over cell offsets [o_min, o_max] (zero fill) at ``rows``."""
     csum = np.concatenate([np.zeros((1,) + arr.shape[1:]), np.cumsum(arr, axis=0)], axis=0)
     n = arr.shape[0]
-    idx = np.arange(n)
-    hi = np.clip(idx + o_max + 1, 0, n)
-    lo = np.clip(idx + o_min, 0, n)
+    hi = np.clip(rows + o_max + 1, 0, n)
+    lo = np.clip(rows + o_min, 0, n)
     return (csum[hi] - csum[lo]) * dt
-
-
-def _window_max_time(arr: np.ndarray, o_min: int, o_max: int) -> np.ndarray:
-    size = o_max - o_min + 1
-    origin = o_min + size // 2
-    return ndimage.maximum_filter1d(arr, size=size, axis=0, mode="constant", cval=0.0,
-                                    origin=origin)
 
 
 def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
@@ -423,7 +417,9 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
 
     ``arr`` has one leading (time/window) axis; entry (t, i) becomes the l^p
     aggregate of the cells in the ball around edge i (p-th power times measure
-    for finite p, plain max for p = inf).
+    for finite p, plain max for p = inf).  Finite p convolves blocks of about
+    ``FFT_BLOCK_BYTES`` of leading-axis slices at a time; each slice is
+    transformed on its own, so the blocking does not change the result.
     """
     a = np.abs(arr)
     if math.isinf(p):
@@ -432,38 +428,47 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
         return ndimage.maximum_filter(a, footprint=(kernel > 0)[None],
                                       mode="constant", cval=0.0, origin=[0] + origins)
     rev = kernel[tuple(slice(None, None, -1) for _ in kernel.shape)]
-    conv = signal.fftconvolve(a**p, rev[None], mode="full", axes=tuple(range(1, a.ndim)))
     sl = [slice(None)]
     for k, lo in enumerate(o_mins):
         o_max = lo + kernel.shape[k] - 1
         sl.append(slice(o_max, o_max + arr.shape[1 + k]))
-    return np.maximum(conv[tuple(sl)], 0.0) * cellvol
+    out = np.empty(a.shape)
+    step = max(1, FFT_BLOCK_BYTES // (a[0].size * 8))
+    for lo in range(0, a.shape[0], step):
+        conv = signal.fftconvolve(a[lo:lo + step] ** p, rev[None], mode="full",
+                                  axes=tuple(range(1, a.ndim)))
+        out[lo:lo + step] = np.maximum(conv[tuple(sl)], 0.0) * cellvol
+    return out
 
 
 def _localized_norm_fft(f: GridFunction, spec: MixedNormSpec, st_t, st_x, radius: float) -> float:
+    """Convolution path; only the entries that the shift lattice reads are computed."""
     kernel, o_mins = _ball_kernel(f.dx, radius)
     to_min, to_max = _offset_range(f.dt, radius**2)
     vals = f.values
-    sub = (slice(None, None, st_t),) + tuple(slice(None, None, s) for s in st_x)
+    rows = np.arange(0, f.nt, st_t)  # lattice time rows
+    space = (slice(None),) + tuple(slice(None, None, s) for s in st_x)  # lattice centers
     if spec.order == "time-outer":
-        S = _space_ball_reduce(vals, spec.p, kernel, o_mins, f.cell_volume)
         if math.isinf(spec.q):
-            h = S ** (1.0 / spec.p) if not math.isinf(spec.p) else S
-            N = _window_max_time(h, to_min, to_max)
-        else:
-            A = S ** (spec.q / spec.p) if not math.isinf(spec.p) else S**spec.q
-            W = _window_sum_time(A, to_min, to_max, f.dt)
-            N = W ** (1.0 / spec.q)
-        return float(N[sub].max())
-    # space-outer: inner time norm per cell and window, then ball reduce
+            # the sup over windows is the max over every time row some window covers
+            cover = np.zeros(f.nt, dtype=bool)
+            for it in rows:
+                cover[max(it + to_min, 0):it + to_max + 1] = True
+            S = _space_ball_reduce(vals[cover], spec.p, kernel, o_mins, f.cell_volume)[space]
+            return float((S if math.isinf(spec.p) else S ** (1.0 / spec.p)).max())
+        S = _space_ball_reduce(vals, spec.p, kernel, o_mins, f.cell_volume)[space]
+        A = S ** (spec.q / spec.p) if not math.isinf(spec.p) else S**spec.q
+        return float((_window_sum_time(A, to_min, to_max, f.dt, rows) ** (1.0 / spec.q)).max())
+    # space-outer: inner time norm per cell on the lattice windows, then ball reduce
+    a = np.abs(vals)
     if math.isinf(spec.q):
-        G = _window_max_time(np.abs(vals), to_min, to_max)
+        G = np.stack([a[max(it + to_min, 0):it + to_max + 1].max(axis=0) for it in rows])
     else:
-        G = _window_sum_time(np.abs(vals) ** spec.q, to_min, to_max, f.dt) ** (1.0 / spec.q)
-    R = _space_ball_reduce(G, spec.p, kernel, o_mins, f.cell_volume)
+        G = _window_sum_time(a**spec.q, to_min, to_max, f.dt, rows) ** (1.0 / spec.q)
+    R = _space_ball_reduce(G, spec.p, kernel, o_mins, f.cell_volume)[space]
     if not math.isinf(spec.p):
         R = R ** (1.0 / spec.p)
-    return float(R[sub].max())
+    return float(R.max())
 
 
 def _localized_norm_direct(f: GridFunction, spec: MixedNormSpec, st_t, st_x, radius: float) -> float:

@@ -227,17 +227,15 @@ class PathEnsemble:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
 
-def _path_noise(seed: int, start: int, count: int, n_steps: int, d: int) -> np.ndarray:
-    """Per-path Philox streams keyed (seed, path_index); path-major draws."""
-    out = np.empty((count, n_steps, d))
+def _path_noise(seed: int, start: int, out: np.ndarray) -> None:
+    """Fill ``out[i]`` with the Philox stream keyed (seed, start + i); path-major draws."""
     bitgen = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # counter zero, buffer empty: a fresh generator's state
-    for i in range(count):
+    for i in range(len(out)):
         state["state"]["key"] = np.array([seed, start + i], dtype=np.uint64)
         bitgen.state = state
         gen.standard_normal(out=out[i])
-    return out
 
 
 def euler_maruyama(
@@ -254,7 +252,9 @@ def euler_maruyama(
 
     Deterministic given the seed; a path that leaves the finite range is
     frozen at its last finite state and excluded from statistics (the count is
-    carried on the ensemble).
+    carried on the ensemble).  Each chunk's normal draws are written into the
+    path array itself and overwritten step by step, so no second path-sized
+    array is held.
     """
     if dt > 1e-2 + 1e-15:
         raise SdeParameterError("dt must be <= 1e-2")
@@ -271,16 +271,18 @@ def euler_maruyama(
 
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
-        noise = _path_noise(seed, lo, hi - lo, n_steps, d)
+        # the draws go where the path will be: step k reads slot k + 1, then writes X there
+        _path_noise(seed, lo, paths[lo:hi, 1:])
         X = np.tile(x0, (hi - lo, 1))
         paths[lo:hi, 0] = X
         fz = np.zeros(hi - lo, dtype=bool)
         for k in range(n_steps):
             t = s + k * dt
+            noise = paths[lo:hi, k + 1]
             if coeffs.sigma_diag is not None:
-                diff = coeffs.sigma_diag(t, X) * noise[:, k, :]
+                diff = coeffs.sigma_diag(t, X) * noise
             else:
-                diff = np.einsum("nij,nj->ni", coeffs.sigma(t, X), noise[:, k, :])
+                diff = np.einsum("nij,nj->ni", coeffs.sigma(t, X), noise)
             step = sqrt2dt * diff
             if coeffs.b is not None:
                 step = step + dt * coeffs.b(t, X)
@@ -571,7 +573,7 @@ def export_ensemble(ens: PathEnsemble, path_prefix) -> tuple[Path, Path]:
     jpath = prefix.with_suffix(".json")
     bpath = prefix.with_suffix(".bin")
     jpath.write_text(json.dumps(header, sort_keys=True, indent=1) + "\n")
-    ens.paths.astype("<f8").tofile(bpath)
+    ens.paths.astype("<f8", copy=False).tofile(bpath)  # no copy of a native float64 array
     return jpath, bpath
 
 

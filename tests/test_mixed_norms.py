@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage, signal
 
 from parabolab import mixed_norms as mn
 from parabolab.mixed_norms import INF, Cylinder, GridFunction, MixedNormSpec
@@ -221,6 +222,97 @@ class TestLocalizedNorm:
         for method in ("direct", "fft"):
             with pytest.raises(mn.GridError):
                 mn.localized_norm(f, MixedNormSpec(2, 2), method=method)
+
+
+def _full_ball_reduce(arr, p, kernel, o_mins, cellvol):
+    """Ball reduction of the whole array in one transform."""
+    a = np.abs(arr)
+    if math.isinf(p):
+        origins = [lo + n // 2 for lo, n in zip(o_mins, kernel.shape)]
+        return ndimage.maximum_filter(a, footprint=(kernel > 0)[None], mode="constant",
+                                      cval=0.0, origin=[0] + origins)
+    rev = kernel[tuple(slice(None, None, -1) for _ in kernel.shape)]
+    conv = signal.fftconvolve(a**p, rev[None], mode="full", axes=tuple(range(1, a.ndim)))
+    sl = (slice(None),) + tuple(slice(lo + n - 1, lo + n - 1 + m)
+                                for lo, n, m in zip(o_mins, kernel.shape, arr.shape[1:]))
+    return np.maximum(conv[sl], 0.0) * cellvol
+
+
+def _full_array_fft_norm(f, spec, lattice_step, radius):
+    """The convolution path on every space-time entry, subsampled to the lattice at the end."""
+    kernel, o_mins = mn._ball_kernel(f.dx, radius)
+    to_min, to_max = mn._offset_range(f.dt, radius**2)
+    st_t, st_x = mn._strides(f, lattice_step)
+    sub = (slice(None, None, st_t),) + tuple(slice(None, None, s) for s in st_x)
+    p, q, n = spec.p, spec.q, f.nt
+
+    def ball(arr):
+        return _full_ball_reduce(arr, p, kernel, o_mins, f.cell_volume)
+
+    def window_sum(arr):
+        csum = np.concatenate([np.zeros((1,) + arr.shape[1:]), np.cumsum(arr, axis=0)])
+        idx = np.arange(n)
+        return (csum[np.clip(idx + to_max + 1, 0, n)] - csum[np.clip(idx + to_min, 0, n)]) * f.dt
+
+    def window_max(arr):
+        size = to_max - to_min + 1
+        return ndimage.maximum_filter1d(arr, size=size, axis=0, mode="constant", cval=0.0,
+                                        origin=to_min + size // 2)
+
+    if spec.order == "time-outer":
+        S = ball(f.values)
+        if math.isinf(q):
+            N = window_max(S if math.isinf(p) else S ** (1.0 / p))
+        else:
+            N = window_sum(S**q if math.isinf(p) else S ** (q / p)) ** (1.0 / q)
+    else:
+        a = np.abs(f.values)
+        N = ball(window_max(a) if math.isinf(q) else window_sum(a**q) ** (1.0 / q))
+        if not math.isinf(p):
+            N = N ** (1.0 / p)
+    return float(N[sub].max())
+
+
+def _lattice_field(d):
+    rng = np.random.default_rng(40 + d)
+    nx = (41,) if d == 1 else (13, 11)
+    vals = rng.standard_normal((37,) + nx)
+    vals[10] += 5.0  # a row that no window covers at lattice step 1 and radius 1/2
+    return GridFunction(0.0, 0.05, (0.0,) * d, (0.1,) if d == 1 else (0.2, 0.25), vals)
+
+
+class TestLatticeLocalizedNorm:
+    """The convolution path computes only lattice entries, bitwise as the full array."""
+
+    @pytest.fixture(params=["default", "one-slice", "uneven"])
+    def block_budget(self, request, monkeypatch):
+        def set_budget(slice_values):
+            if request.param == "one-slice":
+                monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", 8)
+            elif request.param == "uneven":
+                monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", 3 * slice_values * 8)
+        return set_budget
+
+    @pytest.mark.parametrize("order", ["time-outer", "space-outer"])
+    @pytest.mark.parametrize("p,q", [(1.5, 2.0), (1.5, INF), (INF, 3.0), (INF, INF)])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("lattice_step,radius", [(0.25, 1.0), (1.0, 0.5)],
+                             ids=["covered", "time-gaps"])
+    def test_equals_full_array(self, block_budget, order, p, q, d, lattice_step, radius):
+        f = _lattice_field(d)
+        block_budget(int(np.prod(f.nx)))
+        spec = MixedNormSpec(p, q, order)
+        got = mn.localized_norm(f, spec, lattice_step, radius, method="fft")
+        assert got == _full_array_fft_norm(f, spec, lattice_step, radius)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_ball_reduce_blocks(self, block_budget, d):
+        f = _lattice_field(d)
+        block_budget(int(np.prod(f.nx)))
+        kernel, o_mins = mn._ball_kernel(f.dx, 0.5)
+        got = mn._space_ball_reduce(f.values, 1.5, kernel, o_mins, f.cell_volume)
+        assert np.array_equal(got, _full_ball_reduce(f.values, 1.5, kernel, o_mins,
+                                                     f.cell_volume))
 
 
 class TestCoveringEquivalence:

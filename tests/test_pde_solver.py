@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import linalg as splinalg
 
 from parabolab import mixed_norms as mn
 from parabolab import pde_solver as pde
@@ -322,3 +324,64 @@ class TestNeighborRule:
         u = np.arange(1.0, 6.0)
         drift = pde._upwind_drift(u, np.full((5, 1), -1.0), (0.5,), nbrs)
         assert np.array_equal(drift, -np.array([1.0, 1.0, 1.0, 1.0, -10.0]) / 0.5)
+
+
+def _plain_lu_march(field, u0, cfg):
+    """The scheme of ``solve`` with the default ``splu(M.tocsc())`` factorization."""
+    nx, dx = u0.nx, u0.dx
+    periodic = u0.boundary == "periodic"
+    nbrs = [{s: pde._neighbor(nx, k, s, periodic) for s in (1, -1)} for k in range(u0.d)]
+    L = pde._assemble_diffusion(field, 0.0, u0.x0, dx, nx, nbrs)
+    lu = splinalg.splu((sparse.identity(L.shape[0], format="csr") - cfg.dt * L).tocsc())
+    X = pde._mesh(u0.x0, dx, nx)
+    out = [np.asarray(u0.values[0], dtype=float)]
+    for step in range(int(round(cfg.T / cfg.dt))):
+        t = step * cfg.dt
+        rhs = out[-1].copy()
+        if field.b1 is not None or field.b2 is not None:
+            rhs += cfg.dt * pde._upwind_drift(out[-1], field.b_total(t, X), dx, nbrs)
+        if field.forcing is not None:
+            rhs += cfg.dt * field.forcing(t, X)
+        out.append(lu.solve(rhs.ravel()).reshape(nx))
+    return np.stack(out)
+
+
+def _bump(X):
+    return np.exp(-4.0 * (X**2).sum(axis=-1))
+
+
+class TestLuOrdering:
+    """Diagonal fields factorize with a symmetric ordering; the march does not change."""
+
+    @pytest.mark.parametrize("case", ["example-6.2-periodic", "identity-zero-ext",
+                                      "diagonal-power-3d"])
+    def test_diagonal_fields_match_plain_lu(self, case):
+        if case == "example-6.2-periodic":
+            field = pde.example_62_field(alpha=0.2, R=1.0, n=4, forcing=lambda t, X: _bump(X))
+            u0 = pde.spatial_initial_condition(lambda X: np.zeros(X.shape[:-1]),
+                                               [(-4, 4)] * 2, (24, 24), "periodic")
+        elif case == "identity-zero-ext":
+            field = pde.identity_field(2)
+            u0 = pde.spatial_initial_condition(_bump, [(-1, 1)] * 2, (20, 16), "zero-extension")
+        else:
+            field = pde.diagonal_power_field(3, 0.5, R=1.0, n=4)
+            u0 = pde.spatial_initial_condition(_bump, [(-1, 1)] * 3, (8, 9, 10),
+                                               "zero-extension")
+        assert field.is_diagonal
+        cfg = pde.SolverConfig(dt=0.01, T=0.2)
+        ref = _plain_lu_march(field, u0, cfg)
+        u = pde.solve(field, u0, cfg)
+        assert np.abs(ref).max() > 0
+        assert np.abs(u.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero-extension"])
+    def test_full_matrix_field_is_bitwise_plain_lu(self, boundary):
+        A = np.array([[1.0, 0.3], [0.3, 0.7]])
+        field = pde.CoefficientField(
+            "aniso", 2, a=lambda t, X: np.broadcast_to(A, X.shape[:-1] + (2, 2)).copy(),
+            forcing=lambda t, X: _bump(X))
+        u0 = pde.spatial_initial_condition(_bump, [(-1, 1)] * 2, (18, 14), boundary)
+        cfg = pde.SolverConfig(dt=0.01, T=0.2)
+        assert not field.is_diagonal
+        assert np.array_equal(pde.solve(field, u0, cfg).values,
+                              _plain_lu_march(field, u0, cfg))

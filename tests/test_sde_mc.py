@@ -282,12 +282,13 @@ def _one_shot_sups(P):
     return np.sqrt((P**2).sum(axis=2)).max(axis=1)
 
 
-def _freezing_ensemble(d, n_paths, seed):
-    def overflowing_drift(t, X):
-        with np.errstate(over="ignore"):
-            return np.where(X > 0.8, np.exp(800.0 * X), 0.0)
+def _overflowing_drift(t, X):
+    with np.errstate(over="ignore"):
+        return np.where(X > 0.8, np.exp(800.0 * X), 0.0)
 
-    c = sde.SdeCoefficients(d, "custom", {}, b=overflowing_drift,
+
+def _freezing_ensemble(d, n_paths, seed):
+    c = sde.SdeCoefficients(d, "custom", {}, b=_overflowing_drift,
                             sigma_diag=lambda t, X: np.ones(X.shape[:-1] + (d,)))
     return sde.euler_maruyama(c, np.zeros(d), 0.0, 0.5, 1.0 / 256, n_paths, seed)
 
@@ -350,11 +351,72 @@ class TestBlockedStatistics:
                            "stderr": float(diff.std(ddof=1) / math.sqrt(diff.size))}
 
     def test_path_noise_is_one_fresh_stream_per_path(self):
-        noise = sde._path_noise(5, 17, 4, 30, 3)
+        noise = np.empty((4, 30, 3))
+        sde._path_noise(5, 17, noise)
         for i in range(4):
             gen = np.random.Generator(np.random.Philox(key=np.array([5, 17 + i],
                                                                      dtype=np.uint64)))
             assert np.array_equal(noise[i], gen.standard_normal((30, 3)))
+
+
+def _separate_noise_em(coeffs, x0, s, T, dt, n_paths, seed, chunk=20000):
+    """Euler-Maruyama with each chunk's noise drawn into its own array first."""
+    n_steps, d = int(round((T - s) / dt)), coeffs.d
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
+    paths = np.empty((n_paths, n_steps + 1, d))
+    frozen = np.zeros(n_paths, dtype=bool)
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
+        noise = np.stack([np.random.Generator(np.random.Philox(
+            key=np.array([seed, i], dtype=np.uint64))).standard_normal((n_steps, d))
+            for i in range(lo, hi)])
+        X = np.tile(x0, (hi - lo, 1))
+        paths[lo:hi, 0] = X
+        fz = np.zeros(hi - lo, dtype=bool)
+        for k in range(n_steps):
+            t = s + k * dt
+            if coeffs.sigma_diag is not None:
+                diff = coeffs.sigma_diag(t, X) * noise[:, k, :]
+            else:
+                diff = np.einsum("nij,nj->ni", coeffs.sigma(t, X), noise[:, k, :])
+            step = math.sqrt(2.0 * dt) * diff
+            if coeffs.b is not None:
+                step = step + dt * coeffs.b(t, X)
+            Xn = X + step
+            newly = ~np.isfinite(Xn).all(axis=1) & ~fz
+            if newly.any():
+                Xn[newly] = X[newly]
+                fz |= newly
+            if fz.any():
+                Xn[fz] = X[fz]
+            X = Xn
+            paths[lo:hi, k + 1] = X
+        frozen[lo:hi] = fz
+    return paths, frozen
+
+
+class TestInPlaceStepping:
+    """Noise drawn into the path array gives the paths of a separate noise array."""
+
+    def test_freezing_ensemble(self):
+        ens = _freezing_ensemble(3, 150, 3)
+        assert 0 < ens.n_frozen < ens.n_paths
+        c = sde.SdeCoefficients(3, "custom", {}, b=_overflowing_drift,
+                                sigma_diag=lambda t, X: np.ones(X.shape[:-1] + (3,)))
+        paths, frozen = _separate_noise_em(c, np.zeros(3), 0.0, 0.5, 1.0 / 256, 150, 3)
+        assert np.array_equal(ens.paths, paths)
+        assert np.array_equal(ens.frozen, frozen)
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["sigma-diag", "sigma-matrix"])
+    def test_uneven_chunks(self, diagonal):
+        c = sde.build_coefficients("prop-6.1", d=3, alpha=0.3, beta=0.2, lam=1.0, n=4)
+        if not diagonal:
+            c = sde.SdeCoefficients(3, "custom", {}, sigma=c.sigma_matrix, b=c.b)
+        ens = sde.euler_maruyama(c, [0.2, -0.1, 0.4], 0.0, 0.2, 0.01, 61, 17, chunk=16)
+        paths, frozen = _separate_noise_em(c, [0.2, -0.1, 0.4], 0.0, 0.2, 0.01, 61, 17,
+                                           chunk=16)
+        assert np.array_equal(ens.paths, paths)
+        assert np.array_equal(ens.frozen, frozen)
 
 
 def _all_frozen():
