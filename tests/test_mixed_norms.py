@@ -284,35 +284,28 @@ def _lattice_field(d):
 class TestLatticeLocalizedNorm:
     """The convolution path computes only lattice entries, bitwise as the full array."""
 
-    @pytest.fixture(params=["default", "one-slice", "uneven"])
-    def block_budget(self, request, monkeypatch):
-        def set_budget(slice_values):
-            if request.param == "one-slice":
-                monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", 8)
-            elif request.param == "uneven":
-                monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", 3 * slice_values * 8)
-        return set_budget
+    @pytest.fixture(params=[(d, k) for d in (1, 2) for k in (None, 1, 3)],
+                    ids=[f"d{d}-{k}" for d in (1, 2) for k in ("default", "one-slice", "uneven")])
+    def field(self, request, monkeypatch):
+        d, slices = request.param
+        f = _lattice_field(d)
+        if slices:  # FFT blocks of one slice, or of three, which split 37 rows unevenly
+            monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", slices * f.values[0].nbytes)
+        return f
 
     @pytest.mark.parametrize("order", ["time-outer", "space-outer"])
     @pytest.mark.parametrize("p,q", [(1.5, 2.0), (1.5, INF), (INF, 3.0), (INF, INF)])
-    @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("lattice_step,radius", [(0.25, 1.0), (1.0, 0.5)],
                              ids=["covered", "time-gaps"])
-    def test_equals_full_array(self, block_budget, order, p, q, d, lattice_step, radius):
-        f = _lattice_field(d)
-        block_budget(int(np.prod(f.nx)))
+    def test_equals_full_array(self, field, order, p, q, lattice_step, radius):
         spec = MixedNormSpec(p, q, order)
-        got = mn.localized_norm(f, spec, lattice_step, radius, method="fft")
-        assert got == _full_array_fft_norm(f, spec, lattice_step, radius)
+        got = mn.localized_norm(field, spec, lattice_step, radius, method="fft")
+        assert got == _full_array_fft_norm(field, spec, lattice_step, radius)
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_ball_reduce_blocks(self, block_budget, d):
-        f = _lattice_field(d)
-        block_budget(int(np.prod(f.nx)))
-        kernel, o_mins = mn._ball_kernel(f.dx, 0.5)
-        got = mn._space_ball_reduce(f.values, 1.5, kernel, o_mins, f.cell_volume)
-        assert np.array_equal(got, _full_ball_reduce(f.values, 1.5, kernel, o_mins,
-                                                     f.cell_volume))
+    def test_ball_reduce_blocks(self, field):
+        kernel, o_mins = mn._ball_kernel(field.dx, 0.5)
+        args = (field.values, 1.5, kernel, o_mins, field.cell_volume)
+        assert np.array_equal(mn._space_ball_reduce(*args), _full_ball_reduce(*args))
 
 
 class TestCoveringEquivalence:

@@ -282,15 +282,18 @@ def _one_shot_sups(P):
     return np.sqrt((P**2).sum(axis=2)).max(axis=1)
 
 
-def _overflowing_drift(t, X):
-    with np.errstate(over="ignore"):
-        return np.where(X > 0.8, np.exp(800.0 * X), 0.0)
+def _freezing_coeffs(d):
+    def overflowing_drift(t, X):
+        with np.errstate(over="ignore"):
+            return np.where(X > 0.8, np.exp(800.0 * X), 0.0)
+
+    return sde.SdeCoefficients(d, "custom", {}, b=overflowing_drift,
+                               sigma_diag=lambda t, X: np.ones(X.shape[:-1] + (d,)))
 
 
 def _freezing_ensemble(d, n_paths, seed):
-    c = sde.SdeCoefficients(d, "custom", {}, b=_overflowing_drift,
-                            sigma_diag=lambda t, X: np.ones(X.shape[:-1] + (d,)))
-    return sde.euler_maruyama(c, np.zeros(d), 0.0, 0.5, 1.0 / 256, n_paths, seed)
+    return sde.euler_maruyama(_freezing_coeffs(d), np.zeros(d), 0.0, 0.5, 1.0 / 256, n_paths,
+                              seed)
 
 
 @pytest.fixture(scope="module")
@@ -401,9 +404,8 @@ class TestInPlaceStepping:
     def test_freezing_ensemble(self):
         ens = _freezing_ensemble(3, 150, 3)
         assert 0 < ens.n_frozen < ens.n_paths
-        c = sde.SdeCoefficients(3, "custom", {}, b=_overflowing_drift,
-                                sigma_diag=lambda t, X: np.ones(X.shape[:-1] + (3,)))
-        paths, frozen = _separate_noise_em(c, np.zeros(3), 0.0, 0.5, 1.0 / 256, 150, 3)
+        paths, frozen = _separate_noise_em(_freezing_coeffs(3), np.zeros(3), 0.0, 0.5,
+                                           1.0 / 256, 150, 3)
         assert np.array_equal(ens.paths, paths)
         assert np.array_equal(ens.frozen, frozen)
 
