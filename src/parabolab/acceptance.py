@@ -103,7 +103,7 @@ def criterion_03_variational_oracle() -> tuple[bool, str]:
         gap = float(rng.uniform(0.25, 1.0))
         prob = vr.VariationalProblem(0.0, gap, rng.uniform(1.0, 3.0, n),
                                      rng.uniform(1.0, 3.0, n), rng.uniform(0.5, 2.0, n), samples)
-        val, _ = vr.brute_force_infimum(prob, knot_count=33, n_candidates=11, max_sweeps=50)
+        val, _ = vr.brute_force_infimum(prob, knot_count=33)
         exp_val = vr.functional_value(prob, vr.explicit_cutoff(prob).resampled(33))
         if not val <= exp_val + 1e-9 * (1.0 + abs(exp_val)):
             return False, f"instance {k}: oracle {val} above explicit {exp_val}"

@@ -317,14 +317,15 @@ def run_variational(config: ExperimentConfig, outdir: Path) -> dict:
         gap = float(rng.uniform(0.25, 1.0))
         prob = vr.VariationalProblem(0.0, gap, rng.uniform(1, 3, n), rng.uniform(1, 3, n),
                                      rng.uniform(0.5, 2, n), samples)
-        value, profile = vr.brute_force_infimum(prob, p["knot_count"])
+        oracle = vr.oracle_infimum(prob, p["knot_count"])
         explicit = vr.functional_value(prob, vr.explicit_cutoff(prob).resampled(p["knot_count"]))
         lhs, expo, rhs, c_fit = vr.sa3_bound_report(prob, p["knot_count"])
-        rows.append({"instance": k, "gap": gap, "oracle": value, "explicit": explicit,
+        rows.append({"instance": k, "gap": gap, "oracle": oracle.value, "explicit": explicit,
+                     "converged": oracle.converged, "fw_gap": oracle.fw_gap,
                      "exponent": expo, "rhs_value": rhs, "c_fit": c_fit,
                      "bounded": bool(lhs <= c_fit * rhs)})
         if k == 0:
-            vr.profile_to_csv(profile, outdir / "best_profile.csv")
+            vr.profile_to_csv(oracle.profile, outdir / "best_profile.csv")
     return {"instances": rows}
 
 

@@ -6,9 +6,11 @@ The main object is the one-dimensional functional
 
 over nonincreasing profiles with l(tau) = 1, l(delta) = 0.  The infimum over
 C^1 profiles is approached by monotone piecewise-linear profiles (the
-functional only sees per-interval slopes), so the oracle minimizes over knot
-values by projected coordinate descent from many feasible starts.  The
-explicit construction integrates ``g^(-theta)`` with ``g = f + eps`` built
+functional only sees per-interval slopes).  Written by its interval drops, a
+profile is a point of the standard simplex, and the oracle minimizes there by
+exponentiated gradient from many feasible starts at once, stopped on the
+Frank-Wolfe duality gap, which it reports with the value.  The explicit
+construction integrates ``g^(-theta)`` with ``g = f + eps`` built
 exactly as in the underlying proof (no mollification step: sampled profiles
 are already piecewise smooth).
 """
@@ -16,7 +18,7 @@ are already piecewise smooth).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -31,6 +33,8 @@ __all__ = [
     "VariationalProblem",
     "functional_value",
     "explicit_cutoff",
+    "OracleResult",
+    "oracle_infimum",
     "brute_force_infimum",
     "sa3_exponent",
     "sa3_bound_report",
@@ -222,119 +226,107 @@ def random_feasible_profiles(tau, delta, n_knots, count, seed) -> list[CutoffPro
     return out
 
 
-def _objective(T: np.ndarray, inv_p: np.ndarray) -> np.ndarray:
-    # T: (N, ...) inner sums; objective = sum_i T_i^(1/p_i)
-    return sum(T[i] ** inv_p[i] for i in range(T.shape[0]))
+GAP_TOL = 1e-7  # a start stops once its Frank-Wolfe gap is at most GAP_TOL * F
+MAX_ITERATIONS = 300
+ETA_MIN = 1e-12  # a start whose step size falls below this has stalled
 
 
-def brute_force_infimum(
-    prob: VariationalProblem,
-    knot_count: int = 41,
-    n_starts: int = 20,
-    seed: int = 20250809,
-    max_sweeps: int = 80,
-    n_candidates: int = 15,
-) -> tuple[float, CutoffProfile]:
-    """Oracle infimum by projected coordinate descent over feasible knot values.
+@dataclass(frozen=True)
+class OracleResult:
+    """Oracle value and profile; ``fw_gap`` is the Frank-Wolfe gap at that profile.
 
-    Runs ``n_starts`` random feasible starts plus the explicit construction
-    (so the result never exceeds the explicit value), updating one interior
-    knot at a time over a candidate grid within its monotonicity bounds.  The
-    problem is non-convex for mixed exponents; multi-start with a fixed seed
-    trades exhaustiveness for reproducibility.
+    ``converged`` is ``fw_gap <= GAP_TOL * value``; ``iterations`` counts the
+    steps of the batched loop, which runs until its slowest start stops.
     """
-    if knot_count > 400:
-        raise FeasibilityError("knot_count capped at 400")
-    K = knot_count - 1  # intervals
+
+    value: float
+    profile: CutoffProfile
+    fw_gap: float
+    iterations: int
+    converged: bool
+
+
+def oracle_infimum(prob: VariationalProblem, knot_count: int = 41) -> OracleResult:
+    """Oracle infimum by exponentiated gradient on the simplex of interval drops.
+
+    A profile on ``knot_count`` equispaced knots is its drops ``x_k = v_(k-1)
+    - v_k``, a point of the standard simplex, where the functional is ``F(x) =
+    sum_i T_i^(1/p_i)``, ``T_i = sum_k w_ik (x_k/h)^alpha_i``.  Twenty seeded
+    random profiles, the explicit profile and the linear one step together,
+    each with its own ``eta``: ``x <- x exp(-eta (g - min g)/(max g - min
+    g))``, renormalized; a step that raises F is rejected and halves ``eta``,
+    an accepted one grows it by 1.5.  A start stops once its Frank-Wolfe gap
+    ``<g, x> - min_k g_k`` is at most ``GAP_TOL * F``, when ``eta`` falls
+    below ``ETA_MIN``, or at ``MAX_ITERATIONS``.  The K simplex vertices are
+    evaluated too, and the explicit profile wins whenever it is lower.  When
+    every alpha_i >= p_i, F is convex and ``value - fw_gap`` bounds the
+    discrete infimum from below; otherwise the gap measures stationarity.
+    """
+    if not 2 <= knot_count <= 400:
+        raise FeasibilityError("knot_count must lie in [2, 400]")
     knots = np.linspace(prob.tau, prob.delta, knot_count)
     h = knots[1] - knots[0]
     w = _interval_weights(prob, knots)  # (N, K)
-    alphas = prob.alphas
-    inv_p = 1.0 / prob.ps
 
-    starts = random_feasible_profiles(prob.tau, prob.delta, knot_count, n_starts, seed)
-    starts.append(explicit_cutoff(prob).resampled(knot_count))
-    starts.append(linear_profile(prob.tau, prob.delta, knot_count))
-    # informed extras: the exact single-component minimizer (slopes ~ w^(-1/(a-1)))
-    # per component, and slope concentrations at the lightest interval
-    for i in range(prob.n):
-        if prob.alphas[i] > 1.01:
-            with np.errstate(over="ignore", divide="ignore"):
-                dens = np.clip(w[i], 1e-300, None) ** (-1.0 / (prob.alphas[i] - 1.0))
-            tail = np.concatenate([np.cumsum(dens[::-1])[::-1], [0.0]])
-            if not (np.all(np.isfinite(tail)) and tail[0] > 0):
-                continue
-            vals = np.minimum.accumulate(np.clip(tail / tail[0], 0.0, 1.0))
-            vals[0], vals[-1] = 1.0, 0.0
-            starts.append(CutoffProfile(prob.tau, prob.delta, vals))
-    k_star = int(np.argmin(w.sum(axis=0)))
-    for k_conc in {0, k_star, K - 1}:
-        vals = np.concatenate([np.ones(k_conc + 1), np.zeros(K - k_conc)])
-        starts.append(CutoffProfile(prob.tau, prob.delta, vals))
-    V = np.stack([s.values for s in starts])  # (S, K+1)
-    S = V.shape[0]
+    def value_and_gradient(x):  # rows of x are points of the simplex
+        F, grad, s = np.zeros(x.shape[0]), np.zeros_like(x), x / h
+        for a, p, wi in zip(prob.alphas, prob.ps, w):
+            T = s**a @ wi
+            F += T ** (1.0 / p)
+            pos = T > 0  # a component with T_i = 0 adds nothing to the gradient
+            coef = np.where(pos, np.where(pos, T, 1.0) ** (1.0 / p - 1.0) / p, 0.0)
+            grad += coef[:, None] * (a / h) * s ** (a - 1.0) * wi
+        return F, grad
 
-    slopes = np.abs(np.diff(V, axis=1)) / h  # (S, K)
-    T = np.stack([(slopes ** alphas[i]) @ w[i] for i in range(prob.n)])  # (N, S)
-    obj = _objective(T, inv_p)
-    grid = np.linspace(0.0, 1.0, n_candidates)
+    def fw_gap(grad, x):
+        return np.einsum("sk,sk->s", grad, x) - grad.min(axis=1)
 
-    def update_knot(j, T, obj):
-        lo, hi = V[:, j + 1], V[:, j - 1]
-        w_left = w[:, j - 1][:, None, None]  # (N,1,1)
-        w_right = w[:, j][:, None, None]
-        old = np.stack(
-            [
-                (np.abs(V[:, j] - V[:, j - 1]) / h) ** alphas[i] * w[i, j - 1]
-                + (np.abs(V[:, j + 1] - V[:, j]) / h) ** alphas[i] * w[i, j]
-                for i in range(prob.n)
-            ]
-        )  # (N, S)
-        for zoom in range(2):
-            if zoom == 0:
-                C = lo[:, None] + (hi - lo)[:, None] * grid[None, :]
-            else:
-                span = (hi - lo) / (n_candidates - 1)
-                C = V[:, j][:, None] + span[:, None] * np.linspace(-1, 1, n_candidates)[None, :]
-                C = np.clip(C, lo[:, None], hi[:, None])
-            C[:, 0] = V[:, j]  # keep the incumbent: never worsen
-            s_left = (np.abs(C - V[:, j - 1][:, None]) / h)[None]  # (1,S,M)
-            s_right = (np.abs(V[:, j + 1][:, None] - C) / h)[None]
-            new = s_left ** alphas[:, None, None] * w_left + s_right ** alphas[:, None, None] * w_right
-            T_new = T[:, :, None] - old[:, :, None] + new  # (N,S,M)
-            cand_obj = _objective(np.maximum(T_new, 0.0), inv_p)  # (S,M)
-            pick = np.argmin(cand_obj, axis=1)
-            rows = np.arange(S)
-            V[:, j] = C[rows, pick]
-            T = np.maximum(T_new[:, rows, pick], 0.0)
-            old = np.stack(
-                [
-                    (np.abs(V[:, j] - V[:, j - 1]) / h) ** alphas[i] * w[i, j - 1]
-                    + (np.abs(V[:, j + 1] - V[:, j]) / h) ** alphas[i] * w[i, j]
-                    for i in range(prob.n)
-                ]
-            )
-            obj = cand_obj[rows, pick]
-        return T, obj
+    explicit = explicit_cutoff(prob).resampled(knot_count)
+    starts = random_feasible_profiles(prob.tau, prob.delta, knot_count, 20, 20250809)
+    starts += [explicit, linear_profile(prob.tau, prob.delta, knot_count)]
+    x = -np.diff(np.stack([s.values for s in starts]), axis=1)
+    # stepping log(x) is the same update without underflow to 0/0
+    logx = np.log(np.maximum(x, np.finfo(float).tiny))
+    F, grad = value_and_gradient(x)
+    eta = np.ones(x.shape[0])
+    active = fw_gap(grad, x) > GAP_TOL * F
+    iterations = 0
+    while active.any() and iterations < MAX_ITERATIONS:
+        iterations += 1
+        g_min = grad.min(axis=1, keepdims=True)
+        g_span = grad.max(axis=1, keepdims=True) - g_min
+        trial = logx - eta[:, None] * (grad - g_min) / np.where(g_span > 0, g_span, 1.0)
+        trial -= trial.max(axis=1, keepdims=True)
+        x_trial = np.exp(trial)
+        x_trial /= x_trial.sum(axis=1, keepdims=True)
+        F_trial, grad_trial = value_and_gradient(x_trial)
+        accept = active & (F_trial <= F)
+        logx[accept], x[accept] = trial[accept], x_trial[accept]
+        F[accept], grad[accept] = F_trial[accept], grad_trial[accept]
+        eta = np.where(accept, 1.5 * eta, np.where(active, 0.5 * eta, eta))
+        active &= (fw_gap(grad, x) > GAP_TOL * F) & (eta >= ETA_MIN)
 
-    for _ in range(max_sweeps):
-        prev = obj.copy()
-        for j in range(1, K):
-            T, obj = update_knot(j, T, obj)
-        if np.max(prev - obj) < 1e-12 * (1.0 + np.abs(obj).max()):
-            break
-
-    obj = np.where(np.isfinite(obj), obj, np.inf)
-    best = int(np.argmin(obj))
-    vals = V[best]
-    vals[0], vals[-1] = 1.0, 0.0
-    profile = CutoffProfile(prob.tau, prob.delta, np.minimum.accumulate(np.clip(vals, 0, 1)))
+    candidates = np.vstack([x, np.eye(x.shape[1])])
+    F_all = np.concatenate([F, value_and_gradient(candidates[len(x):])[0]])
+    drops = candidates[int(np.argmin(np.where(np.isfinite(F_all), F_all, np.inf)))]
+    # tail sums keep the small drops near the zero end exactly
+    vals = np.clip(np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]]), 0.0, 1.0)
+    vals[0] = 1.0
+    profile = CutoffProfile(prob.tau, prob.delta, np.minimum.accumulate(vals))
     value = functional_value(prob, profile)
-    exp_prof = explicit_cutoff(prob).resampled(knot_count)
-    exp_val = functional_value(prob, exp_prof)
+    exp_val = functional_value(prob, explicit)
     if not math.isfinite(value) or exp_val < value:
-        value, profile = exp_val, exp_prof
-    return value, profile
+        value, profile = exp_val, explicit
+    x_out = -np.diff(profile.values)[None]
+    gap = float(fw_gap(value_and_gradient(x_out)[1], x_out)[0])
+    return OracleResult(value, profile, gap, iterations, bool(gap <= GAP_TOL * value))
+
+
+def brute_force_infimum(prob: VariationalProblem,
+                        knot_count: int = 41) -> tuple[float, CutoffProfile]:
+    """``(value, profile)`` of :func:`oracle_infimum`."""
+    r = oracle_infimum(prob, knot_count)
+    return r.value, r.profile
 
 
 def sa3_exponent(alphas, ps, betas) -> float:
@@ -356,19 +348,20 @@ def _data_term(prob: VariationalProblem) -> float:
 _SA3_CACHE: dict = {}
 
 SA3_MARGIN = 1.5
+SA3_KNOTS = 25  # knot count of the calibration solves
+SA3_SEED = 20250809  # seed of the calibration densities
 
 
-def calibrate_sa3_constant(alphas, ps, betas, seed: int = 20250809, knot_count: int = 41) -> dict:
+def calibrate_sa3_constant(alphas, ps, betas) -> dict:
     """Empirical constant for the variational upper bound, per exponent signature.
 
     Max of lhs / ((gap)^(-exponent) * data term) over a frozen family of
     densities and gaps, times the recorded margin.  Cached.
     """
-    key = (tuple(np.atleast_1d(alphas)), tuple(np.atleast_1d(ps)), tuple(np.atleast_1d(betas)),
-           seed, knot_count)
+    key = (tuple(np.atleast_1d(alphas)), tuple(np.atleast_1d(ps)), tuple(np.atleast_1d(betas)))
     if key in _SA3_CACHE:
         return _SA3_CACHE[key]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SA3_SEED)
     n = np.atleast_1d(alphas).size
     expo = sa3_exponent(alphas, ps, betas)
     raw = 0.0
@@ -380,8 +373,7 @@ def calibrate_sa3_constant(alphas, ps, betas, seed: int = 20250809, knot_count: 
                 np.interp(np.linspace(0, 1, m), np.linspace(0, 1, 5), base[i]) for i in range(n)
             ])
             prob = VariationalProblem(0.0, gap, alphas, ps, betas, samples)
-            lhs, _ = brute_force_infimum(prob, min(knot_count, 25), n_starts=3,
-                                         seed=seed, n_candidates=9, max_sweeps=40)
+            lhs, _ = brute_force_infimum(prob, SA3_KNOTS)
             denom = gap ** (-expo) * _data_term(prob)
             if denom > 0:
                 raw = max(raw, lhs / denom)

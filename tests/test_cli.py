@@ -98,6 +98,20 @@ class TestExperiments:
         assert ra["config_hash"] != rb["config_hash"]
         assert ra["sup_moment"] != rb["sup_moment"]
 
+    def test_variational_reports_oracle_convergence(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "variational", "parameters": {
+            "n_components": 2, "n_instances": 3, "knot_count": 17}, "seed": 7}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert cli.main(["variational", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads((a / "report.json").read_text())["instances"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["converged"] is (row["fw_gap"] <= 1e-7 * row["oracle"])
+            assert row["oracle"] <= row["explicit"] * (1 + 1e-12)
+        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
     def test_embed_writes_sweep_table(self, tmp_path):
         out = tmp_path / "embed"
         cfg = tmp_path / "c.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestBruteForce:
             prob = VariationalProblem(0.0, float(rng.uniform(0.25, 1.0)),
                                       rng.uniform(1, 3, n), rng.uniform(1, 3, n),
                                       rng.uniform(0.5, 2, n), samples)
-            value, _ = vr.brute_force_infimum(prob, 33, n_candidates=11)
+            value, _ = vr.brute_force_infimum(prob, 33)
             explicit = vr.functional_value(prob, vr.explicit_cutoff(prob).resampled(33))
             assert value <= explicit + 1e-9 * (1 + abs(explicit))
 
@@ -111,8 +112,67 @@ class TestBruteForce:
             assert value <= vr.functional_value(prob, prof) + 1e-9
 
     def test_knot_cap(self):
-        with pytest.raises(vr.FeasibilityError):
-            vr.brute_force_infimum(const_problem(), knot_count=500)
+        for knot_count in (500, 1, 0):
+            with pytest.raises(vr.FeasibilityError):
+                vr.brute_force_infimum(const_problem(), knot_count=knot_count)
+
+
+def _random_problem(rng, convex=False):
+    n = int(rng.integers(1, 4))
+    ps = rng.uniform(1, 2, n)
+    alphas = ps + rng.uniform(0, 1.5, n) if convex else rng.uniform(1, 3, n)
+    return VariationalProblem(0.0, float(rng.uniform(0.25, 1.0)), alphas, ps,
+                              rng.uniform(0.5, 2, n), rng.uniform(0, 2, (n, 33)))
+
+
+class TestOracle:
+    def test_convex_instances_bounded_from_both_sides(self):
+        # alpha_i >= p_i makes F convex, so value - fw_gap is a lower bound on
+        # the discrete infimum: below the explicit value and every feasible one
+        rng = np.random.default_rng(606)
+        suite = vr.random_feasible_profiles(0.0, 1.0, 33, 100, 7)
+        for _ in range(8):
+            prob = _random_problem(rng, convex=True)
+            r = vr.oracle_infimum(prob, 33)
+            assert r.converged and r.fw_gap <= vr.GAP_TOL * r.value
+            lower = r.value - r.fw_gap
+            assert lower <= vr.functional_value(prob, vr.explicit_cutoff(prob).resampled(33))
+            for prof in suite:
+                moved = CutoffProfile(prob.tau, prob.delta, prof.values)
+                assert lower <= vr.functional_value(prob, moved)
+
+    def test_linear_case_takes_a_vertex(self):
+        # alpha = p = 1: F is linear in the interval drops, so the infimum puts
+        # the whole drop on the interval of least density
+        prob = vr.problem_from_callables(0.0, 1.0, [1.0], [1.0], [1.0],
+                                         [lambda s: 1.5 + np.sin(7 * s) * np.cos(3 * s)])
+        r = vr.oracle_infimum(prob, 33)
+        knots = np.linspace(0.0, 1.0, 33)
+        least = prob.f_at(0, 0.5 * (knots[:-1] + knots[1:])).min()
+        assert r.value == pytest.approx(least, rel=1e-12)
+        assert np.count_nonzero(np.diff(r.profile.values)) == 1
+
+    def test_zero_density_component_is_finite(self):
+        samples = np.stack([np.zeros(33), np.linspace(0.5, 2.0, 33)])
+        prob = VariationalProblem(0.0, 0.5, [2.0, 1.5], [1.5, 1.2], [1.0, 1.0], samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = vr.oracle_infimum(prob, 33)
+        assert math.isfinite(r.value) and r.value > 0 and math.isfinite(r.fw_gap)
+
+    def test_iteration_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(vr, "MAX_ITERATIONS", 1)
+        prob = VariationalProblem(0.0, 0.8, [2.0, 1.3], [1.0, 2.0], [1.0, 1.0],
+                                  np.random.default_rng(5).uniform(0.1, 2, (2, 33)))
+        r = vr.oracle_infimum(prob, 33)
+        assert r.iterations == 1
+        assert not r.converged and r.fw_gap > vr.GAP_TOL * r.value
+
+    def test_wrapper_returns_value_and_profile(self):
+        prob = _random_problem(np.random.default_rng(607))
+        r = vr.oracle_infimum(prob, 25)
+        value, profile = vr.brute_force_infimum(prob, 25)
+        assert value == r.value and np.array_equal(profile.values, r.profile.values)
 
 
 class TestSa3Bound:
