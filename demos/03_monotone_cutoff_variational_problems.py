@@ -3,8 +3,9 @@
 The one-dimensional functional charges the profile's slopes against component
 densities.  The explicit tail-integral construction is compared against the
 oracle (exponentiated gradient on the simplex of interval drops, with its
-Frank-Wolfe gap as the convergence report), the gap power of the upper bound is read
-off a sweep, and the radial embedding reduction is run at desk scale (d = 2).
+Frank-Wolfe gap as the convergence report), the gap power of the upper bound
+is read off a sweep, and the radial embedding reduction is run at desk scale
+(d = 2).
 """
 
 import numpy as np
