@@ -18,7 +18,7 @@ forcing = lambda t, X: np.exp(-(X**2).sum(axis=-1) / 0.32)
 field = pde.example_62_field(alpha=0.2, R=1.0, n=4, forcing=forcing)
 
 print("== ellipticity profiles of the degenerate field ==")
-prof = pde.ellipticity_profiles(field, (-4, -4), (0.25, 0.25), (32, 32), [0.0])
+prof = pde.ellipticity_profiles(field, (-4, -4), (0.25, 0.25), (32, 32))
 print(f"  lambda range: [{prof.lam.min():.4f}, {prof.lam.max():.4f}]")
 print(f"  mu     range: [{prof.mu.min():.4f}, {prof.mu.max():.4f}]")
 

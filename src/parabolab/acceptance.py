@@ -128,7 +128,7 @@ def criterion_04_recursion() -> tuple[bool, str]:
         deltas = tuple(float(x) for x in rng.uniform(0.1, 2.0, m))
         probe = dg.RecursionParams(C0, lam, deltas, 0.0)
         a1 = float(rng.random()) * dg.recursion_threshold(probe)
-        res = dg.recursion_simulate(dg.RecursionParams(C0, lam, deltas, a1, n_max=50))
+        res = dg.recursion_simulate(dg.RecursionParams(C0, lam, deltas, a1))
         if not (res.below_threshold and res.bound_ok):
             return False, f"instance {k}: bound violated (a1={a1}, thr={res.threshold})"
     return True, "1000 below-threshold instances satisfy the decay bound"
@@ -232,9 +232,9 @@ def criterion_07_global_boundedness() -> tuple[bool, str]:
                   f"refinement drift {rel_fine:.1%}, box drift {rel_big:.1%}")
 
 
-def _staircase_ball_forcing(nx: int = 40, lo: float = -1.25) -> GridFunction:
+def _staircase_ball_forcing() -> GridFunction:
     return mn.from_callable(lambda t, X: ((X**2).sum(axis=-1) <= 1.0).astype(float),
-                            (0.0, 1.0), 100, [(lo, -lo)] * 3, (nx,) * 3)
+                            (0.0, 1.0), 100, [(-1.25, 1.25)] * 3, (40,) * 3)
 
 
 def _staircase_oracle(f: GridFunction, dt: float, n_steps: int) -> float:

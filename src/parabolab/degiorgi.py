@@ -10,8 +10,7 @@ recursion lemma is exercised on the worst-case equality iteration
 
 The energy and local-maximum diagnostics evaluate both sides of the
 corresponding estimates on solver output around origin-centered cylinders
-(pad runs backward in time with zeros when needed; the time cutoff is the
-sharp indicator ``1_((-inf, t])`` on the grid).
+(pad runs backward in time with zeros when needed).
 
 Only the measure bound :func:`lk1_check` is a standalone exact inequality.
 Its two siblings -- the truncated-gradient bound and the shrunk-window level
@@ -63,15 +62,12 @@ class LevelSchedule:
     kappa: float
     tau: float
     sigma: float
-    n_max: int = 50
 
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError("base level kappa must be positive")
         if not (1.0 <= self.tau < self.sigma <= 2.0):
             raise ValueError("need 1 <= tau < sigma <= 2")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
 
 
 def schedule(sched: LevelSchedule, n: int) -> tuple[float, float, float]:
@@ -123,13 +119,15 @@ def lk1_check(u: GridFunction, kappa0: float, kappa1: float, cyl: Cylinder,
 # ---------------------------------------------------------------------------
 
 
+RECURSION_TERMS = 50  # length of the simulated sequence a_1, ..., a_50
+
+
 @dataclass(frozen=True)
 class RecursionParams:
     C0: float
     lam: float
     deltas: tuple
     a1: float
-    n_max: int = 50
 
     def __post_init__(self):
         d = tuple(float(x) for x in np.atleast_1d(self.deltas))
@@ -161,15 +159,16 @@ def recursion_simulate(params: RecursionParams) -> RecursionResult:
     """Iterate the worst-case equality recursion and check the decay induction.
 
     Below-threshold seeds must satisfy ``a_n <= a_1 lambda^(-(n-1)/delta)``
-    for all n up to n_max (floating-point <= with 1e-12 slack).  Seeds far
-    above threshold typically diverge; divergence is reported, not asserted.
+    for all n up to ``RECURSION_TERMS`` (floating-point <= with 1e-12 slack).
+    Seeds far above threshold typically diverge; divergence is reported, not
+    asserted.
     """
     m = len(params.deltas)
     delta = min(params.deltas)
     thr = recursion_threshold(params)
     a = [params.a1]
     diverged = False
-    for n in range(1, params.n_max):
+    for n in range(1, RECURSION_TERMS):
         an = a[-1]
         with np.errstate(over="ignore"):
             nxt = params.C0 * params.lam**n * an * sum(an**dj for dj in params.deltas)
@@ -230,9 +229,8 @@ def iteration_exponents(cfg: ExponentConfig) -> dict:
     return {"r1": r2, "s1": s2, "r2": r2, "s2": s2, "r3": r3, "s3": s3}
 
 
-def _cyl_v_norm(w: GridFunction, tmask_cut, cyl: Cylinder, kappa: float) -> float:
+def _cyl_v_norm(w: GridFunction, cyl: Cylinder, kappa: float) -> float:
     tmask, smask = mn.cylinder_masks(w, cyl)
-    tmask = tmask * tmask_cut
     part1 = mn.mixed_norm_masked(w, MixedNormSpec(2.0, INF, "time-outer"), tmask, smask)
     grad = mn.gradient_magnitude(w)
     part2 = mn.mixed_norm_masked(grad, MixedNormSpec(kappa, 2.0, "space-outer"), tmask, smask)
@@ -255,16 +253,14 @@ def energy_estimate_diagnostic(
     tau1: float,
     tau2: float,
     cfg: ExponentConfig,
-    t_cut: float = INF,
     gamma: float = 1.0,
-    c_fit: float = 1.0,
 ) -> EnergyDiagnostic:
     """Both sides of the truncated energy estimate on nested cylinders.
 
-    ``lhs = ||w 1_(<= t)||^2`` in the cylinder energy norm on Q_tau1;
+    ``lhs = ||w||^2`` in the cylinder energy norm on Q_tau1;
     ``rhs = (tau2 - tau1)^(-gamma) sum_i ||1_(Q_tau2) w|^2 + ||f||^2 ||1_(w!=0)||^2``
-    with the window pairs from :func:`iteration_exponents`.  gamma and the
-    multiplicative constant are empirical fits, reported alongside.
+    with the window pairs from :func:`iteration_exponents`.  gamma is an
+    empirical fit, reported alongside.
     """
     if not (1.0 <= tau1 < tau2 <= 2.0):
         raise PreconditionError("need 1 <= tau1 < tau2 <= 2")
@@ -275,16 +271,14 @@ def energy_estimate_diagnostic(
     origin = (0.0, (0.0,) * u.d)
     Q1, Q2 = Cylinder(tau1, origin), Cylinder(tau2, origin)
     w = level_truncate(u, kappa_level)
-    tcut = (tc <= t_cut + 1e-12).astype(float)
-    lhs = _cyl_v_norm(w, tcut, Q1, cfg.kappa) ** 2
+    lhs = _cyl_v_norm(w, Q1, cfg.kappa) ** 2
 
     tmask2, smask2 = mn.cylinder_masks(w, Q2)
-    tmask2cut = tmask2 * tcut
     wterm = 0.0
     terms = {}
     for i in (1, 2):
         spec = MixedNormSpec(pairs[f"r{i}"], pairs[f"s{i}"], "time-outer")
-        val = mn.mixed_norm_masked(w, spec, tmask2cut, smask2) ** 2
+        val = mn.mixed_norm_masked(w, spec, tmask2, smask2) ** 2
         terms[f"level_term_{i}"] = val
         wterm += val
     f_norm = 0.0
@@ -296,27 +290,25 @@ def energy_estimate_diagnostic(
                                       tmask2, smask2)
     ind = u.with_values((w.values > 0).astype(float))
     ind_norm = mn.mixed_norm_masked(ind, MixedNormSpec(pairs["r3"], pairs["s3"], "time-outer"),
-                                    tmask2cut, smask2)
+                                    tmask2, smask2)
     fterm = f_norm**2 * ind_norm**2
     terms["forcing_term"] = fterm
-    rhs = c_fit * ((tau2 - tau1) ** (-gamma) * wterm + fterm)
+    rhs = (tau2 - tau1) ** (-gamma) * wterm + fterm
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return EnergyDiagnostic(lhs, terms, rhs, gamma, ratio)
 
 
-def energy_gap_sweep(u, field, kappa_level, cfg, gaps, tau2: float = 2.0,
-                     t_cut: float = INF) -> dict:
+def energy_gap_sweep(u, field, kappa_level, cfg, gaps) -> dict:
     """Fit the gap power: regress the required prefactor on -log(gap).
 
-    For each gap the diagnostic is run at (tau2 - gap, tau2) with gamma = 0;
+    For each gap the diagnostic is run at (2 - gap, 2) with gamma = 0;
     the fitted slope of ``log((lhs - forcing term)^+ / level term)`` against
     ``-log(gap)`` is the empirical gamma.
     """
     xs, ys = [], []
     rows = []
     for gap in gaps:
-        diag = energy_estimate_diagnostic(u, field, kappa_level, tau2 - gap, tau2, cfg,
-                                          t_cut=t_cut, gamma=0.0)
+        diag = energy_estimate_diagnostic(u, field, kappa_level, 2.0 - gap, 2.0, cfg, gamma=0.0)
         S = diag.rhs_terms["level_term_1"] + diag.rhs_terms["level_term_2"]
         F = diag.rhs_terms["forcing_term"]
         need = max(diag.lhs - F, 1e-300)

@@ -203,21 +203,14 @@ def gn_ratio(f: GridFunction, r: float, s: float, theta: float, kappa: float) ->
     return lhs / rhs
 
 
-def random_field_family(
-    d: int,
-    n: int,
-    seed: int,
-    nt: int = 48,
-    nx: int = 32,
-    t_box: float = 4.0,
-    x_box: float = 2.0,
-    support: float = 1.9,
-) -> list[GridFunction]:
-    """Seeded family of smooth compactly supported fields on [-t_box, t_box] x [-x_box, x_box]^d.
+def random_field_family(d: int, n: int, seed: int) -> list[GridFunction]:
+    """Seeded family of smooth compactly supported fields on [-4, 4] x [-2, 2]^d.
 
-    Gaussian bump mixtures shaped by a sharp plateau envelope vanishing
-    outside the cylinder of radius ``support`` (and |t| <= support^2).
+    Gaussian bump mixtures on 48 time cells and 32 cells per axis, shaped by
+    a sharp plateau envelope vanishing outside the cylinder of radius
+    ``support`` = 1.9 (and |t| <= support^2).
     """
+    support = 1.9
     rng = np.random.default_rng(seed)
     fields = []
     for _ in range(n):
@@ -237,7 +230,7 @@ def random_field_family(
             return out * env
 
         fields.append(
-            mn.from_callable(fn, (-t_box, t_box), nt, [(-x_box, x_box)] * d, (nx,) * d)
+            mn.from_callable(fn, (-4.0, 4.0), 48, [(-2.0, 2.0)] * d, (32,) * d)
         )
     return fields
 
@@ -261,6 +254,8 @@ def gn_ratio_sweep(
 _WINDOW_CONSTANT_CACHE: dict = {}
 
 CALIBRATION_MARGIN = 1.5
+CALIBRATION_SEED = 20250809  # seed of the calibration family
+CALIBRATION_FAMILY = 50  # fields in the calibration family
 
 
 def _eb1_exponents(r: float, s: float, kappa: float, d: int) -> tuple[float, float]:
@@ -284,25 +279,17 @@ def _eb1_sides(f, tau1, tau2, r, s, kappa):
     return lhs, grad, fterm
 
 
-def calibrate_window_constant(
-    r: float,
-    s: float,
-    kappa: float,
-    d: int,
-    eps: float,
-    seed: int = 20250809,
-    n_family: int = 50,
-) -> dict:
+def calibrate_window_constant(r: float, s: float, kappa: float, d: int, eps: float) -> dict:
     """Empirical C_eps for the windowed interpolation bound.
 
     Maximizes the residual ``(lhs - eps*grad) * (tau2 - tau1) / fterm`` over a
     frozen seeded family and a fixed set of (tau1, tau2) pairs, then applies
     the recorded safety margin.  Cached per (r, s, kappa, d, eps).
     """
-    key = (r, s, kappa, d, eps, seed, n_family)
+    key = (r, s, kappa, d, eps)
     if key in _WINDOW_CONSTANT_CACHE:
         return _WINDOW_CONSTANT_CACHE[key]
-    fields = random_field_family(d, n_family, seed)
+    fields = random_field_family(d, CALIBRATION_FAMILY, CALIBRATION_SEED)
     raw = 0.0
     for f in fields:
         for tau1, tau2 in ((1.0, 2.0), (1.0, 1.5), (1.5, 2.0), (1.0, 1.25)):

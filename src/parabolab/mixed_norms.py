@@ -539,17 +539,18 @@ def localized_spatial_norm(
     x0: Sequence[float],
     dx: Sequence[float],
     p: float,
-    lattice_step: float = 0.25,
-    radius: float = 1.0,
 ) -> float:
-    """Purely spatial localized norm ``sup_z ||1_(B_r(z)) g||_p`` on cell samples."""
+    """Purely spatial localized norm ``sup_z ||1_(B_1(z)) g||_p`` on cell samples.
+
+    Ball centers run over the cell lattice subsampled to spacing 0.25.
+    """
     _check_exponent(p, "p")
     values = np.asarray(values, dtype=float)
     dx = tuple(float(h) for h in np.atleast_1d(dx))
     if np.any(np.isnan(values)):
         raise GridError("spatial samples must not contain NaN")
-    kernel, o_mins = _ball_kernel(dx, radius)
-    st_x = [max(1, int(round(lattice_step / h))) for h in dx]
+    kernel, o_mins = _ball_kernel(dx, 1.0)
+    st_x = [max(1, int(round(0.25 / h))) for h in dx]
     a = np.abs(values)[None]
     if math.isinf(p):
         R = _space_ball_reduce(np.where(np.isfinite(a), a, np.inf), INF, kernel, o_mins, 1.0)
@@ -569,21 +570,20 @@ def covering_equivalence_report(
     spec: MixedNormSpec,
     T: float,
     r: float,
-    lattice_step: float = 0.25,
 ) -> tuple[float, float]:
     """Band of per-center ratios between radius-1 and radius-``r`` window norms.
 
     Windows are ``[0, T] x B_rho(z)`` with ``rho in {1, r}`` and ``z`` running
-    over the spatial shift lattice; returns (min, max) of the ratio over the
-    centers where the radius-``r`` norm is nonzero.  For ``r = 1`` both windows
-    coincide and the band collapses to (1, 1).
+    over the spatial shift lattice of spacing 0.25; returns (min, max) of the
+    ratio over the centers where the radius-``r`` norm is nonzero.  For
+    ``r = 1`` both windows coincide and the band collapses to (1, 1).
     """
     if not 0.5 <= r <= 4.0:
         raise GridError(f"comparison radius must lie in [1/2, 4], got {r}")
     tc = f.t_centers()
     tmask = ((tc >= -1e-12) & (tc < T - 1e-12)).astype(float)
     X = f.meshgrid()
-    _, st_x = _strides(f, lattice_step)
+    _, st_x = _strides(f, 0.25)
     ratios = []
     # centers on the edge lattice (tie-free against cell centers)
     edge_axes = [f.x0[k] + np.arange(0, f.nx[k], st_x[k]) * f.dx[k] for k in range(f.d)]

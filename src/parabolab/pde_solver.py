@@ -180,11 +180,11 @@ def example_62_field(alpha: float = 0.2, R: float = 1.0, n: float = INF,
     return CoefficientField("example-6.2", 2, None, a_diag, forcing=forcing)
 
 
-def rotation_drift_field(pure: bool = True, chi_radius: float = 3.0, forcing=None) -> CoefficientField:
+def rotation_drift_field(pure: bool = True, forcing=None) -> CoefficientField:
     """Unit diffusion with the divergence-free planar rotation drift (-x2, x1).
 
     ``pure=True`` uses the raw rotation (discrete divergence exactly zero);
-    otherwise a radial plateau cutoff at ``chi_radius`` bounds the field for
+    otherwise a radial plateau cutoff at radius 3 bounds the field for
     periodic boxes (divergence-free analytically, O(dx^2) discretely).
     """
 
@@ -196,7 +196,7 @@ def rotation_drift_field(pure: bool = True, chi_radius: float = 3.0, forcing=Non
         if pure:
             return rot
         r2 = (X**2).sum(axis=-1)
-        chi = np.exp(-((r2 / chi_radius**2) ** 4))
+        chi = np.exp(-((r2 / 3.0**2) ** 4))
         return rot * chi[..., None]
 
     return CoefficientField("rotation-drift", 2, None, a_diag, b2=b2, forcing=forcing)
@@ -276,7 +276,7 @@ def _mesh(x0, dx, nx):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def _unit_sphere_grid(d: int, n: int, rng=None) -> np.ndarray:
+def _unit_sphere_grid(d: int, n: int) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
@@ -290,13 +290,11 @@ def _unit_sphere_grid(d: int, n: int, rng=None) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def mu_distortion_bruteforce(A: np.ndarray, n_xi: int = 10000, refine: bool = True) -> float:
+def mu_distortion_bruteforce(A: np.ndarray, n_xi: int = 10000) -> float:
     """Max of |A xi|^2 / (xi . A xi) over the unit sphere, grid plus local refine."""
     d = A.shape[0]
-    xis = _unit_sphere_grid(d, n_xi)
     evals, evecs = np.linalg.eigh(A)
-    if refine:
-        xis = np.concatenate([xis, evecs.T])
+    xis = np.concatenate([_unit_sphere_grid(d, n_xi), evecs.T])
 
     def ratio(v):
         Av = v @ A.T
@@ -305,51 +303,43 @@ def mu_distortion_bruteforce(A: np.ndarray, n_xi: int = 10000, refine: bool = Tr
         out = np.where(quad > 1e-300, num / np.maximum(quad, 1e-300), 0.0)
         return out
 
-    best = ratio(xis).max()
-    if refine:
-        # local perturbations around the best eigendirection
-        v0 = evecs[:, np.argmax(evals)]
-        rng = np.random.default_rng(0)
-        pert = v0[None, :] + 0.05 * rng.standard_normal((200, d))
-        pert /= np.linalg.norm(pert, axis=1, keepdims=True)
-        best = max(best, ratio(pert).max())
-    return float(best)
+    # local perturbations around the best eigendirection
+    v0 = evecs[:, np.argmax(evals)]
+    rng = np.random.default_rng(0)
+    pert = v0[None, :] + 0.05 * rng.standard_normal((200, d))
+    pert /= np.linalg.norm(pert, axis=1, keepdims=True)
+    return float(max(ratio(xis).max(), ratio(pert).max()))
 
 
-def ellipticity_profiles(field: CoefficientField, x0, dx, nx, t_samples,
+def ellipticity_profiles(field: CoefficientField, x0, dx, nx,
                          xi_check: int = 0) -> EllipticityProfile:
-    """Pointwise smallest directional ellipticity and largest distortion quotient.
+    """Pointwise smallest directional ellipticity and largest distortion quotient at t = 0.
 
-    ``lam(x) = inf_t lambda_min(a(t,x))``, ``mu(x) = sup_t`` of the distortion
-    quotient; for symmetric PSD ``a`` the latter equals the largest eigenvalue
+    ``lam(x) = lambda_min(a(0,x))``, ``mu(x)`` the distortion quotient; for
+    symmetric PSD ``a`` the latter equals the largest eigenvalue
     (cross-checked against the xi-grid maximization when ``xi_check > 0``).
     """
     x0 = tuple(np.atleast_1d(x0).astype(float))
     dx = tuple(np.atleast_1d(dx).astype(float))
     nx = tuple(int(n) for n in np.atleast_1d(nx))
     X = _mesh(x0, dx, nx)
-    lam = np.full(nx, np.inf)
-    mu = np.zeros(nx)
-    for t in np.atleast_1d(t_samples):
-        A = field.a_matrix(t, X)
-        if not np.allclose(A, np.swapaxes(A, -1, -2), atol=1e-12):
-            raise CoefficientError(f"a(t={t}) is not symmetric")
-        evals = np.linalg.eigvalsh(A)
-        scale = np.abs(evals).max()
-        if evals.min() < -1e-12 * max(scale, 1.0):
-            loc = np.unravel_index(np.argmin(evals.min(axis=-1)), nx)
-            raise CoefficientError(f"a not PSD at t={t}, x={X[loc]}")
-        lam = np.minimum(lam, evals[..., 0])
-        mu = np.maximum(mu, evals[..., -1])
-        if xi_check > 0:
-            flat = A.reshape(-1, field.d, field.d)
-            idx = np.linspace(0, flat.shape[0] - 1, min(16, flat.shape[0])).astype(int)
-            for i in idx:
-                brute = mu_distortion_bruteforce(flat[i], xi_check)
-                ref = np.linalg.eigvalsh(flat[i])[-1]
-                if ref > 0 and abs(brute - ref) > 1e-6 * ref:
-                    raise CoefficientError("distortion cross-check failed against eigenvalues")
-    return EllipticityProfile(x0, dx, lam, mu)
+    A = field.a_matrix(0.0, X)
+    if not np.allclose(A, np.swapaxes(A, -1, -2), atol=1e-12):
+        raise CoefficientError("a(t=0.0) is not symmetric")
+    evals = np.linalg.eigvalsh(A)
+    scale = np.abs(evals).max()
+    if evals.min() < -1e-12 * max(scale, 1.0):
+        loc = np.unravel_index(np.argmin(evals.min(axis=-1)), nx)
+        raise CoefficientError(f"a not PSD at t=0.0, x={X[loc]}")
+    if xi_check > 0:
+        flat = A.reshape(-1, field.d, field.d)
+        idx = np.linspace(0, flat.shape[0] - 1, min(16, flat.shape[0])).astype(int)
+        for i in idx:
+            brute = mu_distortion_bruteforce(flat[i], xi_check)
+            ref = np.linalg.eigvalsh(flat[i])[-1]
+            if ref > 0 and abs(brute - ref) > 1e-6 * ref:
+                raise CoefficientError("distortion cross-check failed against eigenvalues")
+    return EllipticityProfile(x0, dx, evals[..., 0], np.maximum(0.0, evals[..., -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +377,15 @@ class HypothesisReport:
         return d
 
 
-def check_hypotheses(field: CoefficientField, cfg: ExponentConfig, x0, dx, nx,
-                     t_samples=(0.0,), t_span=(0.0, 1.0), nt: int = 8) -> HypothesisReport:
+def check_hypotheses(field: CoefficientField, cfg: ExponentConfig, x0, dx, nx) -> HypothesisReport:
     """Localized-norm and predicate report for the declared exponents.
 
-    A vanishing ellipticity on a set of cells with finite p0 shows up as an
-    infinite ``lam_inv_norm`` (reported as hypothesis failure, not raised).
+    Ellipticity and divergence are sampled at t = 0, the drift norms on 8
+    time cells of [0, 1].  A vanishing ellipticity on a set of cells with
+    finite p0 shows up as an infinite ``lam_inv_norm`` (reported as
+    hypothesis failure, not raised).
     """
-    prof = ellipticity_profiles(field, x0, dx, nx, t_samples)
+    prof = ellipticity_profiles(field, x0, dx, nx)
     with np.errstate(divide="ignore"):
         lam_inv = np.where(prof.lam > 0, 1.0 / np.maximum(prof.lam, 1e-300), np.inf)
     lam_inv_norm = mn.localized_spatial_norm(lam_inv, x0, dx, cfg.p0)
@@ -405,7 +396,7 @@ def check_hypotheses(field: CoefficientField, cfg: ExponentConfig, x0, dx, nx,
             return 0.0
         box = [(x0[k], x0[k] + dx[k] * nx[k]) for k in range(len(nx))]
         g = mn.from_callable(lambda t, X: np.linalg.norm(fn(t, X), axis=-1),
-                             t_span, nt, box, nx)
+                             (0.0, 1.0), 8, box, nx)
         return mn.localized_norm(g, spec)
 
     b1_norm = st_norm(field.b1, MixedNormSpec(cfg.p2, cfg.q2, "time-outer"))
@@ -413,10 +404,8 @@ def check_hypotheses(field: CoefficientField, cfg: ExponentConfig, x0, dx, nx,
 
     div_neg_mass = 0.0
     if field.b2 is not None:
-        X = _mesh(x0, dx, nx)
-        for t in np.atleast_1d(t_samples):
-            div = discrete_divergence(field.b2(t, X), dx)
-            div_neg_mass = max(div_neg_mass, float(np.maximum(-div, 0.0).sum() * np.prod(dx)))
+        div = discrete_divergence(field.b2(0.0, _mesh(x0, dx, nx)), dx)
+        div_neg_mass = max(div_neg_mass, float(np.maximum(-div, 0.0).sum() * np.prod(dx)))
 
     lam_zero_fraction = float((prof.lam <= 0).mean())
     hyp_a_ok = bool(np.isfinite(lam_inv_norm) and np.isfinite(mu_norm))
@@ -440,19 +429,17 @@ def check_hypotheses(field: CoefficientField, cfg: ExponentConfig, x0, dx, nx,
 
 
 CFL_LIMIT = 0.9  # largest admissible advective Courant number dt*max|b|/dx
+LINEAR_TOL = 1e-10  # relative residual each implicit solve must reach
 
 
 @dataclass
 class SolverConfig:
     dt: float
     T: float
-    linear_tol: float = 1e-10
 
     def __post_init__(self):
         if not (self.dt > 0 and self.T > 0):
             raise SolverConfigError("dt and T must be positive")
-        if self.linear_tol > 1e-8:
-            raise SolverConfigError("linear_tol must be <= 1e-8 relative")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-8:
             raise SolverConfigError("T must be an integer number of steps")
@@ -562,7 +549,7 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
     ``a`` is assembled and factorized once, at t = 0.  Returns the space-time
     solution sampled at the step times k*dt (the output grid's cells are
     centered on those nodes).  Raises SolverError if an implicit solve misses
-    ``linear_tol``; raises SolverConfigError on an advective CFL violation.
+    ``LINEAR_TOL``; raises SolverConfigError on an advective CFL violation.
     """
     d = u0.d
     x0, dx, nx = u0.x0, u0.dx, u0.nx
@@ -605,7 +592,7 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
             rhs += cfg.dt * field.forcing(t, X)
         sol = lu.solve(rhs.ravel())
         res = np.linalg.norm(M @ sol - rhs.ravel())
-        if not res <= cfg.linear_tol * (np.linalg.norm(rhs) + 1.0):
+        if not res <= LINEAR_TOL * (np.linalg.norm(rhs) + 1.0):
             raise SolverError(f"implicit solve residual {res:.3e} exceeds tolerance")
         u = sol.reshape(nx)
         if not np.all(np.isfinite(u)):

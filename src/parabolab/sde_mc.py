@@ -44,6 +44,7 @@ __all__ = [
 
 RAW_FIELD_FLOOR = 1e-12
 BLOCK_BYTES = 1 << 19  # path values per statistics block: about 0.5 MB, cache sized
+CHUNK_PATHS = 20000  # paths stepped together by euler_maruyama
 
 
 class SdeParameterError(ValueError):
@@ -246,15 +247,14 @@ def euler_maruyama(
     dt: float,
     n_paths: int,
     seed: int,
-    chunk: int = 20000,
 ) -> PathEnsemble:
     """Simulate ``X_(k+1) = X_k + b dt + sqrt(2) sigma xi sqrt(dt)`` from time s to T.
 
     Deterministic given the seed; a path that leaves the finite range is
     frozen at its last finite state and excluded from statistics (the count is
-    carried on the ensemble).  Each chunk's normal draws are written into the
-    path array itself and overwritten step by step, so no second path-sized
-    array is held.
+    carried on the ensemble).  Paths are stepped in chunks of ``CHUNK_PATHS``;
+    each chunk's normal draws are written into the path array itself and
+    overwritten step by step, so no second path-sized array is held.
     """
     if dt > 1e-2 + 1e-15:
         raise SdeParameterError("dt must be <= 1e-2")
@@ -269,8 +269,8 @@ def euler_maruyama(
     frozen = np.zeros(n_paths, dtype=bool)
     sqrt2dt = math.sqrt(2.0 * dt)
 
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
+    for lo in range(0, n_paths, CHUNK_PATHS):
+        hi = min(lo + CHUNK_PATHS, n_paths)
         # the draws go where the path will be: step k reads slot k + 1, then writes X there
         _path_noise(seed, lo, paths[lo:hi, 1:])
         X = np.tile(x0, (hi - lo, 1))

@@ -37,6 +37,7 @@ __all__ = [
     "oracle_infimum",
     "brute_force_infimum",
     "sa3_exponent",
+    "sa3_bound_rhs",
     "sa3_bound_report",
     "sa3_gap_sweep",
     "calibrate_sa3_constant",
@@ -164,8 +165,9 @@ class VariationalProblem:
         return np.interp(s, self.sample_grid(), self.f_samples[i])
 
 
-def problem_from_callables(tau, delta, alphas, ps, betas, f_fns, m: int = 257) -> VariationalProblem:
-    grid = np.linspace(tau, delta, m)
+def problem_from_callables(tau, delta, alphas, ps, betas, f_fns) -> VariationalProblem:
+    """Problem whose densities are the callables sampled at 257 points."""
+    grid = np.linspace(tau, delta, 257)
     samples = np.stack([np.asarray(fn(grid), dtype=float) for fn in np.atleast_1d(f_fns)])
     return VariationalProblem(tau, delta, alphas, ps, betas, samples)
 
@@ -382,24 +384,26 @@ def calibrate_sa3_constant(alphas, ps, betas) -> dict:
     return result
 
 
-def sa3_bound_report(
-    prob: VariationalProblem, knot_count: int = 41, c_fit: float | None = None
-) -> tuple[float, float, float, float]:
-    """(lhs, rhs_exponent, rhs_value, C_fit) of the variational upper bound.
+def sa3_bound_rhs(prob: VariationalProblem) -> tuple[float, float, float]:
+    """(rhs_exponent, rhs_value, C_fit): the right side of the variational upper bound.
 
-    ``lhs`` is the oracle infimum, ``rhs_value = gap^(-exponent) * sum_i
-    (int |f_i|^beta_i)^(1/beta_i)``; the report is meaningful through
-    ``lhs <= C_fit * rhs_value``.
+    ``rhs_value = gap^(-exponent) * sum_i (int |f_i|^beta_i)^(1/beta_i)``;
+    the oracle infimum is bounded through ``lhs <= C_fit * rhs_value``.
     """
-    lhs, _ = brute_force_infimum(prob, knot_count)
     expo = sa3_exponent(prob.alphas, prob.ps, prob.betas)
     rhs_value = prob.gap ** (-expo) * _data_term(prob)
-    if c_fit is None:
-        c_fit = calibrate_sa3_constant(prob.alphas, prob.ps, prob.betas)["c_fit"]
-    return lhs, expo, rhs_value, c_fit
+    c_fit = calibrate_sa3_constant(prob.alphas, prob.ps, prob.betas)["c_fit"]
+    return expo, rhs_value, c_fit
 
 
-def sa3_gap_sweep(alphas, ps, betas, f_fns, gaps, knot_count: int = 41) -> dict:
+def sa3_bound_report(prob: VariationalProblem,
+                     knot_count: int = 41) -> tuple[float, float, float, float]:
+    """(lhs, rhs_exponent, rhs_value, C_fit): the oracle infimum and :func:`sa3_bound_rhs`."""
+    lhs, _ = brute_force_infimum(prob, knot_count)
+    return (lhs, *sa3_bound_rhs(prob))
+
+
+def sa3_gap_sweep(alphas, ps, betas, f_fns, gaps) -> dict:
     """Gap sweep of the oracle infimum; slope fitted on lhs normalized by the data term.
 
     The raw bound's right side carries the data term's own gap power, so the
@@ -409,7 +413,7 @@ def sa3_gap_sweep(alphas, ps, betas, f_fns, gaps, knot_count: int = 41) -> dict:
     lhs_list, data_list = [], []
     for gap in gaps:
         prob = problem_from_callables(0.0, gap, alphas, ps, betas, f_fns)
-        lhs, _ = brute_force_infimum(prob, knot_count)
+        lhs, _ = brute_force_infimum(prob)
         lhs_list.append(lhs)
         data_list.append(_data_term(prob))
     logg = np.log(np.asarray(gaps))
@@ -458,16 +462,14 @@ def radial_embedding_infimum(
     theta: float,
     tau: float,
     delta: float,
-    radial_knots: int = 65,
-    gamma: float = 1.0,
-    n_angles: int = 256,
 ) -> tuple[float, float]:
     """Radial-cutoff embedding functional and its gap-weighted right side (d = 2).
 
     Reduces ``inf_eta ||w |grad eta|^alpha||`` over radial cutoffs
     ``eta(x) = l(|x|)`` to a 1-D monotone-profile problem via circular shell
-    quadrature of ``F(x) = ||w(., x)||_(L^q)``, then brute-forces the profile.
-    Returns ``(J, (delta - tau)^(-gamma) * (||grad w||^theta ||w||^(1-theta) +
+    quadrature of ``F(x) = ||w(., x)||_(L^q)`` (65 radii, 256 angles), then
+    brute-forces the profile on those 65 knots.
+    Returns ``(J, (delta - tau)^(-1) * (||grad w||^theta ||w||^(1-theta) +
     ||w||))`` with norms over ``I x B_delta`` in the space-outer (kappa, q)
     ordering.  Requires ``1/kappa = 1/p + theta/(d-1)`` and ``alpha * p >= 1``.
     """
@@ -485,26 +487,26 @@ def radial_embedding_infimum(
     # F(x) = time q-norm per cell
     F = mn._reduce(w.values, q, w.dt, 0)
     # shell quadrature G(s) = s * int_angles F(s w)^p dtheta, sampled at the knots
-    knots = np.linspace(tau, delta, radial_knots)
-    angles = np.linspace(0.0, 2 * math.pi, n_angles, endpoint=False)
+    knots = np.linspace(tau, delta, 65)
+    angles = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
     circle = np.stack([np.cos(angles), np.sin(angles)])
     coords = []
     for k in range(2):
         pts = knots[:, None] * circle[k][None, :]
         coords.append((pts - (w.x0[k] + 0.5 * w.dx[k])) / w.dx[k])
     Fvals = ndimage.map_coordinates(F, np.stack(coords).reshape(2, -1), order=1, mode="constant")
-    Fvals = Fvals.reshape(len(knots), n_angles)
+    Fvals = Fvals.reshape(len(knots), len(angles))
     G = knots * (Fvals**p).mean(axis=1) * 2 * math.pi
 
     prob = VariationalProblem(tau, delta, [alpha * p], [p], [kappa], (G ** (1.0 / p))[None])
-    J, _ = brute_force_infimum(prob, radial_knots)
+    J, _ = brute_force_infimum(prob, len(knots))
 
     X = w.meshgrid()
     ball = ((X**2).sum(axis=-1) <= delta**2 * (1 + 1e-12)).astype(float)
     spec = MixedNormSpec(kappa, q, "space-outer")
     wn = mn.mixed_norm_masked(w, spec, None, ball)
     gn = mn.mixed_norm_masked(mn.gradient_magnitude(w), spec, None, ball)
-    rhs = (delta - tau) ** (-gamma) * (gn**theta * wn ** (1.0 - theta) + wn)
+    rhs = (delta - tau) ** (-1.0) * (gn**theta * wn ** (1.0 - theta) + wn)
     return float(J), float(rhs)
 
 

@@ -30,10 +30,23 @@ def test_recorder_installs_and_uninstalls(bench):
     assert cli.main is original
 
 
-def test_cli_pass_has_no_failed_operation(bench, tmp_path):
+WORKLOADS = ("variational-oracle", "degenerate-pde", "sde-ensemble", "cli-batch")
+
+
+def test_every_workload_is_smoke_tested(bench):
+    _, workloads = bench
+    assert set(workloads.WORKLOADS) == set(WORKLOADS)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_pass_has_no_failed_operation(bench, tmp_path, name):
+    # a package name or parameter that the benchmark still uses fails here
     recorder, workloads = bench
-    cases = workloads.cli_setup(1)
+    setup, run_pass = workloads.WORKLOADS[name]
+    state = setup(1)
     ops = workloads.Ops()
-    workloads.cli_pass(cases, 0, tmp_path, recorder.NullRecorder(), ops)
-    assert ops.attempted == len(cases)
+    run_pass(state, 0, tmp_path, recorder.NullRecorder(), ops)
+    assert ops.attempted > 0
+    if name == "cli-batch":
+        assert ops.attempted == len(state)
     assert ops.failed == 0, ops.notes

@@ -13,6 +13,7 @@ from parabolab import cli
 from parabolab import mixed_norms as mn
 from parabolab import pde_solver as pde
 from parabolab import sde_mc as sde
+from parabolab import variational as vr
 from parabolab.embeddings import ExponentConfig
 
 
@@ -69,6 +70,20 @@ class TestConfigValidation:
         err = json.loads((tmp_path / "o" / "error.json").read_text())
         assert err["error"] == "validation" and "x0" in err["message"]
 
+    @pytest.mark.parametrize("kind, params", [
+        ("pde", {"T": "inf"}),
+        ("sde", {"T": "inf"}),
+        ("pde", {"box": "inf"}),
+    ], ids=["pde-T", "sde-T", "pde-box"])
+    def test_non_finite_extent_is_validation(self, tmp_path, capsys, kind, params):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        assert cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads((tmp_path / "o" / "error.json").read_text())
+        (name,) = params
+        assert err["error"] == "validation" and f"parameter {name} " in err["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestExperiments:
     def test_norms_constant_fixture_reports_unit_value(self, tmp_path):
@@ -111,6 +126,31 @@ class TestExperiments:
             assert row["converged"] is (row["fw_gap"] <= 1e-7 * row["oracle"])
             assert row["oracle"] <= row["explicit"] * (1 + 1e-12)
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+    def test_variational_solves_each_problem_once(self, tmp_path, monkeypatch):
+        solved, instances = [], []
+        oracle = vr.oracle_infimum
+        knot_count = cli.DEFAULTS["variational"]["knot_count"]
+
+        def counting(prob, knots=41):
+            arrays = (prob.alphas, prob.ps, prob.betas, prob.f_samples)
+            solved.append((prob.tau, prob.delta, knots) + tuple(a.tobytes() for a in arrays))
+            if knots == knot_count:  # the calibration solves use vr.SA3_KNOTS
+                instances.append(prob)
+            return oracle(prob, knots)
+
+        monkeypatch.setattr(vr, "oracle_infimum", counting)
+        out = tmp_path / "v"
+        assert cli.main(["variational", "--out", str(out), "--seed", "42"]) == 0
+        assert solved and len(set(solved)) == len(solved)
+        # each row holds what the full bound report gives for its instance
+        rows = json.loads((out / "report.json").read_text())["instances"]
+        assert len(rows) == len(instances)
+        for row, prob in zip(rows, instances):
+            lhs, expo, rhs, c_fit = vr.sa3_bound_report(prob, knot_count)
+            assert (row["gap"], row["oracle"], row["exponent"], row["rhs_value"],
+                    row["c_fit"]) == (prob.gap, lhs, expo, rhs, c_fit)
+            assert row["bounded"] is (lhs <= c_fit * rhs)
 
     def test_embed_writes_sweep_table(self, tmp_path):
         out = tmp_path / "embed"

@@ -38,7 +38,7 @@ def analytic_bank(u):
 class TestEllipticity:
     def test_identity(self):
         field = pde.identity_field(2)
-        prof = pde.ellipticity_profiles(field, (0, 0), (0.25, 0.25), (8, 8), [0.0])
+        prof = pde.ellipticity_profiles(field, (0, 0), (0.25, 0.25), (8, 8))
         assert np.all(prof.lam == 1.0) and np.all(prof.mu == 1.0)
 
     def test_diag_4_1_bruteforce(self):
@@ -46,8 +46,7 @@ class TestEllipticity:
         assert pde.mu_distortion_bruteforce(A, 10000) == pytest.approx(4.0, rel=1e-6)
         field = pde.CoefficientField("diag", 2,
                                      a=lambda t, X: np.broadcast_to(A, X.shape[:-1] + (2, 2)).copy())
-        prof = pde.ellipticity_profiles(field, (0, 0), (0.5, 0.5), (4, 4), [0.0],
-                                        xi_check=4000)
+        prof = pde.ellipticity_profiles(field, (0, 0), (0.5, 0.5), (4, 4), xi_check=4000)
         assert np.all(prof.lam == pytest.approx(1.0))
         assert np.all(prof.mu == pytest.approx(4.0))
 
@@ -55,7 +54,7 @@ class TestEllipticity:
         from parabolab.cutoffs import CutoffFamily
 
         field = pde.example_61_field(d=3, alpha=0.3, R=2.0, n=4)
-        prof = pde.ellipticity_profiles(field, (-1.5,) * 3, (0.5,) * 3, (6,) * 3, [0.0])
+        prof = pde.ellipticity_profiles(field, (-1.5,) * 3, (0.5,) * 3, (6,) * 3)
         fam = CutoffFamily(2.0, -0.3, 4)
         X = pde._mesh((-1.5,) * 3, (0.5,) * 3, (6,) * 3)
         want = fam.f_n((X**2).sum(axis=-1))
@@ -66,7 +65,7 @@ class TestEllipticity:
         field = pde.CoefficientField("bad", 1,
                                      a=lambda t, X: -np.ones(X.shape[:-1] + (1, 1)))
         with pytest.raises(pde.CoefficientError):
-            pde.ellipticity_profiles(field, (0,), (0.5,), (4,), [0.0])
+            pde.ellipticity_profiles(field, (0,), (0.5,), (4,))
 
 
 class TestHypotheses:
@@ -171,10 +170,6 @@ class TestSolve:
                                            [(0, 1)], (16,), "periodic")
         with pytest.raises(pde.SolverConfigError):
             pde.solve(field, u0, pde.SolverConfig(dt=0.01, T=0.1))
-
-    def test_linear_tol_contract(self):
-        with pytest.raises(pde.SolverConfigError):
-            pde.SolverConfig(dt=0.01, T=0.1, linear_tol=1e-6)
 
     def test_anisotropic_constant_matrix_mode(self):
         A = np.array([[1.0, 0.3], [0.3, 0.7]])

@@ -120,10 +120,12 @@ class TestEulerMaruyama:
         small = sde.euler_maruyama(c, [0.0, 0.0], 0.0, 0.3, 0.01, 11, 7)
         assert np.array_equal(small.paths, big.paths[:11])
 
-    def test_chunking_invariant(self):
+    def test_chunking_invariant(self, monkeypatch):
         c = sde.build_coefficients("brownian", d=1)
-        a = sde.euler_maruyama(c, [0.0], 0.0, 0.2, 0.01, 100, 3, chunk=7)
-        b = sde.euler_maruyama(c, [0.0], 0.0, 0.2, 0.01, 100, 3, chunk=100)
+        monkeypatch.setattr(sde, "CHUNK_PATHS", 7)
+        a = sde.euler_maruyama(c, [0.0], 0.0, 0.2, 0.01, 100, 3)
+        monkeypatch.setattr(sde, "CHUNK_PATHS", 100)
+        b = sde.euler_maruyama(c, [0.0], 0.0, 0.2, 0.01, 100, 3)
         assert np.array_equal(a.paths, b.paths)
 
     def test_initial_condition_exact(self):
@@ -410,11 +412,12 @@ class TestInPlaceStepping:
         assert np.array_equal(ens.frozen, frozen)
 
     @pytest.mark.parametrize("diagonal", [True, False], ids=["sigma-diag", "sigma-matrix"])
-    def test_uneven_chunks(self, diagonal):
+    def test_uneven_chunks(self, diagonal, monkeypatch):
         c = sde.build_coefficients("prop-6.1", d=3, alpha=0.3, beta=0.2, lam=1.0, n=4)
         if not diagonal:
             c = sde.SdeCoefficients(3, "custom", {}, sigma=c.sigma_matrix, b=c.b)
-        ens = sde.euler_maruyama(c, [0.2, -0.1, 0.4], 0.0, 0.2, 0.01, 61, 17, chunk=16)
+        monkeypatch.setattr(sde, "CHUNK_PATHS", 16)
+        ens = sde.euler_maruyama(c, [0.2, -0.1, 0.4], 0.0, 0.2, 0.01, 61, 17)
         paths, frozen = _separate_noise_em(c, [0.2, -0.1, 0.4], 0.0, 0.2, 0.01, 61, 17,
                                            chunk=16)
         assert np.array_equal(ens.paths, paths)
