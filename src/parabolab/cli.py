@@ -57,6 +57,15 @@ class ExperimentConfig:
 
 
 FINITE_MAX = sys.float_info.max  # as an upper bound: admits every finite float, rejects inf
+MAX_STEPS = 10**7  # time steps per run; each step holds one grid or ensemble slice
+
+
+def _n_steps(T: float, dt: float) -> int:
+    """``round(T / dt)``, rejected when the quotient is not finite or exceeds ``MAX_STEPS``."""
+    n = T / dt
+    if not n <= MAX_STEPS:  # also rejects inf and nan
+        raise ValidationError(f"T / dt = {n:g} exceeds MAX_STEPS = {MAX_STEPS}")
+    return int(round(n))
 
 
 def _positive(name, lo=0.0, hi=math.inf, integer=False):
@@ -348,7 +357,7 @@ def run_pde(config: ExperimentConfig, outdir: Path) -> dict:
     box = [(-p["box"], p["box"])] * field.d
     u0 = pde.spatial_initial_condition(lambda X: np.zeros(X.shape[:-1]), box,
                                        (p["nx"],) * field.d, "periodic")
-    steps = int(round(p["T"] / p["dt"]))
+    steps = _n_steps(p["T"], p["dt"])
     cfg = pde.SolverConfig(dt=p["dt"], T=steps * p["dt"])
     u = pde.solve(field, u0, cfg)
     exp_cfg = ExponentConfig(d=field.d, p0=p["p0"], p4=p["p4"], q4=p["q4"])
@@ -364,7 +373,7 @@ def run_degiorgi(config: ExperimentConfig, outdir: Path) -> dict:
     field = pde.identity_field(1, forcing=lambda t, X: np.exp(-(X[..., 0] ** 2) / 0.18))
     u0 = pde.spatial_initial_condition(lambda X: np.zeros(X.shape[:-1]),
                                        [(-2.5, 2.5)], (p["nx"],), "periodic")
-    steps = int(round(4.0 / p["dt"]))
+    steps = _n_steps(4.0, p["dt"])
     u = pde.solve(field, u0, pde.SolverConfig(dt=p["dt"], T=steps * p["dt"]))
     up = dg.pad_run_backward(u, -4.0 - p["dt"])
     cfg = ExponentConfig(d=1, p0=INF, p4=p["p4"], q4=INF)
@@ -388,7 +397,7 @@ def run_sde(config: ExperimentConfig, outdir: Path) -> dict:
     if len(p["x0"]) != coeffs.d:
         raise ValidationError(f"parameter x0 must have length d = {coeffs.d}, "
                               f"got {len(p['x0'])}")
-    steps = int(round(p["T"] / p["dt"]))
+    steps = _n_steps(p["T"], p["dt"])
     ens = sde.euler_maruyama(coeffs, p["x0"], 0.0, steps * p["dt"], p["dt"],
                              p["n_paths"], config.seed)
     sup, sup_se = sde.sup_moment(ens)
@@ -434,7 +443,7 @@ def run(config: ExperimentConfig) -> int:
         _write_error(outdir, config.kind, config_hash(config), "validation", str(exc))
         return EXIT_VALIDATION
     except (pde.SolverError, dg.DiagnosticAnomaly, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, MemoryError) as exc:
         _write_error(outdir, config.kind, config_hash(config), "numerical", str(exc))
         return EXIT_NUMERICAL
     _write_report(outdir, config, body, started)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mixed_norms as mn
-from .embeddings import B1_MUST_VANISH, ExponentConfig, PreconditionError, in_script_I
+from .embeddings import ExponentConfig, PreconditionError, in_script_I
 from .mixed_norms import INF, Cylinder, GridFunction, MixedNormSpec
 from .pde_solver import CoefficientField
 

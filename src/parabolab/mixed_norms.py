@@ -76,8 +76,6 @@ class GradientError(ValueError):
 
 _BOUNDARY_TAGS = ("zero-extension", "periodic")
 
-# work threshold above which localized norms switch to the convolution path
-_FFT_WORK_THRESHOLD = 2.0e7
 FFT_BLOCK_BYTES = 1 << 19  # input slices per batched FFT convolution: about 0.5 MB
 
 
@@ -441,8 +439,25 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
     return out
 
 
-def _localized_norm_fft(f: GridFunction, spec: MixedNormSpec, st_t, st_x, radius: float) -> float:
-    """Convolution path; only the entries that the shift lattice reads are computed."""
+def localized_norm(
+    f: GridFunction,
+    spec: MixedNormSpec,
+    lattice_step: float = 0.25,
+    radius: float = 1.0,
+) -> float:
+    """Sup over shifted cylinders ``[s - r^2, s + r^2] x B_r(z)`` of the windowed norm.
+
+    Window centers run over the sample lattice subsampled to spacing
+    ``lattice_step`` (a deliberate, controlled under-approximation of the
+    continuum shift supremum).  Always <= ``mixed_norm(f, spec)`` up to
+    round-off.  Window sums are convolutions, and only the entries that the
+    shift lattice reads are computed.
+    """
+    if not 0 < lattice_step <= 1:
+        raise GridError(f"lattice_step must lie in (0, 1], got {lattice_step}")
+    if not radius > 0:
+        raise GridError("window radius must be positive")
+    st_t, st_x = _strides(f, lattice_step)
     kernel, o_mins = _ball_kernel(f.dx, radius)
     to_min, to_max = _offset_range(f.dt, radius**2)
     vals = f.values
@@ -471,75 +486,7 @@ def _localized_norm_fft(f: GridFunction, spec: MixedNormSpec, st_t, st_x, radius
     return float(R.max())
 
 
-def _localized_norm_direct(f: GridFunction, spec: MixedNormSpec, st_t, st_x, radius: float) -> float:
-    kernel, o_mins = _ball_kernel(f.dx, radius)
-    to_min, to_max = _offset_range(f.dt, radius**2)
-    vals = f.values
-    nt, nx = f.nt, f.nx
-    best = 0.0
-    for it in range(0, nt, st_t):
-        t_lo, t_hi = max(it + to_min, 0), min(it + to_max + 1, nt)
-        if t_hi <= t_lo:
-            continue
-        block = vals[t_lo:t_hi]
-        for center in np.ndindex(*[len(range(0, n, s)) for n, s in zip(nx, st_x)]):
-            ix = [c * s for c, s in zip(center, st_x)]
-            sl = []
-            ker_sl = []
-            empty = False
-            for k in range(f.d):
-                lo, hi = ix[k] + o_mins[k], ix[k] + o_mins[k] + kernel.shape[k]
-                clo, chi = max(lo, 0), min(hi, nx[k])
-                if chi <= clo:
-                    empty = True
-                    break
-                sl.append(slice(clo, chi))
-                ker_sl.append(slice(clo - lo, kernel.shape[k] - (hi - chi)))
-            if empty:
-                continue
-            sub = block[(slice(None),) + tuple(sl)] * kernel[tuple(ker_sl)][None]
-            val = _reduce_values(sub, spec, f.dt, f.cell_volume)
-            if val > best:
-                best = val
-    return best
-
-
-def localized_norm(
-    f: GridFunction,
-    spec: MixedNormSpec,
-    lattice_step: float = 0.25,
-    radius: float = 1.0,
-    method: str = "auto",
-) -> float:
-    """Sup over shifted cylinders ``[s - r^2, s + r^2] x B_r(z)`` of the windowed norm.
-
-    Window centers run over the sample lattice subsampled to spacing
-    ``lattice_step`` (a deliberate, controlled under-approximation of the
-    continuum shift supremum).  Always <= ``mixed_norm(f, spec)``.
-    """
-    if not 0 < lattice_step <= 1:
-        raise GridError(f"lattice_step must lie in (0, 1], got {lattice_step}")
-    if not radius > 0:
-        raise GridError("window radius must be positive")
-    st_t, st_x = _strides(f, lattice_step)
-    if method == "auto":
-        kernel_cells = np.prod([2 * (int(radius / h) + 1) for h in f.dx])
-        n_centers = (f.nt / st_t) * np.prod([n / s for n, s in zip(f.nx, st_x)])
-        window_cells = (2 * radius**2 / f.dt + 1) * kernel_cells
-        method = "direct" if n_centers * window_cells <= _FFT_WORK_THRESHOLD else "fft"
-    if method == "fft":
-        return _localized_norm_fft(f, spec, st_t, st_x, radius)
-    if method == "direct":
-        return _localized_norm_direct(f, spec, st_t, st_x, radius)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def localized_spatial_norm(
-    values: np.ndarray,
-    x0: Sequence[float],
-    dx: Sequence[float],
-    p: float,
-) -> float:
+def localized_spatial_norm(values: np.ndarray, dx: Sequence[float], p: float) -> float:
     """Purely spatial localized norm ``sup_z ||1_(B_1(z)) g||_p`` on cell samples.
 
     Ball centers run over the cell lattice subsampled to spacing 0.25.

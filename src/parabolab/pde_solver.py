@@ -388,8 +388,8 @@ def check_hypotheses(field: CoefficientField, cfg: ExponentConfig, x0, dx, nx) -
     prof = ellipticity_profiles(field, x0, dx, nx)
     with np.errstate(divide="ignore"):
         lam_inv = np.where(prof.lam > 0, 1.0 / np.maximum(prof.lam, 1e-300), np.inf)
-    lam_inv_norm = mn.localized_spatial_norm(lam_inv, x0, dx, cfg.p0)
-    mu_norm = mn.localized_spatial_norm(prof.mu, x0, dx, cfg.p1)
+    lam_inv_norm = mn.localized_spatial_norm(lam_inv, dx, cfg.p0)
+    mu_norm = mn.localized_spatial_norm(prof.mu, dx, cfg.p1)
 
     def st_norm(fn, spec):
         if fn is None:

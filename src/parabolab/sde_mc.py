@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
-from .cutoffs import INF, CutoffFamily, CutoffFamilyError, f_R_n_alpha, phi_R, phi_R_prime
+from .cutoffs import INF, CutoffFamily
 from .mixed_norms import GridFunction
 
 __all__ = [

@@ -84,6 +84,41 @@ class TestConfigValidation:
         assert err["error"] == "validation" and f"parameter {name} " in err["message"]
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, params", [
+        ("pde", {"T": 1e300}),
+        ("sde", {"T": 1e300}),
+        ("pde", {"T": 1e308, "dt": 0.001}),
+        ("degiorgi", {"dt": 1e-300}),
+    ], ids=["pde-T", "sde-T", "pde-T-over-dt-overflows", "degiorgi-dt"])
+    def test_step_count_capped(self, tmp_path, capsys, monkeypatch, kind, params):
+        # the cap must reject these before anything is allocated
+        monkeypatch.setattr(pde, "solve", lambda *a, **k: pytest.fail("solve was called"))
+        monkeypatch.setattr(sde, "euler_maruyama",
+                            lambda *a, **k: pytest.fail("euler_maruyama was called"))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        assert cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert err["error"] == "validation" and "MAX_STEPS" in err["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_step_cap_boundary(self):
+        assert cli._n_steps(cli.MAX_STEPS / 2, 0.5) == cli.MAX_STEPS
+        with pytest.raises(cli.ValidationError):
+            cli._n_steps(cli.MAX_STEPS + 1.0, 1.0)
+
+    def test_memory_error_is_numerical(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate the path array")
+
+        monkeypatch.setattr(sde, "euler_maruyama", out_of_memory)
+        out = tmp_path / "o"
+        assert cli.main(["sde", "--out", str(out), "--seed", "1"]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "numerical" and "allocate" in err["message"]
+        assert not (out / "report.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestExperiments:
     def test_norms_constant_fixture_reports_unit_value(self, tmp_path):

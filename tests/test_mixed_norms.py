@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -164,6 +165,60 @@ class TestMinkowski:
             mn.minkowski_gap(f, 3.0, 2.0)
 
 
+def _lattice_field(d):
+    rng = np.random.default_rng(40 + d)
+    nx = (41,) if d == 1 else (13, 11)
+    vals = rng.standard_normal((37,) + nx)
+    vals[10] += 5.0  # a row that no window covers at lattice step 1 and radius 1/2
+    return GridFunction(0.0, 0.05, (0.0,) * d, (0.1,) if d == 1 else (0.2, 0.25), vals)
+
+
+def _window_slices(f, kernel, o_mins, it, ix, to_min, to_max):
+    """Grid slices of the window at lattice entry (it, ix) and the matching kernel slices."""
+    rows = slice(max(it + to_min, 0), min(it + to_max + 1, f.nt))
+    if rows.stop <= rows.start:
+        return None
+    cells, ker = [], []
+    for k in range(f.d):
+        lo, hi = ix[k] + o_mins[k], ix[k] + o_mins[k] + kernel.shape[k]
+        clo, chi = max(lo, 0), min(hi, f.nx[k])
+        if chi <= clo:
+            return None
+        cells.append(slice(clo, chi))
+        ker.append(slice(clo - lo, kernel.shape[k] - (hi - chi)))
+    return (rows, *cells), tuple(ker)
+
+
+def _per_window_norm(f, spec, lattice_step, radius):
+    """Reference: the mixed norm of each lattice window in turn, by plain loops."""
+    kernel, o_mins = mn._ball_kernel(f.dx, radius)
+    to_min, to_max = mn._offset_range(f.dt, radius**2)
+    st_t, st_x = mn._strides(f, lattice_step)
+    best = 0.0
+    for it in range(0, f.nt, st_t):
+        for ix in itertools.product(*(range(0, n, s) for n, s in zip(f.nx, st_x))):
+            window = _window_slices(f, kernel, o_mins, it, ix, to_min, to_max)
+            if window is not None:
+                cells, ker = window
+                sub = f.values[cells] * kernel[ker][None]
+                best = max(best, brute_mixed_norm(sub, f.dt, f.cell_volume, spec.p, spec.q,
+                                                  spec.order))
+    return best
+
+
+def _middle_window_mask(f, lattice_step, radius):
+    """0/1 mask of the cells in the lattice window nearest the middle of the grid."""
+    kernel, o_mins = mn._ball_kernel(f.dx, radius)
+    to_min, to_max = mn._offset_range(f.dt, radius**2)
+    st_t, st_x = mn._strides(f, lattice_step)
+    it = f.nt // 2 // st_t * st_t
+    ix = [n // 2 // s * s for n, s in zip(f.nx, st_x)]
+    cells, ker = _window_slices(f, kernel, o_mins, it, ix, to_min, to_max)
+    mask = np.zeros(f.values.shape)
+    mask[cells] = kernel[ker][None]
+    return mask
+
+
 class TestLocalizedNorm:
     def test_support_in_one_window_attains_mixed_norm(self):
         # support inside [0, 2) x B_1(0.5): window centered at (1, 0.5)
@@ -200,13 +255,21 @@ class TestLocalizedNorm:
         b = mn.localized_norm(f, spec, radius=1.0)
         assert a <= b * (1 + 1e-10)
 
-    def test_fft_and_direct_agree(self, rng):
-        f = random_field(rng, d=2, nt=12, nx=14)
-        for spec in (MixedNormSpec(2, 3, "time-outer"), MixedNormSpec(INF, 2, "space-outer"),
-                     MixedNormSpec(1.5, INF, "time-outer")):
-            a = mn.localized_norm(f, spec, method="direct")
-            b = mn.localized_norm(f, spec, method="fft")
-            assert a == pytest.approx(b, rel=1e-10)
+    @pytest.mark.parametrize("field", ["random", "one-window"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("order", ["time-outer", "space-outer"])
+    @pytest.mark.parametrize("p,q", [(1.5, 2.0), (1.5, INF), (INF, 3.0), (INF, INF)])
+    @pytest.mark.parametrize("lattice_step,radius", [(0.25, 1.0), (1.0, 0.5)],
+                             ids=["covered", "time-gaps"])
+    def test_equals_per_window_reference(self, field, d, order, p, q, lattice_step, radius):
+        f = _lattice_field(d)
+        if field == "one-window":
+            f = f.with_values(f.values * _middle_window_mask(f, lattice_step, radius))
+        spec = MixedNormSpec(p, q, order)
+        got = mn.localized_norm(f, spec, lattice_step, radius)
+        assert got == pytest.approx(_per_window_norm(f, spec, lattice_step, radius), rel=1e-10)
+        if field == "one-window":  # the window that holds the support attains the full norm
+            assert got == pytest.approx(mn.mixed_norm(f, spec), rel=1e-10)
 
     def test_lattice_step_validated(self, unit_box_constant):
         with pytest.raises(mn.GridError):
@@ -217,11 +280,10 @@ class TestLocalizedNorm:
         # so an infinite sample must not aggregate to 0
         for p in (INF, 2.4):
             with pytest.raises(mn.GridError):
-                mn.localized_spatial_norm([np.inf, 1.0, 1.0], (0.0,), (3.0,), p)
+                mn.localized_spatial_norm([np.inf, 1.0, 1.0], (3.0,), p)
         f = constant_field(t_span=(0, 1), nt=8, box=((-4, 4),), nx=(3,))
-        for method in ("direct", "fft"):
-            with pytest.raises(mn.GridError):
-                mn.localized_norm(f, MixedNormSpec(2, 2), method=method)
+        with pytest.raises(mn.GridError):
+            mn.localized_norm(f, MixedNormSpec(2, 2))
 
 
 def _full_ball_reduce(arr, p, kernel, o_mins, cellvol):
@@ -273,14 +335,6 @@ def _full_array_fft_norm(f, spec, lattice_step, radius):
     return float(N[sub].max())
 
 
-def _lattice_field(d):
-    rng = np.random.default_rng(40 + d)
-    nx = (41,) if d == 1 else (13, 11)
-    vals = rng.standard_normal((37,) + nx)
-    vals[10] += 5.0  # a row that no window covers at lattice step 1 and radius 1/2
-    return GridFunction(0.0, 0.05, (0.0,) * d, (0.1,) if d == 1 else (0.2, 0.25), vals)
-
-
 class TestLatticeLocalizedNorm:
     """The convolution path computes only lattice entries, bitwise as the full array."""
 
@@ -299,7 +353,7 @@ class TestLatticeLocalizedNorm:
                              ids=["covered", "time-gaps"])
     def test_equals_full_array(self, field, order, p, q, lattice_step, radius):
         spec = MixedNormSpec(p, q, order)
-        got = mn.localized_norm(field, spec, lattice_step, radius, method="fft")
+        got = mn.localized_norm(field, spec, lattice_step, radius)
         assert got == _full_array_fft_norm(field, spec, lattice_step, radius)
 
     def test_ball_reduce_blocks(self, field):
