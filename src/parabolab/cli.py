@@ -201,8 +201,8 @@ def load_config(path, kind: str, seed, out) -> ExperimentConfig:
     cfg_seed = raw.get("seed", 0)
     if seed is not None:
         cfg_seed = seed
-    if not isinstance(cfg_seed, int):
-        raise ValidationError("seed must be an integer")
+    if isinstance(cfg_seed, bool) or not isinstance(cfg_seed, int) or not 0 <= cfg_seed < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2**64 - 1], got {cfg_seed!r}")
     output_dir = raw.get("output_dir", "out")
     if out is not None:
         output_dir = out

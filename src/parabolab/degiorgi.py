@@ -283,9 +283,7 @@ def energy_estimate_diagnostic(
         wterm += val
     f_norm = 0.0
     if field.forcing is not None:
-        X = u.meshgrid()
-        f_vals = np.stack([field.forcing(t, X) for t in tc])
-        f_gf = u.with_values(f_vals)
+        f_gf = u.with_values(u.sample(field.forcing))
         f_norm = mn.mixed_norm_masked(f_gf, MixedNormSpec(cfg.p4, cfg.q4, "time-outer"),
                                       tmask2, smask2)
     ind = u.with_values((w.values > 0).astype(float))
@@ -343,9 +341,7 @@ def local_max_diagnostic(u: GridFunction, field: CoefficientField, cfg: Exponent
     upp = float((np.abs(vals2) ** p).sum() * meas) ** (1.0 / p)
     f_norm = 0.0
     if field.forcing is not None:
-        X = u.meshgrid()
-        f_vals = np.stack([field.forcing(t, X) for t in u.t_centers()])
-        f_norm = mn.mixed_norm_masked(u.with_values(f_vals),
+        f_norm = mn.mixed_norm_masked(u.with_values(u.sample(field.forcing)),
                                       MixedNormSpec(cfg.p4, cfg.q4, "time-outer"), t2, s2)
     rhs = upp + f_norm
     if rhs == 0.0 and lhs > 0.0:

@@ -42,6 +42,7 @@ __all__ = [
     "GridFunction",
     "MixedNormSpec",
     "Cylinder",
+    "cell_centers",
     "from_callable",
     "mixed_norm",
     "mixed_norm_masked",
@@ -200,14 +201,24 @@ class GridFunction:
 
     def meshgrid(self) -> np.ndarray:
         """Cell-center coordinates, shape ``(*nx, d)``."""
-        axes = [self.x_centers(k) for k in range(self.d)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return cell_centers(self.x0, self.dx, self.nx)
+
+    def sample(self, fn: Callable) -> np.ndarray:
+        """``fn(t, X)`` at every time center on this grid's cell centers, shape ``(nt, *nx, ...)``."""
+        X = self.meshgrid()
+        return np.stack([fn(t, X) for t in self.t_centers()])
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.t0, self.dt, self.x0, self.dx, values, self.boundary)
 
     def scaled(self, c: float) -> "GridFunction":
         return self.with_values(c * self.values)
+
+
+def cell_centers(x0, dx, nx) -> np.ndarray:
+    """Centers of the ``nx`` cells of size ``dx`` from the left edges ``x0``, shape ``(*nx, d)``."""
+    axes = [x0[k] + (np.arange(n) + 0.5) * dx[k] for k, n in enumerate(nx)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def from_callable(fn: Callable, t_span, nt: int, box, nx, boundary="zero-extension") -> GridFunction:
@@ -223,8 +234,7 @@ def from_callable(fn: Callable, t_span, nt: int, box, nx, boundary="zero-extensi
         raise GridError("box and nx must have the same number of axes")
     x0 = tuple(lo for lo, _ in box)
     dx = tuple((hi - lo) / n for (lo, hi), n in zip(box, nx))
-    axes = [lo + (np.arange(n) + 0.5) * h for (lo, _), n, h in zip(box, nx, dx)]
-    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    X = cell_centers(x0, dx, nx)
     ts = t0 + (np.arange(nt) + 0.5) * dt
     vals = np.empty((nt,) + nx)
     for i, t in enumerate(ts):
@@ -317,28 +327,14 @@ def restrict_time(f: GridFunction, t_lo: float, t_hi: float) -> GridFunction:
 
 
 def _axis_gradient(values: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    n = values.shape[axis]
-    if n < 3:
+    if values.shape[axis] < 3:
         raise GradientError("need at least 3 samples per spatial axis for the gradient")
-    if periodic:
-        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * h)
     out = (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * h)
-    # one-sided second-order stencils at the box edges
-    sl = [slice(None)] * values.ndim
-
-    def take(i):
-        sl2 = list(sl)
-        sl2[axis] = i
-        return values[tuple(sl2)]
-
-    first = (-3 * take(0) + 4 * take(1) - take(2)) / (2 * h)
-    last = (3 * take(-1) - 4 * take(-2) + take(-3)) / (2 * h)
-    sl0 = list(sl)
-    sl0[axis] = 0
-    sln = list(sl)
-    sln[axis] = n - 1
-    out[tuple(sl0)] = first
-    out[tuple(sln)] = last
+    if not periodic:
+        # one-sided second-order stencils at the box edges (written through views of out)
+        v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+        o[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+        o[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
     return out
 
 
@@ -399,16 +395,6 @@ def _strides(f: GridFunction, lattice_step: float) -> tuple[int, list[int]]:
     return st_t, st_x
 
 
-def _window_sum_time(arr: np.ndarray, o_min: int, o_max: int, dt: float,
-                     rows: np.ndarray) -> np.ndarray:
-    """Edge-centered window sums over cell offsets [o_min, o_max] (zero fill) at ``rows``."""
-    csum = np.concatenate([np.zeros((1,) + arr.shape[1:]), np.cumsum(arr, axis=0)], axis=0)
-    n = arr.shape[0]
-    hi = np.clip(rows + o_max + 1, 0, n)
-    lo = np.clip(rows + o_min, 0, n)
-    return (csum[hi] - csum[lo]) * dt
-
-
 def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
                        cellvol: float) -> np.ndarray:
     """Edge-centered spatial ball reduction of |arr| along the trailing axes.
@@ -439,6 +425,38 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
     return out
 
 
+def _window_norms(f: GridFunction, spec: MixedNormSpec, radius: float, st_x: Sequence[int],
+                  rows: np.ndarray, to_min: int, to_max: int) -> np.ndarray:
+    """Norm of every lattice window ``[it + to_min, it + to_max] x B_radius(z)``.
+
+    Time windows run over ``rows`` (cell offsets, clipped to the grid); ball
+    centers ``z`` run over the edge lattice with strides ``st_x``.  Returns an
+    array of shape ``(len(rows), *centers)``.
+    """
+    kernel, o_mins = _ball_kernel(f.dx, radius)
+    space = (slice(None),) + tuple(slice(None, None, s) for s in st_x)
+    p, q = spec.p, spec.q
+
+    def time_reduce(a):
+        """l^q norm over each time window of ``a = |g|^q`` (``|g|`` for q = inf)."""
+        if math.isinf(q):
+            return np.stack([a[max(it + to_min, 0):it + to_max + 1].max(axis=0) for it in rows])
+        csum = np.concatenate([np.zeros((1,) + a.shape[1:]), np.cumsum(a, axis=0)], axis=0)
+        hi = np.clip(rows + to_max + 1, 0, a.shape[0])
+        lo = np.clip(rows + to_min, 0, a.shape[0])
+        return ((csum[hi] - csum[lo]) * f.dt) ** (1.0 / q)
+
+    if spec.order == "time-outer":
+        S = _space_ball_reduce(f.values, p, kernel, o_mins, f.cell_volume)[space]
+        if math.isinf(p):
+            return time_reduce(S if math.isinf(q) else S**q)
+        return time_reduce(S ** (1.0 / p) if math.isinf(q) else S ** (q / p))
+    a = np.abs(f.values)
+    R = _space_ball_reduce(time_reduce(a if math.isinf(q) else a**q), p, kernel, o_mins,
+                           f.cell_volume)[space]
+    return R if math.isinf(p) else R ** (1.0 / p)
+
+
 def localized_norm(
     f: GridFunction,
     spec: MixedNormSpec,
@@ -458,32 +476,9 @@ def localized_norm(
     if not radius > 0:
         raise GridError("window radius must be positive")
     st_t, st_x = _strides(f, lattice_step)
-    kernel, o_mins = _ball_kernel(f.dx, radius)
     to_min, to_max = _offset_range(f.dt, radius**2)
-    vals = f.values
     rows = np.arange(0, f.nt, st_t)  # lattice time rows
-    space = (slice(None),) + tuple(slice(None, None, s) for s in st_x)  # lattice centers
-    if spec.order == "time-outer":
-        if math.isinf(spec.q):
-            # the sup over windows is the max over every time row some window covers
-            cover = np.zeros(f.nt, dtype=bool)
-            for it in rows:
-                cover[max(it + to_min, 0):it + to_max + 1] = True
-            S = _space_ball_reduce(vals[cover], spec.p, kernel, o_mins, f.cell_volume)[space]
-            return float((S if math.isinf(spec.p) else S ** (1.0 / spec.p)).max())
-        S = _space_ball_reduce(vals, spec.p, kernel, o_mins, f.cell_volume)[space]
-        A = S ** (spec.q / spec.p) if not math.isinf(spec.p) else S**spec.q
-        return float((_window_sum_time(A, to_min, to_max, f.dt, rows) ** (1.0 / spec.q)).max())
-    # space-outer: inner time norm per cell on the lattice windows, then ball reduce
-    a = np.abs(vals)
-    if math.isinf(spec.q):
-        G = np.stack([a[max(it + to_min, 0):it + to_max + 1].max(axis=0) for it in rows])
-    else:
-        G = _window_sum_time(a**spec.q, to_min, to_max, f.dt, rows) ** (1.0 / spec.q)
-    R = _space_ball_reduce(G, spec.p, kernel, o_mins, f.cell_volume)[space]
-    if not math.isinf(spec.p):
-        R = R ** (1.0 / spec.p)
-    return float(R.max())
+    return float(_window_norms(f, spec, radius, st_x, rows, to_min, to_max).max())
 
 
 def localized_spatial_norm(values: np.ndarray, dx: Sequence[float], p: float) -> float:
@@ -523,26 +518,28 @@ def covering_equivalence_report(
     Windows are ``[0, T] x B_rho(z)`` with ``rho in {1, r}`` and ``z`` running
     over the spatial shift lattice of spacing 0.25; returns (min, max) of the
     ratio over the centers where the radius-``r`` norm is nonzero.  For
-    ``r = 1`` both windows coincide and the band collapses to (1, 1).
+    ``r = 1`` both windows coincide and the band collapses to (1, 1).  Window
+    norms come from the convolution path of :func:`localized_norm`, so they
+    carry its round-off, which is absolute (relative to the largest window).
     """
     if not 0.5 <= r <= 4.0:
         raise GridError(f"comparison radius must lie in [1/2, 4], got {r}")
     tc = f.t_centers()
-    tmask = ((tc >= -1e-12) & (tc < T - 1e-12)).astype(float)
-    X = f.meshgrid()
-    _, st_x = _strides(f, 0.25)
-    ratios = []
-    # centers on the edge lattice (tie-free against cell centers)
-    edge_axes = [f.x0[k] + np.arange(0, f.nx[k], st_x[k]) * f.dx[k] for k in range(f.d)]
-    for z in np.stack(np.meshgrid(*edge_axes, indexing="ij"), axis=-1).reshape(-1, f.d):
-        dist2 = ((X - z) ** 2).sum(axis=-1)
-        n1 = mixed_norm_masked(f, spec, tmask, (dist2 <= 1.0 + 1e-12).astype(float))
-        nr = mixed_norm_masked(f, spec, tmask, (dist2 <= r**2 * (1 + 1e-12)).astype(float))
-        if nr > 0:
-            ratios.append(n1 / nr)
-    if not ratios:
+    inside = np.flatnonzero((tc >= -1e-12) & (tc < T - 1e-12))
+    if inside.size == 0:
         return (0.0, 0.0)
-    return (float(min(ratios)), float(max(ratios)))
+    # one time window over the rows in [0, T); centers on the edge lattice
+    _, st_x = _strides(f, 0.25)
+    window = (st_x, inside[:1], 0, int(inside[-1] - inside[0]))
+    # FFT round-off leaves windows whose samples all vanish at a tiny norm; the
+    # window sup (a max filter, exact) says which ones hold a nonzero sample
+    held = MixedNormSpec(INF, INF, "space-outer")
+    n1, nr = (_window_norms(f, spec, rho, *window) * (_window_norms(f, held, rho, *window) > 0)
+              for rho in (1.0, r))
+    ratios = n1[nr > 0] / nr[nr > 0]
+    if ratios.size == 0:
+        return (0.0, 0.0)
+    return (float(ratios.min()), float(ratios.max()))
 
 
 def v_norm(u: GridFunction, kappa: float, lattice_step: float = 0.25) -> float:

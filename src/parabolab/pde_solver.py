@@ -245,9 +245,7 @@ def spatial_initial_condition(values_or_fn, box, nx, boundary="periodic") -> Gri
     x0 = tuple(lo for lo, _ in box)
     dx = tuple((hi - lo) / n for (lo, hi), n in zip(box, nx))
     if callable(values_or_fn):
-        axes = [lo + (np.arange(n) + 0.5) * h for (lo, _), n, h in zip(box, nx, dx)]
-        X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vals = np.asarray(values_or_fn(X), dtype=float)
+        vals = np.asarray(values_or_fn(mn.cell_centers(x0, dx, nx)), dtype=float)
     else:
         vals = np.asarray(values_or_fn, dtype=float)
     return GridFunction(0.0, 1.0, x0, dx, np.stack([vals, vals]), boundary)
@@ -260,8 +258,6 @@ def spatial_initial_condition(values_or_fn, box, nx, boundary="periodic") -> Gri
 
 @dataclass(frozen=True)
 class EllipticityProfile:
-    x0: tuple
-    dx: tuple
     lam: np.ndarray
     mu: np.ndarray
 
@@ -269,11 +265,6 @@ class EllipticityProfile:
         bad = (self.lam > 0) & (self.lam > self.mu * (1 + 1e-12))
         if np.any(bad):
             raise CoefficientError("profile violates 0 <= lambda <= mu")
-
-
-def _mesh(x0, dx, nx):
-    axes = [x0[k] + (np.arange(nx[k]) + 0.5) * dx[k] for k in range(len(nx))]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _unit_sphere_grid(d: int, n: int) -> np.ndarray:
@@ -322,7 +313,7 @@ def ellipticity_profiles(field: CoefficientField, x0, dx, nx,
     x0 = tuple(np.atleast_1d(x0).astype(float))
     dx = tuple(np.atleast_1d(dx).astype(float))
     nx = tuple(int(n) for n in np.atleast_1d(nx))
-    X = _mesh(x0, dx, nx)
+    X = mn.cell_centers(x0, dx, nx)
     A = field.a_matrix(0.0, X)
     if not np.allclose(A, np.swapaxes(A, -1, -2), atol=1e-12):
         raise CoefficientError("a(t=0.0) is not symmetric")
@@ -339,7 +330,7 @@ def ellipticity_profiles(field: CoefficientField, x0, dx, nx,
             ref = np.linalg.eigvalsh(flat[i])[-1]
             if ref > 0 and abs(brute - ref) > 1e-6 * ref:
                 raise CoefficientError("distortion cross-check failed against eigenvalues")
-    return EllipticityProfile(x0, dx, evals[..., 0], np.maximum(0.0, evals[..., -1]))
+    return EllipticityProfile(evals[..., 0], np.maximum(0.0, evals[..., -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +395,7 @@ def check_hypotheses(field: CoefficientField, cfg: ExponentConfig, x0, dx, nx) -
 
     div_neg_mass = 0.0
     if field.b2 is not None:
-        div = discrete_divergence(field.b2(0.0, _mesh(x0, dx, nx)), dx)
+        div = discrete_divergence(field.b2(0.0, mn.cell_centers(x0, dx, nx)), dx)
         div_neg_mass = max(div_neg_mass, float(np.maximum(-div, 0.0).sum() * np.prod(dx)))
 
     lam_zero_fraction = float((prof.lam <= 0).mean())
@@ -556,7 +547,7 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
     periodic = u0.boundary == "periodic"
     nbrs = [{s: _neighbor(nx, k, s, periodic) for s in (1, -1)} for k in range(d)]
     n_steps = int(round(cfg.T / cfg.dt))
-    X = _mesh(x0, dx, nx)
+    X = mn.cell_centers(x0, dx, nx)
 
     has_drift = field.b1 is not None or field.b2 is not None
     if has_drift:
@@ -618,17 +609,15 @@ def weak_residual(u: GridFunction, field: CoefficientField, test_bank) -> float:
     pairings are midpoint quadrature.
     """
     results = []
-    X = u.meshgrid()
-    tc = u.t_centers()
     du = mn.spatial_gradient(u)  # (d, nt, *nx)
-    a_vals = np.stack([field.a_matrix(t, X) for t in tc])  # (nt, *nx, d, d)
+    a_vals = u.sample(field.a_matrix)  # (nt, *nx, d, d)
     flux = np.einsum("t...ij,jt...->it...", a_vals, du)
     b_vals = None
     if field.b1 is not None or field.b2 is not None:
-        b_vals = np.stack([field.b_total(t, X) for t in tc])
+        b_vals = u.sample(field.b_total)
     f_vals = None
     if field.forcing is not None:
-        f_vals = np.stack([field.forcing(t, X) for t in tc])
+        f_vals = u.sample(field.forcing)
     meas = u.dt * u.cell_volume
     for phi in test_bank:
         if phi.values.shape != u.values.shape:
@@ -694,9 +683,7 @@ def max_principle_report(u: GridFunction, field: CoefficientField, cfg: Exponent
     vn = mn.v_norm(uT, cfg.kappa, lattice_step)
     if field.forcing is None:
         return MaxPrincipleReport(u_inf, vn, 0.0, None)
-    X = u.meshgrid()
-    f_vals = np.stack([field.forcing(t, X) for t in uT.t_centers()])
-    f_gf = GridFunction(uT.t0, uT.dt, uT.x0, uT.dx, f_vals, uT.boundary)
+    f_gf = uT.with_values(uT.sample(field.forcing))
     f_norm = mn.localized_norm(f_gf, MixedNormSpec(cfg.p4, cfg.q4, "time-outer"), lattice_step)
     if f_norm == 0.0:
         return MaxPrincipleReport(u_inf, vn, 0.0, None)

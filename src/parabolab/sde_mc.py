@@ -287,11 +287,7 @@ def euler_maruyama(
             if coeffs.b is not None:
                 step = step + dt * coeffs.b(t, X)
             Xn = X + step
-            bad = ~np.isfinite(Xn).all(axis=1)
-            newly = bad & ~fz
-            if newly.any():
-                Xn[newly] = X[newly]
-                fz |= newly
+            fz |= ~np.isfinite(Xn).all(axis=1)
             if fz.any():
                 Xn[fz] = X[fz]
             X = Xn

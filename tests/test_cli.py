@@ -107,6 +107,32 @@ class TestConfigValidation:
         with pytest.raises(cli.ValidationError):
             cli._n_steps(cli.MAX_STEPS + 1.0, 1.0)
 
+    @pytest.mark.parametrize("kind", ["norms", "variational", "sde"])
+    @pytest.mark.parametrize("flag, config_seed", [
+        ("-1", None),
+        (str(2**64), None),
+        (None, True),
+    ], ids=["flag-negative", "flag-2**64", "config-true"])
+    def test_bad_seed_is_validation(self, tmp_path, capsys, kind, flag, config_seed):
+        out = tmp_path / "o"
+        argv = [kind, "--out", str(out)]
+        if flag is not None:
+            argv += ["--seed", flag]
+        else:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"kind": kind, "seed": config_seed}))
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "validation" and "seed" in err["message"]
+        assert not (out / "report.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["sde", "--out", str(out), "--seed", str(2**64 - 1)]) == 0
+        assert json.loads((out / "report.json").read_text())["seed"] == 2**64 - 1
+
     def test_memory_error_is_numerical(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate the path array")
@@ -288,7 +314,8 @@ CHEAP_CONFIGS = st.one_of(
 
 class TestExitContract:
     @settings(max_examples=40, deadline=None, derandomize=True)  # seeded, like every check
-    @given(CHEAP_CONFIGS, st.integers(0, 2**31 - 1))
+    @given(CHEAP_CONFIGS, st.one_of(st.integers(0, 2**64 - 1), st.integers(-2**70, -1),
+                                    st.integers(2**64, 2**70), st.booleans()))
     def test_exit_codes_and_no_stale_outputs(self, kind_params, seed):
         kind, params = kind_params
         with tempfile.TemporaryDirectory() as tmp:
@@ -302,6 +329,8 @@ class TestExitContract:
                     contextlib.redirect_stderr(io.StringIO()):
                 rc = cli.main([kind, "--config", str(cfg), "--out", str(out)])
             assert rc in (0, 2, 3, 4)
+            if isinstance(seed, bool) or not 0 <= seed < 2**64:
+                assert rc == 2
             if rc == 0:
                 assert not (out / "error.json").exists()
                 assert json.loads((out / "report.json").read_text())["kind"] == kind

@@ -55,6 +55,32 @@ class TestGridFunction:
         assert g.dt == f.dt and g.x0 == f.x0 and g.boundary == f.boundary
 
 
+class TestSampling:
+    """``cell_centers`` and ``GridFunction.sample`` equal the inline constructions they replace."""
+
+    @pytest.mark.parametrize("x0,dx,nx", [((-1.5,), (0.125,), (16,)),
+                                          ((-2.0, 0.3), (0.25, 0.1), (7, 5)),
+                                          ((0.0, -1.0, 2.5), (0.5, 1 / 3, 0.2), (3, 4, 5))])
+    def test_cell_centers(self, x0, dx, nx):
+        axes = [lo + (np.arange(n) + 0.5) * h for lo, n, h in zip(x0, nx, dx)]
+        want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        assert np.array_equal(mn.cell_centers(x0, dx, nx), want)
+        f = GridFunction(0.0, 0.1, x0, dx, np.zeros((2,) + nx))
+        assert np.array_equal(f.meshgrid(), want)
+
+    @pytest.mark.parametrize("fn", [
+        lambda t, X: np.sin(t + X[..., 0]) * X[..., -1],
+        lambda t, X: (1 + t) * X,
+        lambda t, X: np.einsum("...i,...j->...ij", X, X) + t,
+    ], ids=["scalar", "vector", "matrix"])
+    def test_sample(self, rng, fn):
+        f = random_field(rng, d=2, nt=6, nx=5).with_values(np.zeros((6, 5, 5)))
+        axes = [f.x0[k] + (np.arange(f.nx[k]) + 0.5) * f.dx[k] for k in range(f.d)]
+        X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        want = np.stack([fn(t, X) for t in f.t_centers()])
+        assert np.array_equal(f.sample(fn), want)
+
+
 class TestMixedNorm:
     def test_constant_unit_mass(self):
         for d in (1, 2):
@@ -362,7 +388,52 @@ class TestLatticeLocalizedNorm:
         assert np.array_equal(mn._space_ball_reduce(*args), _full_ball_reduce(*args))
 
 
+def _per_center_covering(f, spec, T, r):
+    """Reference: the masked mixed norms around each edge-lattice center in turn."""
+    tc = f.t_centers()
+    tmask = ((tc >= -1e-12) & (tc < T - 1e-12)).astype(float)
+    X = f.meshgrid()
+    _, st_x = mn._strides(f, 0.25)
+    ratios = []
+    edge_axes = [f.x0[k] + np.arange(0, f.nx[k], st_x[k]) * f.dx[k] for k in range(f.d)]
+    for z in np.stack(np.meshgrid(*edge_axes, indexing="ij"), axis=-1).reshape(-1, f.d):
+        dist2 = ((X - z) ** 2).sum(axis=-1)
+        n1 = mn.mixed_norm_masked(f, spec, tmask, (dist2 <= 1.0 + 1e-12).astype(float))
+        nr = mn.mixed_norm_masked(f, spec, tmask, (dist2 <= r**2 * (1 + 1e-12)).astype(float))
+        if nr > 0:
+            ratios.append(n1 / nr)
+    if not ratios:
+        return (0.0, 0.0)
+    return (min(ratios), max(ratios))
+
+
+def _with_zero_regions(f):
+    """``f`` zeroed outside a small corner block, so many windows hold no nonzero sample."""
+    keep = np.zeros(f.values.shape)
+    keep[3:12, 2:6, ...] = 1.0
+    return f.with_values(f.values * keep)
+
+
 class TestCoveringEquivalence:
+    @pytest.mark.parametrize("field", ["random", "zero-regions"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("order", ["time-outer", "space-outer"])
+    @pytest.mark.parametrize("p,q", [(1.5, 2.0), (1.5, INF), (INF, 3.0), (INF, INF)])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 4.0])
+    def test_equals_per_center_reference(self, field, d, order, p, q, r):
+        f = _lattice_field(d)
+        if field == "zero-regions":
+            f = _with_zero_regions(f)
+        spec = MixedNormSpec(p, q, order)
+        got = mn.covering_equivalence_report(f, spec, 1.2, r)
+        want = _per_center_covering(f, spec, 1.2, r)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+    def test_empty_time_window(self, rng):
+        f = random_field(rng, d=1, nt=8, nx=8)
+        assert mn.covering_equivalence_report(f, MixedNormSpec(2, 2), 0.0, 2.0) == (0.0, 0.0)
+
     def test_identical_windows(self, unit_box_constant):
         f = constant_field(t_span=(0, 2), nt=16, box=((-2, 2),), nx=(32,))
         lo, hi = mn.covering_equivalence_report(f, MixedNormSpec(2, 2), 1.0, 1.0)
@@ -382,7 +453,34 @@ class TestCoveringEquivalence:
         assert 0 < lo <= hi < math.inf
 
 
+def _take_axis_gradient(values, axis, h, periodic):
+    """Reference: central differences, then one-sided edge stencils by index lists."""
+    n = values.shape[axis]
+    out = (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * h)
+    if periodic:
+        return out
+
+    def take(i):
+        return np.take(values, i, axis=axis)
+
+    idx = [slice(None)] * values.ndim
+    idx[axis] = 0
+    out[tuple(idx)] = (-3 * take(0) + 4 * take(1) - take(2)) / (2 * h)
+    idx[axis] = n - 1
+    out[tuple(idx)] = (3 * take(n - 1) - 4 * take(n - 2) + take(n - 3)) / (2 * h)
+    return out
+
+
 class TestGradientAndVNorm:
+    @pytest.mark.parametrize("boundary", ["zero-extension", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gradient_equals_reference_stencil(self, rng, d, boundary):
+        f = GridFunction(0.0, 0.1, (0.0,) * d, (0.1, 0.2, 0.3)[:d],
+                         rng.standard_normal((4,) + (5, 3, 4)[:d]), boundary)
+        want = np.stack([_take_axis_gradient(f.values, 1 + k, f.dx[k], boundary == "periodic")
+                         for k in range(d)])
+        assert np.array_equal(mn.spatial_gradient(f), want)
+
     def test_gradient_error_on_thin_axis(self):
         f = GridFunction(0.0, 0.1, (0.0,), (0.1,), np.ones((4, 2)))
         with pytest.raises(mn.GradientError):

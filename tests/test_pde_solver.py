@@ -56,7 +56,7 @@ class TestEllipticity:
         field = pde.example_61_field(d=3, alpha=0.3, R=2.0, n=4)
         prof = pde.ellipticity_profiles(field, (-1.5,) * 3, (0.5,) * 3, (6,) * 3)
         fam = CutoffFamily(2.0, -0.3, 4)
-        X = pde._mesh((-1.5,) * 3, (0.5,) * 3, (6,) * 3)
+        X = mn.cell_centers((-1.5,) * 3, (0.5,) * 3, (6,) * 3)
         want = fam.f_n((X**2).sum(axis=-1))
         assert np.allclose(prof.lam, want, rtol=1e-13)
         assert np.allclose(prof.mu, want, rtol=1e-13)
@@ -87,7 +87,7 @@ class TestHypotheses:
 
     def test_rotation_divergence_exactly_zero(self):
         field = pde.rotation_drift_field(pure=True)
-        X = pde._mesh((-2, -2), (0.25, 0.25), (16, 16))
+        X = mn.cell_centers((-2, -2), (0.25, 0.25), (16, 16))
         div = pde.discrete_divergence(field.b2(0.0, X), (0.25, 0.25))
         assert np.abs(div).max() == 0.0
 
@@ -285,7 +285,7 @@ class TestMaxPrinciple:
 def test_tabulated_field_lookup():
     g = mn.from_callable(lambda t, X: 1.0 + X[..., 0] ** 2, (0, 1), 4, [(-1, 1)], (16,))
     field = pde.tabulated_diagonal_field([g])
-    X = pde._mesh((-1.0,), (0.125,), (16,))
+    X = mn.cell_centers((-1.0,), (0.125,), (16,))
     vals = field.a_diagonal(0.5, X)[..., 0]
     assert vals == pytest.approx(1.0 + X[..., 0] ** 2, abs=1e-12)
 
@@ -328,7 +328,7 @@ def _plain_lu_march(field, u0, cfg):
     nbrs = [{s: pde._neighbor(nx, k, s, periodic) for s in (1, -1)} for k in range(u0.d)]
     L = pde._assemble_diffusion(field, 0.0, u0.x0, dx, nx, nbrs)
     lu = splinalg.splu((sparse.identity(L.shape[0], format="csr") - cfg.dt * L).tocsc())
-    X = pde._mesh(u0.x0, dx, nx)
+    X = mn.cell_centers(u0.x0, dx, nx)
     out = [np.asarray(u0.values[0], dtype=float)]
     for step in range(int(round(cfg.T / cfg.dt))):
         t = step * cfg.dt
