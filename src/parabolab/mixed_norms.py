@@ -396,45 +396,69 @@ def _strides(f: GridFunction, lattice_step: float) -> tuple[int, list[int]]:
 
 
 def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
-                       cellvol: float) -> np.ndarray:
+                       cellvol: float, st_x: Sequence[int]) -> np.ndarray:
     """Edge-centered spatial ball reduction of |arr| along the trailing axes.
 
     ``arr`` has one leading (time/window) axis; entry (t, i) becomes the l^p
     aggregate of the cells in the ball around edge i (p-th power times measure
-    for finite p, plain max for p = inf).  Finite p convolves blocks of about
-    ``FFT_BLOCK_BYTES`` of leading-axis slices at a time; each slice is
-    transformed on its own, so the blocking does not change the result.
+    for finite p, plain max for p = inf), for the edges ``i`` on the lattice of
+    strides ``st_x``.  Finite p convolves blocks of about ``FFT_BLOCK_BYTES`` of
+    leading-axis slices at a time; each slice is transformed on its own, so the
+    blocking does not change the result.  The convolution's round-off is
+    absolute (about 1e-16 of the largest ball sum), see :func:`_ball_reduce_direct`.
     """
     a = np.abs(arr)
+    sub = [slice(None)] + [slice(None, None, s) for s in st_x]
     if math.isinf(p):
-        shape = kernel.shape
-        origins = [lo + s // 2 for lo, s in zip(o_mins, shape)]
-        return ndimage.maximum_filter(a, footprint=(kernel > 0)[None],
-                                      mode="constant", cval=0.0, origin=[0] + origins)
+        origins = [lo + s // 2 for lo, s in zip(o_mins, kernel.shape)]
+        return ndimage.maximum_filter(a, footprint=(kernel > 0)[None], mode="constant",
+                                      cval=0.0, origin=[0] + origins)[tuple(sub)]
     rev = kernel[tuple(slice(None, None, -1) for _ in kernel.shape)]
-    sl = [slice(None)]
     for k, lo in enumerate(o_mins):
         o_max = lo + kernel.shape[k] - 1
-        sl.append(slice(o_max, o_max + arr.shape[1 + k]))
-    out = np.empty(a.shape)
+        sub[1 + k] = slice(o_max, o_max + arr.shape[1 + k], st_x[k])
+    out = np.empty((a.shape[0],) + tuple(len(range(0, n, s)) for n, s in zip(a.shape[1:], st_x)))
     step = max(1, FFT_BLOCK_BYTES // (a[0].size * 8))
     for lo in range(0, a.shape[0], step):
         conv = signal.fftconvolve(a[lo:lo + step] ** p, rev[None], mode="full",
                                   axes=tuple(range(1, a.ndim)))
-        out[lo:lo + step] = np.maximum(conv[tuple(sl)], 0.0) * cellvol
+        out[lo:lo + step] = np.maximum(conv[tuple(sub)], 0.0) * cellvol
+    return out
+
+
+def _ball_reduce_direct(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
+                        cellvol: float, st_x: Sequence[int]) -> np.ndarray:
+    """:func:`_space_ball_reduce` by summing the cells of each lattice ball in turn.
+
+    Sums of nonnegative terms, so every entry carries relative round-off however
+    small it is next to the others; one pass over the lattice centers.
+    """
+    a = np.abs(arr) if math.isinf(p) else np.abs(arr) ** p
+    n_centers = [len(range(0, n, s)) for n, s in zip(a.shape[1:], st_x)]
+    out = np.empty((a.shape[0],) + tuple(n_centers))
+    axes = tuple(range(1, a.ndim))
+    for j in np.ndindex(*n_centers):
+        cells, ker = [slice(None)], []
+        for jk, s, lo, m, n in zip(j, st_x, o_mins, kernel.shape, a.shape[1:]):
+            start = jk * s + lo  # first cell offset of the ball around edge jk * s
+            cells.append(slice(max(start, 0), min(start + m, n)))
+            ker.append(slice(cells[-1].start - start, cells[-1].stop - start))
+        w = a[tuple(cells)] * kernel[tuple(ker)]
+        out[(slice(None),) + j] = (w.max(axis=axes, initial=0.0) if math.isinf(p)
+                                   else w.sum(axis=axes) * cellvol)
     return out
 
 
 def _window_norms(f: GridFunction, spec: MixedNormSpec, radius: float, st_x: Sequence[int],
-                  rows: np.ndarray, to_min: int, to_max: int) -> np.ndarray:
+                  rows: np.ndarray, to_min: int, to_max: int, ball: Callable) -> np.ndarray:
     """Norm of every lattice window ``[it + to_min, it + to_max] x B_radius(z)``.
 
     Time windows run over ``rows`` (cell offsets, clipped to the grid); ball
-    centers ``z`` run over the edge lattice with strides ``st_x``.  Returns an
-    array of shape ``(len(rows), *centers)``.
+    centers ``z`` run over the edge lattice with strides ``st_x``, reduced by
+    ``ball`` (:func:`_space_ball_reduce` or :func:`_ball_reduce_direct`).
+    Returns an array of shape ``(len(rows), *centers)``.
     """
     kernel, o_mins = _ball_kernel(f.dx, radius)
-    space = (slice(None),) + tuple(slice(None, None, s) for s in st_x)
     p, q = spec.p, spec.q
 
     def time_reduce(a):
@@ -447,13 +471,12 @@ def _window_norms(f: GridFunction, spec: MixedNormSpec, radius: float, st_x: Seq
         return ((csum[hi] - csum[lo]) * f.dt) ** (1.0 / q)
 
     if spec.order == "time-outer":
-        S = _space_ball_reduce(f.values, p, kernel, o_mins, f.cell_volume)[space]
+        S = ball(f.values, p, kernel, o_mins, f.cell_volume, st_x)
         if math.isinf(p):
             return time_reduce(S if math.isinf(q) else S**q)
         return time_reduce(S ** (1.0 / p) if math.isinf(q) else S ** (q / p))
     a = np.abs(f.values)
-    R = _space_ball_reduce(time_reduce(a if math.isinf(q) else a**q), p, kernel, o_mins,
-                           f.cell_volume)[space]
+    R = ball(time_reduce(a if math.isinf(q) else a**q), p, kernel, o_mins, f.cell_volume, st_x)
     return R if math.isinf(p) else R ** (1.0 / p)
 
 
@@ -478,7 +501,8 @@ def localized_norm(
     st_t, st_x = _strides(f, lattice_step)
     to_min, to_max = _offset_range(f.dt, radius**2)
     rows = np.arange(0, f.nt, st_t)  # lattice time rows
-    return float(_window_norms(f, spec, radius, st_x, rows, to_min, to_max).max())
+    return float(_window_norms(f, spec, radius, st_x, rows, to_min, to_max,
+                               _space_ball_reduce).max())
 
 
 def localized_spatial_norm(values: np.ndarray, dx: Sequence[float], p: float) -> float:
@@ -495,16 +519,16 @@ def localized_spatial_norm(values: np.ndarray, dx: Sequence[float], p: float) ->
     st_x = [max(1, int(round(0.25 / h))) for h in dx]
     a = np.abs(values)[None]
     if math.isinf(p):
-        R = _space_ball_reduce(np.where(np.isfinite(a), a, np.inf), INF, kernel, o_mins, 1.0)
+        R = _space_ball_reduce(np.where(np.isfinite(a), a, np.inf), INF, kernel, o_mins, 1.0, st_x)
     else:
         finite = np.where(np.isfinite(a), a, 0.0)
-        R = _space_ball_reduce(finite, p, kernel, o_mins, float(np.prod(dx))) ** (1.0 / p)
+        R = _space_ball_reduce(finite, p, kernel, o_mins, float(np.prod(dx)), st_x) ** (1.0 / p)
         if np.any(~np.isfinite(a)):
             # infinite samples dominate any ball that contains them
-            hit = _space_ball_reduce((~np.isfinite(a)).astype(float), INF, kernel, o_mins, 1.0)
+            hit = _space_ball_reduce((~np.isfinite(a)).astype(float), INF, kernel, o_mins, 1.0,
+                                     st_x)
             R = np.where(hit > 0, np.inf, R)
-    sub = (0,) + tuple(slice(None, None, s) for s in st_x)
-    return float(R[sub].max())
+    return float(R.max())
 
 
 def covering_equivalence_report(
@@ -518,23 +542,21 @@ def covering_equivalence_report(
     Windows are ``[0, T] x B_rho(z)`` with ``rho in {1, r}`` and ``z`` running
     over the spatial shift lattice of spacing 0.25; returns (min, max) of the
     ratio over the centers where the radius-``r`` norm is nonzero.  For
-    ``r = 1`` both windows coincide and the band collapses to (1, 1).  Window
-    norms come from the convolution path of :func:`localized_norm`, so they
-    carry its round-off, which is absolute (relative to the largest window).
+    ``r = 1`` both windows coincide and the band collapses to (1, 1).  Ball
+    sums are direct (:func:`_ball_reduce_direct`), so a window that holds only
+    the far tail of ``f`` keeps its relative accuracy.
     """
     if not 0.5 <= r <= 4.0:
         raise GridError(f"comparison radius must lie in [1/2, 4], got {r}")
     tc = f.t_centers()
-    inside = np.flatnonzero((tc >= -1e-12) & (tc < T - 1e-12))
-    if inside.size == 0:
+    inside = (tc >= -1e-12) & (tc < T - 1e-12)
+    if not inside.any():
         return (0.0, 0.0)
-    # one time window over the rows in [0, T); centers on the edge lattice
+    # f zeroed outside [0, T) and one time window over all its rows, whose sums
+    # start at row 0 and so cancel nothing
+    g = f.with_values(f.values * inside.reshape((-1,) + (1,) * f.d))
     _, st_x = _strides(f, 0.25)
-    window = (st_x, inside[:1], 0, int(inside[-1] - inside[0]))
-    # FFT round-off leaves windows whose samples all vanish at a tiny norm; the
-    # window sup (a max filter, exact) says which ones hold a nonzero sample
-    held = MixedNormSpec(INF, INF, "space-outer")
-    n1, nr = (_window_norms(f, spec, rho, *window) * (_window_norms(f, held, rho, *window) > 0)
+    n1, nr = (_window_norms(g, spec, rho, st_x, np.zeros(1, int), 0, f.nt - 1, _ball_reduce_direct)
               for rho in (1.0, r))
     ratios = n1[nr > 0] / nr[nr > 0]
     if ratios.size == 0:

@@ -385,7 +385,9 @@ class TestLatticeLocalizedNorm:
     def test_ball_reduce_blocks(self, field):
         kernel, o_mins = mn._ball_kernel(field.dx, 0.5)
         args = (field.values, 1.5, kernel, o_mins, field.cell_volume)
-        assert np.array_equal(mn._space_ball_reduce(*args), _full_ball_reduce(*args))
+        _, st_x = mn._strides(field, 0.25)
+        sub = (slice(None),) + tuple(slice(None, None, s) for s in st_x)
+        assert np.array_equal(mn._space_ball_reduce(*args, st_x), _full_ball_reduce(*args)[sub])
 
 
 def _per_center_covering(f, spec, T, r):
@@ -414,14 +416,30 @@ def _with_zero_regions(f):
     return f.with_values(f.values * keep)
 
 
+def _bump_field(d, width):
+    """The drifting Gaussian bump of demo 01 (width 0.3) on ``[0, 4] x [-2, 2]^d``.
+
+    Its windows near the box edges hold only the far tail, 1e-8 of the peak at
+    width 0.3 and 1e-25 at width 0.1.
+    """
+    def bump(t, X):
+        return np.exp(-((X[..., 0] - 0.4 * np.sin(t)) ** 2 + (X[..., 1:] ** 2).sum(-1)) / width)
+
+    nt, nx = (64, (64,)) if d == 1 else (16, (24, 24))
+    return mn.from_callable(bump, (0.0, 4.0), nt, [(-2.0, 2.0)] * d, nx)
+
+
 class TestCoveringEquivalence:
-    @pytest.mark.parametrize("field", ["random", "zero-regions"])
+    @pytest.mark.parametrize("field", ["random", "zero-regions", "bump", "narrow-bump"])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("order", ["time-outer", "space-outer"])
     @pytest.mark.parametrize("p,q", [(1.5, 2.0), (1.5, INF), (INF, 3.0), (INF, INF)])
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 4.0])
     def test_equals_per_center_reference(self, field, d, order, p, q, r):
-        f = _lattice_field(d)
+        if field.endswith("bump"):
+            f = _bump_field(d, 0.1 if field == "narrow-bump" else 0.3)
+        else:
+            f = _lattice_field(d)
         if field == "zero-regions":
             f = _with_zero_regions(f)
         spec = MixedNormSpec(p, q, order)
@@ -429,6 +447,17 @@ class TestCoveringEquivalence:
         want = _per_center_covering(f, spec, 1.2, r)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * abs(w)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [1.5, INF])
+    def test_direct_ball_reduce(self, d, p):
+        f = _lattice_field(d)
+        kernel, o_mins = mn._ball_kernel(f.dx, 2.0)
+        args = (f.values, p, kernel, o_mins, f.cell_volume)
+        _, st_x = mn._strides(f, 0.25)
+        sub = (slice(None),) + tuple(slice(None, None, s) for s in st_x)
+        np.testing.assert_allclose(mn._ball_reduce_direct(*args, st_x),
+                                   _full_ball_reduce(*args)[sub], rtol=1e-12)
 
     def test_empty_time_window(self, rng):
         f = random_field(rng, d=1, nt=8, nx=8)
