@@ -281,7 +281,7 @@ def criterion_09_modulus() -> tuple[bool, str]:
     if abs(rep.slope - 0.25) > 0.05:
         return False, f"Brownian slope {rep.slope:.3f} outside 0.25 +- 0.05"
     drift = sde.SdeCoefficients(1, "custom", {},
-                                sigma=lambda t, X: np.zeros(X.shape[:-1] + (1, 1)),
+                                sigma_diag=lambda t, X: np.zeros_like(X),
                                 b=lambda t, X: 2.0 * np.ones_like(X))
     ensd = sde.euler_maruyama(drift, [0.0], 0.0, 1.0, 0.01, 16, 5)
     repd = sde.modulus_report(ensd, np.array([1, 2, 4, 8, 16, 32]) * 0.01)

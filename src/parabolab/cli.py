@@ -90,6 +90,18 @@ def _choice(name, options):
     return check
 
 
+def _index_list(name, n):
+    """A list of integer indices in 1..n."""
+    item = _positive(name, 0, n, integer=True)
+
+    def check(v):
+        if not isinstance(v, (list, tuple)):
+            raise ValidationError(f"parameter {name} must be a list of integers in 1..{n}")
+        return [item(i) for i in v]
+
+    return check
+
+
 def _numeric_list(name):
     def check(v):
         if not isinstance(v, (list, tuple)) or not all(
@@ -154,7 +166,7 @@ SCHEMAS = {
         "x0": _numeric_list("x0"),
     },
     "acceptance": {
-        "criteria": _numeric_list("criteria"),
+        "criteria": _index_list("criteria", len(acceptance.CRITERIA)),
     },
 }
 
@@ -412,8 +424,7 @@ def run_sde(config: ExperimentConfig, outdir: Path) -> dict:
 
 
 def run_acceptance(config: ExperimentConfig, outdir: Path) -> dict:
-    wanted = config.parameters.get("criteria")
-    indices = None if not wanted else [int(i) for i in wanted]
+    indices = config.parameters.get("criteria") or None  # an empty list runs them all
     results = acceptance.run_all(indices=indices, progress=print)
     rows = [{"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results]

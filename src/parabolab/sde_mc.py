@@ -1,9 +1,9 @@
 """Monte Carlo engine for the mollified singular/degenerate diffusion families.
 
-The scheme is plain Euler-Maruyama for ``dX = b dt + sqrt(2) sigma dW`` (all
-simulated families are bounded after the truncation shift; the raw singular
-field is only simulated with an evaluation floor and is documented as a
-heuristic).  Each path owns an independent counter-based Philox stream keyed
+The scheme is plain Euler-Maruyama for ``dX = b dt + sqrt(2) sigma dW`` with a
+diagonal ``sigma`` (all simulated families are bounded after the truncation
+shift; the raw singular field is only simulated with an evaluation floor and is
+documented as a heuristic).  Each path owns an independent counter-based Philox stream keyed
 by ``(seed, path_index)``, so ensembles are bitwise reproducible and the first
 k paths of a run coincide with a k-path run at the same seed; one generator is
 re-keyed per path, so no OS entropy is read per path.  Statistics are
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -45,6 +45,7 @@ __all__ = [
 RAW_FIELD_FLOOR = 1e-12
 BLOCK_BYTES = 1 << 19  # path values per statistics block: about 0.5 MB, cache sized
 CHUNK_PATHS = 20000  # paths stepped together by euler_maruyama
+SCHEME_TAG = "euler-maruyama"  # the only scheme; recorded in every export header
 
 
 class SdeParameterError(ValueError):
@@ -53,7 +54,7 @@ class SdeParameterError(ValueError):
 
 @dataclass
 class SdeCoefficients:
-    """Diffusion/drift evaluators; ``sigma_diag`` is the fast diagonal path.
+    """Diagonal diffusion ``sigma_diag`` (shape of X) and an optional drift ``b``.
 
     ``floor_hits`` counts evaluations clamped by the raw-field floor
     (only the unmollified singular family uses it).
@@ -62,19 +63,9 @@ class SdeCoefficients:
     d: int
     family_tag: str
     params: dict
-    sigma_diag: Callable | None = None
-    sigma: Callable | None = None
+    sigma_diag: Callable
     b: Callable | None = None
-    floor_hits: list = dc_field(default_factory=lambda: [0])
-
-    def sigma_matrix(self, t, X):
-        if self.sigma is not None:
-            return self.sigma(t, X)
-        diag = self.sigma_diag(t, X)
-        out = np.zeros(diag.shape + (self.d,))
-        for k in range(self.d):
-            out[..., k, k] = diag[..., k]
-        return out
+    floor_hits: int = 0
 
 
 SDE_FAMILIES = {
@@ -143,43 +134,26 @@ def build_coefficients(
             raise SdeParameterError("prop-6.1 requires lambda >= 0")
         if lam > 0 and not (0 < beta < 2 * alpha):
             raise SdeParameterError("prop-6.1 requires 0 < beta < 2*alpha for a nonzero drift")
-        coeffs = SdeCoefficients(d, family_tag, params)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        fams = {} if math.isinf(n) else {p: CutoffFamily(R, p / 2.0, n)
+                                         for p in (-alpha, -beta - 1.0)}
 
-        if math.isinf(n):
-            def sigma_diag(t, X, coeffs=coeffs):
-                r = np.sqrt((X**2).sum(axis=-1))
-                hits = int((r < RAW_FIELD_FLOOR).sum())
-                if hits:
-                    coeffs.floor_hits[0] += hits
-                r = np.maximum(r, RAW_FIELD_FLOOR)
-                s = inv_sqrt2 * r ** (-alpha)
-                return np.repeat(s[..., None], d, axis=-1)
+        def radial(X, power):
+            """``|x|^power``, by the cutoff family or, raw, floored at RAW_FIELD_FLOOR."""
+            sq = (X**2).sum(axis=-1)
+            if fams:
+                return fams[power].f_n(sq)
+            r = np.sqrt(sq)
+            coeffs.floor_hits += int((r < RAW_FIELD_FLOOR).sum())
+            return np.maximum(r, RAW_FIELD_FLOOR) ** power
 
-            def b(t, X, coeffs=coeffs):
-                if lam == 0:
-                    return np.zeros_like(X)
-                r = np.sqrt((X**2).sum(axis=-1))
-                hits = int((r < RAW_FIELD_FLOOR).sum())
-                if hits:
-                    coeffs.floor_hits[0] += hits
-                r = np.maximum(r, RAW_FIELD_FLOOR)
-                return lam * X * (r ** (-beta - 1.0))[..., None]
-        else:
-            sig_fam = CutoffFamily(R, -alpha / 2.0, n)
-            drift_fam = CutoffFamily(R, -(beta + 1.0) / 2.0, n)
+        def sigma_diag(t, X):
+            return np.repeat((inv_sqrt2 * radial(X, -alpha))[..., None], d, axis=-1)
 
-            def sigma_diag(t, X):
-                s = inv_sqrt2 * sig_fam.f_n((X**2).sum(axis=-1))
-                return np.repeat(s[..., None], d, axis=-1)
+        def b(t, X):
+            return lam * X * radial(X, -beta - 1.0)[..., None]
 
-            def b(t, X):
-                if lam == 0:
-                    return np.zeros_like(X)
-                return lam * X * drift_fam.f_n((X**2).sum(axis=-1))[..., None]
-
-        coeffs.sigma_diag = sigma_diag
-        coeffs.b = b
+        coeffs = SdeCoefficients(d, family_tag, params, sigma_diag, None if lam == 0 else b)
         return coeffs
 
     raise SdeParameterError(f"unknown family {family_tag!r}; known: {sorted(SDE_FAMILIES)}")
@@ -198,10 +172,9 @@ class PathEnsemble:
     t0: float
     dt: float
     seed: int
-    scheme_tag: str = "euler-maruyama"
-    family_tag: str = "custom"
-    params: dict = dc_field(default_factory=dict)
-    frozen: np.ndarray | None = None
+    family_tag: str
+    params: dict
+    frozen: np.ndarray  # (N,) bool
 
     @property
     def n_paths(self) -> int:
@@ -217,11 +190,9 @@ class PathEnsemble:
 
     @property
     def n_frozen(self) -> int:
-        return 0 if self.frozen is None else int(self.frozen.sum())
+        return int(self.frozen.sum())
 
     def alive(self) -> np.ndarray:
-        if self.frozen is None:
-            return np.ones(self.n_paths, dtype=bool)
         return ~self.frozen
 
     def times(self) -> np.ndarray:
@@ -248,7 +219,7 @@ def euler_maruyama(
     n_paths: int,
     seed: int,
 ) -> PathEnsemble:
-    """Simulate ``X_(k+1) = X_k + b dt + sqrt(2) sigma xi sqrt(dt)`` from time s to T.
+    """Simulate ``X_(k+1) = X_k + b dt + sqrt(2 dt) sigma_diag * xi`` from time s to T.
 
     Deterministic given the seed; a path that leaves the finite range is
     frozen at its last finite state and excluded from statistics (the count is
@@ -278,12 +249,7 @@ def euler_maruyama(
         fz = np.zeros(hi - lo, dtype=bool)
         for k in range(n_steps):
             t = s + k * dt
-            noise = paths[lo:hi, k + 1]
-            if coeffs.sigma_diag is not None:
-                diff = coeffs.sigma_diag(t, X) * noise
-            else:
-                diff = np.einsum("nij,nj->ni", coeffs.sigma(t, X), noise)
-            step = sqrt2dt * diff
+            step = sqrt2dt * (coeffs.sigma_diag(t, X) * paths[lo:hi, k + 1])
             if coeffs.b is not None:
                 step = step + dt * coeffs.b(t, X)
             Xn = X + step
@@ -293,8 +259,7 @@ def euler_maruyama(
             X = Xn
             paths[lo:hi, k + 1] = X
         frozen[lo:hi] = fz
-    return PathEnsemble(paths, s, dt, seed, family_tag=coeffs.family_tag,
-                        params=dict(coeffs.params), frozen=frozen)
+    return PathEnsemble(paths, s, dt, seed, coeffs.family_tag, dict(coeffs.params), frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +502,7 @@ def uniqueness_perturbation_report(
     rho = float(stats.spearmanr([eps_arr[i] for i in pos],
                                 [div_arr[i] for i in pos]).statistic) if len(pos) >= 2 else 1.0
     return {"rows": rows, "spearman_eps_vs_divergence": rho,
-            "floor_hits": coeffs.floor_hits[0]}
+            "floor_hits": coeffs.floor_hits}
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +527,7 @@ def export_ensemble(ens: PathEnsemble, path_prefix) -> tuple[Path, Path]:
         "n_paths": ens.n_paths,
         "n_steps": ens.n_steps,
         "d": ens.d,
-        "scheme_tag": ens.scheme_tag,
+        "scheme_tag": SCHEME_TAG,
         "n_frozen": ens.n_frozen,
         "frozen": np.flatnonzero(~ens.alive()).tolist(),
     }
@@ -576,6 +541,8 @@ def export_ensemble(ens: PathEnsemble, path_prefix) -> tuple[Path, Path]:
 def load_ensemble(path_prefix) -> PathEnsemble:
     prefix = Path(path_prefix)
     header = json.loads(prefix.with_suffix(".json").read_text())
+    if header.get("scheme_tag") != SCHEME_TAG:
+        raise SdeParameterError(f"scheme_tag {header.get('scheme_tag')!r} is not {SCHEME_TAG!r}")
     paths = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
     paths = paths.reshape(header["n_paths"], header["n_steps"] + 1, header["d"])
     params = {k: (math.inf if v is None else v) for k, v in header["params"].items()}
@@ -585,4 +552,4 @@ def load_ensemble(path_prefix) -> PathEnsemble:
         raise SdeParameterError(f"header lists {int(frozen.sum())} frozen paths but "
                                 f"n_frozen is {header['n_frozen']}")
     return PathEnsemble(paths, header["t0"], header["dt"], header["seed"],
-                        header["scheme_tag"], header["family_tag"], params, frozen)
+                        header["family_tag"], params, frozen)

@@ -279,6 +279,18 @@ class TestFixtures:
         assert [r["index"] for r in rep["criteria"]] == [2, 4]
         assert rep["all_passed"] is True
 
+    @pytest.mark.parametrize("criteria", [[13], [0], [2.7], [True], [2, 13]],
+                             ids=["past-last", "zero", "float", "bool", "one-bad"])
+    def test_bad_criterion_index_is_validation(self, tmp_path, capsys, criteria):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "acceptance", "parameters": {"criteria": criteria}}))
+        out = tmp_path / "acc"
+        assert cli.main(["acceptance", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "validation" and "criteria" in err["message"]
+        assert not (out / "report.json").exists()
+        assert "[PASS]" not in capsys.readouterr().out  # rejected before any criterion ran
+
 
 _ANY_EXPONENT = st.one_of(st.floats(1.0, 8.0), st.just("inf"))
 

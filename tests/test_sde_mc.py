@@ -91,10 +91,46 @@ class TestBuildCoefficients:
         assert c.sigma_diag(0.0, X).max() == pytest.approx(cap)
 
 
+# admissible parameters per family, and whether they give a drift
+FAMILY_CASES = [
+    ("brownian", dict(d=2), False),
+    ("example-6.1", dict(d=3, R=2.0, alpha=0.3), False),
+    ("example-6.2", dict(R=1.0, alpha=0.2), False),
+    ("prop-6.1", dict(d=3, R=2.0, alpha=0.3, beta=0.2, lam=1.0), True),
+    ("prop-6.1", dict(d=4, R=2.0, alpha=0.3), False),
+]
+
+
+class TestFamilyContract:
+    """Every family: a diagonal sigma of X's shape, b only with a drift, integer floor hits."""
+
+    def test_every_family_covered(self):
+        assert {tag for tag, _, _ in FAMILY_CASES} == set(sde.SDE_FAMILIES)
+
+    @pytest.mark.parametrize("tag,params,has_drift", FAMILY_CASES,
+                             ids=["brownian", "example-6.1", "example-6.2", "prop-6.1",
+                                  "prop-6.1-no-drift"])
+    def test_contract(self, tag, params, has_drift):
+        X = np.random.default_rng(4).uniform(-2.0, 2.0, (7, 5, params.get("d", 2)))
+        for n in (4, INF):
+            c = sde.build_coefficients(tag, n=n, **params)
+            assert c.sigma_diag(0.0, X).shape == X.shape
+            assert (c.b is None) == (not has_drift)
+            if has_drift:
+                assert c.b(0.0, X).shape == X.shape
+        # c is the raw (n = inf) field: from the origin only Prop. 6.1 meets the floor,
+        # in sigma_diag and again in b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ens = sde.euler_maruyama(c, np.zeros(c.d), 0.0, 0.05, 0.01, 8, 1)
+        assert type(c.floor_hits) is int
+        assert (c.floor_hits > 0) == (tag == "prop-6.1")
+        if tag == "prop-6.1":
+            assert c.floor_hits >= (2 if has_drift else 1) * ens.n_paths
+
+
 class TestEulerMaruyama:
     def test_pure_drift_exact(self):
-        c = sde.SdeCoefficients(2, "custom", {},
-                                sigma=lambda t, X: np.zeros(X.shape[:-1] + (2, 2)),
+        c = sde.SdeCoefficients(2, "custom", {}, sigma_diag=lambda t, X: np.zeros_like(X),
                                 b=lambda t, X: np.broadcast_to(np.array([1.0, -0.5]),
                                                                X.shape).copy())
         ens = sde.euler_maruyama(c, [0.0, 0.0], 0.0, 1.0, 0.01, 20, 9)
@@ -200,8 +236,7 @@ class TestKrylov:
 
 class TestModulus:
     def test_deterministic_drift_exact_half(self):
-        c = sde.SdeCoefficients(1, "custom", {},
-                                sigma=lambda t, X: np.zeros(X.shape[:-1] + (1, 1)),
+        c = sde.SdeCoefficients(1, "custom", {}, sigma_diag=lambda t, X: np.zeros_like(X),
                                 b=lambda t, X: 2.0 * np.ones_like(X))
         ens = sde.euler_maruyama(c, [0.0], 0.0, 1.0, 0.01, 8, 5)
         rep = sde.modulus_report(ens, np.array([1, 2, 4, 8, 16, 32]) * 0.01)
@@ -233,8 +268,7 @@ class TestModulus:
 
 class TestSupMoment:
     def test_frozen_start(self):
-        c = sde.SdeCoefficients(2, "custom", {},
-                                sigma=lambda t, X: np.zeros(X.shape[:-1] + (2, 2)))
+        c = sde.SdeCoefficients(2, "custom", {}, sigma_diag=lambda t, X: np.zeros_like(X))
         ens = sde.euler_maruyama(c, [3.0, 4.0], 0.0, 0.2, 0.01, 5, 1)
         m, se = sde.sup_moment(ens)
         assert m == pytest.approx(5.0) and se == 0.0
@@ -380,10 +414,7 @@ def _separate_noise_em(coeffs, x0, s, T, dt, n_paths, seed, chunk=20000):
         fz = np.zeros(hi - lo, dtype=bool)
         for k in range(n_steps):
             t = s + k * dt
-            if coeffs.sigma_diag is not None:
-                diff = coeffs.sigma_diag(t, X) * noise[:, k, :]
-            else:
-                diff = np.einsum("nij,nj->ni", coeffs.sigma(t, X), noise[:, k, :])
+            diff = coeffs.sigma_diag(t, X) * noise[:, k, :]
             step = math.sqrt(2.0 * dt) * diff
             if coeffs.b is not None:
                 step = step + dt * coeffs.b(t, X)
@@ -411,11 +442,8 @@ class TestInPlaceStepping:
         assert np.array_equal(ens.paths, paths)
         assert np.array_equal(ens.frozen, frozen)
 
-    @pytest.mark.parametrize("diagonal", [True, False], ids=["sigma-diag", "sigma-matrix"])
-    def test_uneven_chunks(self, diagonal, monkeypatch):
+    def test_uneven_chunks(self, monkeypatch):
         c = sde.build_coefficients("prop-6.1", d=3, alpha=0.3, beta=0.2, lam=1.0, n=4)
-        if not diagonal:
-            c = sde.SdeCoefficients(3, "custom", {}, sigma=c.sigma_matrix, b=c.b)
         monkeypatch.setattr(sde, "CHUNK_PATHS", 16)
         ens = sde.euler_maruyama(c, [0.2, -0.1, 0.4], 0.0, 0.2, 0.01, 61, 17)
         paths, frozen = _separate_noise_em(c, [0.2, -0.1, 0.4], 0.0, 0.2, 0.01, 61, 17,
@@ -534,6 +562,17 @@ class TestEnsembleExport:
         assert np.array_equal(back.frozen, ens.frozen)
         assert back.n_frozen == ens.n_frozen
         assert sde.sup_moment(back) == sde.sup_moment(ens)
+
+    def test_unknown_scheme_tag_rejected(self, tmp_path):
+        c = sde.build_coefficients("brownian", d=1)
+        ens = sde.euler_maruyama(c, [0.0], 0.0, 0.1, 0.01, 5, 2)
+        jpath, _ = sde.export_ensemble(ens, tmp_path / "ens")
+        header = json.loads(jpath.read_text())
+        assert header["scheme_tag"] == "euler-maruyama"
+        header["scheme_tag"] = "milstein"
+        jpath.write_text(json.dumps(header))
+        with pytest.raises(sde.SdeParameterError, match="scheme_tag"):
+            sde.load_ensemble(tmp_path / "ens")
 
     def test_header_without_frozen_list(self, tmp_path):
         # headers written before the frozen list load only if nothing froze
