@@ -7,8 +7,10 @@ rejected before any computation.  Reports are written as ``report.json``
 kind-specific CSV tables; wall-clock metadata goes to the ``meta.json``
 sidecar, which is excluded from the byte-identical rerun guarantee.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure,
-4 acceptance failure.
+Exit codes: 0 success; 2 for a rejected config and for any ``InputError``;
+3 for any ``NumericalError``, ``LinAlgError``, ``FloatingPointError`` or
+``MemoryError``; 4 acceptance failure.  Every error the package raises derives
+from one of the two roots in ``parabolab.errors``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from . import mixed_norms as mn
 from . import pde_solver as pde
 from . import sde_mc as sde
 from . import variational as vr
-from .cutoffs import CutoffFamilyError
-from .embeddings import (ExponentConfig, ExponentDomainError, PreconditionError, check_Re01,
-                         check_Re1, in_I_d_p0)
+from .embeddings import ExponentConfig, check_Re01, check_Re1, in_I_d_p0
+from .errors import InputError, NumericalError
 from .mixed_norms import INF, GridFunction, MixedNormSpec
 
 EXIT_OK = 0
@@ -41,10 +42,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_ACCEPTANCE = 4
 
-KINDS = ("norms", "embed", "variational", "pde", "degiorgi", "sde", "acceptance")
 
-
-class ValidationError(ValueError):
+class ValidationError(InputError):
     pass
 
 
@@ -68,8 +67,8 @@ def _n_steps(T: float, dt: float) -> int:
     return int(round(n))
 
 
-def _positive(name, lo=0.0, hi=math.inf, integer=False):
-    def check(v):
+def _positive(lo=0.0, hi=math.inf, integer=False):
+    def check(name, v):
         if integer and not isinstance(v, int):
             raise ValidationError(f"parameter {name} must be an integer, got {v!r}")
         if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -81,8 +80,8 @@ def _positive(name, lo=0.0, hi=math.inf, integer=False):
     return check
 
 
-def _choice(name, options):
-    def check(v):
+def _choice(*options):
+    def check(name, v):
         if v not in options:
             raise ValidationError(f"parameter {name} must be one of {sorted(options)}, got {v!r}")
         return v
@@ -90,98 +89,23 @@ def _choice(name, options):
     return check
 
 
-def _index_list(name, n):
+def _index_list(n):
     """A list of integer indices in 1..n."""
-    item = _positive(name, 0, n, integer=True)
+    item = _positive(0, n, integer=True)
 
-    def check(v):
+    def check(name, v):
         if not isinstance(v, (list, tuple)):
             raise ValidationError(f"parameter {name} must be a list of integers in 1..{n}")
-        return [item(i) for i in v]
+        return [item(name, i) for i in v]
 
     return check
 
 
-def _numeric_list(name):
-    def check(v):
-        if not isinstance(v, (list, tuple)) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
-            raise ValidationError(f"parameter {name} must be a list of numbers")
-        return list(v)
-
-    return check
-
-
-SCHEMAS = {
-    "norms": {
-        "fixture": _choice("fixture", ("constant", "bump", "indicator", "random")),
-        "d": _positive("d", 0, 3, integer=True),
-        "nt": _positive("nt", 1, 512, integer=True),
-        "nx": _positive("nx", 1, 512, integer=True),
-        "p": _positive("p", 0.999),
-        "q": _positive("q", 0.999),
-        "lattice_step": _positive("lattice_step", 0, 1.0),
-    },
-    "embed": {
-        "d": _positive("d", 0, 3, integer=True),
-        "p0": _positive("p0", 0.5),
-        "n_points": _positive("n_points", 0, 100000, integer=True),
-    },
-    "variational": {
-        "n_components": _positive("n_components", 0, 4, integer=True),
-        "n_instances": _positive("n_instances", 0, 1000, integer=True),
-        "knot_count": _positive("knot_count", 2, 400, integer=True),
-    },
-    "pde": {
-        "fixture": _choice("fixture", tuple(pde.PDE_FIXTURES)),
-        "d": _positive("d", 0, 3, integer=True),
-        "alpha": _positive("alpha", 0, 10),
-        "R": _positive("R", 0.999),
-        "n": _positive("n", 0.999),
-        "nx": _positive("nx", 3, 512, integer=True),
-        "dt": _positive("dt", 0, 1.0),
-        "T": _positive("T", 0, FINITE_MAX),
-        "box": _positive("box", 0, FINITE_MAX),
-        "p0": _positive("p0", 0.5),
-        "p4": _positive("p4", 0.999),
-        "q4": _positive("q4", 0.999),
-    },
-    "degiorgi": {
-        "nx": _positive("nx", 3, 512, integer=True),
-        "dt": _positive("dt", 0, 1.0),
-        "level": _positive("level", -1e-12),
-        "p4": _positive("p4", 1.999),
-    },
-    "sde": {
-        "family": _choice("family", tuple(sde.SDE_FAMILIES)),
-        "d": _positive("d", 0, 3, integer=True),
-        "alpha": _positive("alpha", -1e-12, 10),
-        "beta": _positive("beta", -1e-12, 10),
-        "lambda": _positive("lambda", -1e-12, 100),
-        "R": _positive("R", 0.999),
-        "n": _positive("n", 0.999),
-        "n_paths": _positive("n_paths", 0, 10**6, integer=True),
-        "dt": _positive("dt", 0, 1e-2),
-        "T": _positive("T", 0, FINITE_MAX),
-        "x0": _numeric_list("x0"),
-    },
-    "acceptance": {
-        "criteria": _index_list("criteria", len(acceptance.CRITERIA)),
-    },
-}
-
-DEFAULTS = {
-    "norms": {"fixture": "constant", "d": 1, "nt": 16, "nx": 16, "p": 2.0, "q": 4.0,
-              "lattice_step": 0.25},
-    "embed": {"d": 3, "p0": INF, "n_points": 200},
-    "variational": {"n_components": 2, "n_instances": 5, "knot_count": 33},
-    "pde": {"fixture": "example-6.2", "d": 2, "alpha": 0.2, "R": 1.0, "n": 4, "nx": 48,
-            "dt": 0.02, "T": 0.5, "box": 4.0, "p0": 2.4, "p4": 4.0, "q4": INF},
-    "degiorgi": {"nx": 80, "dt": 0.02, "level": 0.0, "p4": 4.0},
-    "sde": {"family": "brownian", "d": 2, "alpha": 0.0, "beta": 0.0, "lambda": 0.0,
-            "R": 1.0, "n": 1.0, "n_paths": 2000, "dt": 0.01, "T": 0.5, "x0": [0.0, 0.0]},
-    "acceptance": {},
-}
+def _numeric_list(name, v):
+    if not isinstance(v, (list, tuple)) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
+        raise ValidationError(f"parameter {name} must be a list of numbers")
+    return list(v)
 
 
 def load_config(path, kind: str, seed, out) -> ExperimentConfig:
@@ -197,19 +121,19 @@ def load_config(path, kind: str, seed, out) -> ExperimentConfig:
     cfg_kind = raw.get("kind", kind)
     if cfg_kind != kind:
         raise ValidationError(f"config kind {cfg_kind!r} does not match subcommand {kind!r}")
-    if cfg_kind not in KINDS:
+    if cfg_kind not in EXPERIMENTS:
         raise ValidationError(f"unknown kind {cfg_kind!r}")
-    params = dict(DEFAULTS[cfg_kind])
+    schema = EXPERIMENTS[cfg_kind][1]
+    params = {key: default for key, (default, _) in schema.items() if default is not None}
     user = raw.get("parameters", {})
     if not isinstance(user, dict):
         raise ValidationError("parameters must be an object")
-    schema = SCHEMAS[cfg_kind]
     for key, val in user.items():
         if key not in schema:
             raise ValidationError(f"unknown parameter {key!r} for kind {cfg_kind!r}")
         if isinstance(val, str) and val == "inf":
             val = INF
-        params[key] = schema[key](val)
+        params[key] = schema[key][1](key, val)
     cfg_seed = raw.get("seed", 0)
     if seed is not None:
         cfg_seed = seed
@@ -242,7 +166,6 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def _write_report(outdir: Path, config: ExperimentConfig, body: dict, started: float) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
     report = {
         "kind": config.kind,
         "seed": config.seed,
@@ -355,16 +278,8 @@ def run_variational(config: ExperimentConfig, outdir: Path) -> dict:
 
 def run_pde(config: ExperimentConfig, outdir: Path) -> dict:
     p = config.parameters
-    kwargs = {}
-    if p["fixture"] in ("example-6.1", "diagonal-power"):
-        kwargs = {"d": p["d"], "alpha": p["alpha"], "R": p["R"], "n": p["n"]}
-    elif p["fixture"] == "example-6.2":
-        kwargs = {"alpha": p["alpha"], "R": p["R"], "n": p["n"]}
-    elif p["fixture"] == "identity":
-        kwargs = {"d": p["d"]}
-    elif p["fixture"] == "rotation-drift":
-        kwargs = {"pure": False}  # the box is periodic
-    field = pde.build_field(p["fixture"], **kwargs)
+    names = pde.PDE_FIXTURES[p["fixture"]]["params"]
+    field = pde.build_field(p["fixture"], **{k: p[k] for k in names})
     field = field.with_forcing(lambda t, X: np.exp(-((X**2).sum(axis=-1)) / 0.32))
     box = [(-p["box"], p["box"])] * field.d
     u0 = pde.spatial_initial_condition(lambda X: np.zeros(X.shape[:-1]), box,
@@ -431,14 +346,64 @@ def run_acceptance(config: ExperimentConfig, outdir: Path) -> dict:
     return {"criteria": rows, "all_passed": all(r.passed for r in results)}
 
 
-RUNNERS = {
-    "norms": run_norms,
-    "embed": run_embed,
-    "variational": run_variational,
-    "pde": run_pde,
-    "degiorgi": run_degiorgi,
-    "sde": run_sde,
-    "acceptance": run_acceptance,
+# kind -> (runner, {parameter: (default, check)}); a None default leaves the
+# parameter out of ``parameters`` unless the config gives it
+EXPERIMENTS = {
+    "norms": (run_norms, {
+        "fixture": ("constant", _choice("constant", "bump", "indicator", "random")),
+        "d": (1, _positive(0, 3, integer=True)),
+        "nt": (16, _positive(1, 512, integer=True)),
+        "nx": (16, _positive(1, 512, integer=True)),
+        "p": (2.0, _positive(0.999)),
+        "q": (4.0, _positive(0.999)),
+        "lattice_step": (0.25, _positive(0, 1.0)),
+    }),
+    "embed": (run_embed, {
+        "d": (3, _positive(0, 3, integer=True)),
+        "p0": (INF, _positive(0.5)),
+        "n_points": (200, _positive(0, 100000, integer=True)),
+    }),
+    "variational": (run_variational, {
+        "n_components": (2, _positive(0, 4, integer=True)),
+        "n_instances": (5, _positive(0, 1000, integer=True)),
+        "knot_count": (33, _positive(2, 400, integer=True)),
+    }),
+    "pde": (run_pde, {
+        "fixture": ("example-6.2", _choice(*pde.PDE_FIXTURES)),
+        "d": (2, _positive(0, 3, integer=True)),
+        "alpha": (0.2, _positive(0, 10)),
+        "R": (1.0, _positive(0.999)),
+        "n": (4, _positive(0.999)),
+        "nx": (48, _positive(3, 512, integer=True)),
+        "dt": (0.02, _positive(0, 1.0)),
+        "T": (0.5, _positive(0, FINITE_MAX)),
+        "box": (4.0, _positive(0, FINITE_MAX)),
+        "p0": (2.4, _positive(0.5)),
+        "p4": (4.0, _positive(0.999)),
+        "q4": (INF, _positive(0.999)),
+    }),
+    "degiorgi": (run_degiorgi, {
+        "nx": (80, _positive(3, 512, integer=True)),
+        "dt": (0.02, _positive(0, 1.0)),
+        "level": (0.0, _positive(-1e-12)),
+        "p4": (4.0, _positive(1.999)),
+    }),
+    "sde": (run_sde, {
+        "family": ("brownian", _choice(*sde.SDE_FAMILIES)),
+        "d": (2, _positive(0, 3, integer=True)),
+        "alpha": (0.0, _positive(-1e-12, 10)),
+        "beta": (0.0, _positive(-1e-12, 10)),
+        "lambda": (0.0, _positive(-1e-12, 100)),
+        "R": (1.0, _positive(0.999)),
+        "n": (1.0, _positive(0.999)),
+        "n_paths": (2000, _positive(0, 10**6, integer=True)),
+        "dt": (0.01, _positive(0, 1e-2)),
+        "T": (0.5, _positive(0, FINITE_MAX)),
+        "x0": ([0.0, 0.0], _numeric_list),
+    }),
+    "acceptance": (run_acceptance, {
+        "criteria": (None, _index_list(len(acceptance.CRITERIA))),
+    }),
 }
 
 
@@ -446,15 +411,14 @@ def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     started = time.time()
     outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    runner, _ = EXPERIMENTS[config.kind]
     try:
-        body = RUNNERS[config.kind](config, outdir if outdir.exists() else _mkdir(outdir))
-    except (ValidationError, pde.CoefficientError, pde.SolverConfigError,
-            sde.SdeParameterError, vr.FeasibilityError, mn.GridError, mn.ExponentError,
-            ExponentDomainError, PreconditionError, CutoffFamilyError) as exc:
+        body = runner(config, outdir)
+    except InputError as exc:
         _write_error(outdir, config.kind, config_hash(config), "validation", str(exc))
         return EXIT_VALIDATION
-    except (pde.SolverError, dg.DiagnosticAnomaly, FloatingPointError,
-            np.linalg.LinAlgError, MemoryError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         _write_error(outdir, config.kind, config_hash(config), "numerical", str(exc))
         return EXIT_NUMERICAL
     _write_report(outdir, config, body, started)
@@ -464,13 +428,8 @@ def run(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _mkdir(p: Path) -> Path:
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
 def _write_error(outdir: Path, kind: str, chash, category: str, message: str) -> None:
-    _mkdir(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     for stale in ("report.json", "meta.json"):
         (outdir / stale).unlink(missing_ok=True)
     record = {"error": category, "message": message, "kind": kind, "config_hash": chash}
@@ -497,7 +456,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="parabolab",
                                      description="numerical laboratory experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KINDS + ("fixtures",):
+    for kind in (*EXPERIMENTS, "fixtures"):
         sp = sub.add_parser(kind)
         sp.add_argument("--config", default=None, help="JSON experiment config")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
@@ -508,7 +467,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         config = load_config(args.config, args.command, args.seed, args.out)
-    except (ValidationError, json.JSONDecodeError, OSError) as exc:
+    except (InputError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.out is not None:  # a rejected config has no hash
             _write_error(Path(args.out), args.command, None, "validation", str(exc))

@@ -20,12 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CutoffFamilyError", "CutoffFamily", "phi_R", "phi_R_prime", "f_R_alpha", "f_R_n_alpha"]
+from .errors import InputError
+
+__all__ = ["CutoffFamilyError", "CutoffFamily", "phi_R", "phi_R_prime"]
 
 INF = math.inf
 
 
-class CutoffFamilyError(ValueError):
+class CutoffFamilyError(InputError):
     pass
 
 
@@ -63,19 +65,6 @@ def phi_R_prime(r, R: float):
     return out if out.ndim else float(out)
 
 
-def f_R_alpha(r, R: float, alpha: float):
-    return phi_R(r, R) ** alpha
-
-
-def f_R_n_alpha(r, R: float, alpha: float, n: float):
-    """Shifted power ``phi_R(r + 1/n)^alpha``; n = inf gives the raw family."""
-    if math.isinf(n):
-        return f_R_alpha(r, R, alpha)
-    if not n >= 1:
-        raise CutoffFamilyError(f"mollification index must be >= 1 or inf, got {n}")
-    return phi_R(np.asarray(r, dtype=float) + 1.0 / n, R) ** alpha
-
-
 @dataclass(frozen=True)
 class CutoffFamily:
     """Parameter bundle (R, alpha, n) with the derived evaluators as methods."""
@@ -93,14 +82,11 @@ class CutoffFamily:
     def phi(self, r):
         return phi_R(r, self.R)
 
-    def phi_prime(self, r):
-        return phi_R_prime(r, self.R)
-
-    def f(self, r):
-        return f_R_alpha(r, self.R, self.alpha)
-
     def f_n(self, r):
-        return f_R_n_alpha(r, self.R, self.alpha, self.n)
+        """Shifted power ``phi_R(r + 1/n)^alpha``; n = inf gives the raw family."""
+        if math.isinf(self.n):
+            return phi_R(r, self.R) ** self.alpha
+        return phi_R(np.asarray(r, dtype=float) + 1.0 / self.n, self.R) ** self.alpha
 
     def f_n_prime(self, r):
         """d/dr of the shifted power, by the chain rule."""

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import mixed_norms as mn
 from .embeddings import ExponentConfig, PreconditionError, in_script_I
+from .errors import NumericalError
 from .mixed_norms import INF, Cylinder, GridFunction, MixedNormSpec
 from .pde_solver import CoefficientField
 
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 
-class DiagnosticAnomaly(RuntimeError):
+class DiagnosticAnomaly(NumericalError):
     """A diagnostic produced a combination that should be impossible."""
 
 
@@ -65,15 +66,15 @@ class LevelSchedule:
 
     def __post_init__(self):
         if not self.kappa > 0:
-            raise ValueError("base level kappa must be positive")
+            raise PreconditionError("base level kappa must be positive")
         if not (1.0 <= self.tau < self.sigma <= 2.0):
-            raise ValueError("need 1 <= tau < sigma <= 2")
+            raise PreconditionError("need 1 <= tau < sigma <= 2")
 
 
 def schedule(sched: LevelSchedule, n: int) -> tuple[float, float, float]:
     """(kappa_n, tau_n, tau~_n) for n >= 1."""
     if n < 1:
-        raise ValueError(f"schedule index must be >= 1, got {n}")
+        raise PreconditionError(f"schedule index must be >= 1, got {n}")
     kap = sched.kappa * (1.0 - 2.0 ** (1 - n))
     tau_n = sched.tau + (sched.sigma - sched.tau) * 2.0 ** (1 - n)
     tau_tilde = sched.tau + 3.0 * (sched.sigma - sched.tau) * 2.0 ** (-n - 1)
@@ -83,7 +84,7 @@ def schedule(sched: LevelSchedule, n: int) -> tuple[float, float, float]:
 def level_truncate(u: GridFunction, kappa: float) -> GridFunction:
     """Pointwise positive part above the level: ``(u - kappa)^+``."""
     if kappa < 0:
-        raise ValueError("levels are nonnegative")
+        raise PreconditionError("levels are nonnegative")
     return u.with_values(np.maximum(u.values - kappa, 0.0))
 
 
@@ -104,7 +105,7 @@ def lk1_check(u: GridFunction, kappa0: float, kappa1: float, cyl: Cylinder,
     rhs the windowed norm of ``(u - kappa0)^+`` divided by ``kappa1 - kappa0``.
     """
     if not 0 < kappa0 < kappa1:
-        raise ValueError("need 0 < kappa0 < kappa1")
+        raise PreconditionError("need 0 < kappa0 < kappa1")
     spec = MixedNormSpec(r, s, "time-outer")
     w1 = level_truncate(u, kappa1)
     w0 = level_truncate(u, kappa0)
@@ -133,11 +134,11 @@ class RecursionParams:
         d = tuple(float(x) for x in np.atleast_1d(self.deltas))
         object.__setattr__(self, "deltas", d)
         if not (self.C0 > 1 and self.lam > 1):
-            raise ValueError("need C0 > 1 and lambda > 1")
+            raise PreconditionError("need C0 > 1 and lambda > 1")
         if len(d) < 1 or any(x <= 0 for x in d):
-            raise ValueError("need m >= 1 positive exponents")
+            raise PreconditionError("need m >= 1 positive exponents")
         if self.a1 < 0:
-            raise ValueError("seed must be nonnegative")
+            raise PreconditionError("seed must be nonnegative")
 
 
 def recursion_threshold(params: RecursionParams) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mixed_norms as mn
+from .errors import InputError
 from .mixed_norms import INF, Cylinder, GridFunction, MixedNormSpec
 
 __all__ = [
@@ -35,11 +36,11 @@ __all__ = [
 ]
 
 
-class ExponentDomainError(ValueError):
+class ExponentDomainError(InputError):
     """Exponent outside the admissible range of the operation."""
 
 
-class PreconditionError(ValueError):
+class PreconditionError(InputError):
     """An operation precondition (exponent relation, index-set membership) fails."""
 
 

@@ -32,6 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import ndimage, signal
 
+from .errors import InputError
+
 INF = math.inf
 
 __all__ = [
@@ -63,15 +65,15 @@ __all__ = [
 ]
 
 
-class GridError(ValueError):
+class GridError(InputError):
     """Invalid grid geometry or non-finite sample values."""
 
 
-class ExponentError(ValueError):
+class ExponentError(InputError):
     """Exponent outside [1, inf] or an invalid norm ordering."""
 
 
-class GradientError(ValueError):
+class GradientError(InputError):
     """Grid too small to support the second-order gradient stencils."""
 
 

@@ -20,6 +20,7 @@ upwinding); off-diagonal support exists but is excluded from those guarantees.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,6 +31,7 @@ from scipy.sparse import linalg as splinalg
 
 from . import cutoffs, mixed_norms as mn
 from .embeddings import B1_MUST_VANISH, ExponentConfig, check_Re01, check_Re1
+from .errors import InputError, NumericalError
 from .mixed_norms import INF, GridFunction, MixedNormSpec
 
 __all__ = [
@@ -62,19 +64,19 @@ __all__ = [
 ]
 
 
-class CoefficientError(ValueError):
+class CoefficientError(InputError):
     """Coefficient field violates symmetry/PSD requirements at a sample."""
 
 
-class SolverConfigError(ValueError):
+class SolverConfigError(InputError):
     """Invalid step sizes, CFL violation, or tolerance out of contract."""
 
 
-class SolverError(RuntimeError):
+class SolverError(NumericalError):
     """The implicit linear solve failed to reach the residual tolerance."""
 
 
-class TestBankError(ValueError):
+class TestBankError(InputError):
     """A weak-form test function touches the boundary of the domain."""
 
 
@@ -220,14 +222,17 @@ def tabulated_diagonal_field(diag_entries: list[GridFunction], forcing=None) -> 
     return CoefficientField("tabulated", d, None, a_diag, forcing=forcing)
 
 
+# each builder takes the named parameters; rotation-drift runs on periodic boxes
 PDE_FIXTURES = {
-    "identity": {"builder": identity_field, "condition": "d in {1,2,3}"},
-    "diagonal-power": {"builder": diagonal_power_field,
+    "identity": {"builder": identity_field, "params": ("d",), "condition": "d in {1,2,3}"},
+    "diagonal-power": {"builder": diagonal_power_field, "params": ("d", "alpha", "R", "n"),
                        "condition": "alpha real, R >= 1, n >= 1 or inf"},
-    "example-6.1": {"builder": example_61_field,
+    "example-6.1": {"builder": example_61_field, "params": ("d", "alpha", "R", "n"),
                     "condition": "d >= 3, 0 < alpha < min(d/2 - 1, 1/2 + 1/(d-1))"},
-    "example-6.2": {"builder": example_62_field, "condition": "d = 2, 0 < alpha < 1/4"},
-    "rotation-drift": {"builder": rotation_drift_field, "condition": "d = 2, div b = 0"},
+    "example-6.2": {"builder": example_62_field, "params": ("alpha", "R", "n"),
+                    "condition": "d = 2, 0 < alpha < 1/4"},
+    "rotation-drift": {"builder": functools.partial(rotation_drift_field, pure=False),
+                       "params": (), "condition": "d = 2, div b = 0"},
 }
 
 

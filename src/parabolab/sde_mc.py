@@ -23,6 +23,7 @@ import numpy as np
 from scipy import stats
 
 from .cutoffs import INF, CutoffFamily
+from .errors import InputError
 from .mixed_norms import GridFunction
 
 __all__ = [
@@ -48,7 +49,7 @@ CHUNK_PATHS = 20000  # paths stepped together by euler_maruyama
 SCHEME_TAG = "euler-maruyama"  # the only scheme; recorded in every export header
 
 
-class SdeParameterError(ValueError):
+class SdeParameterError(InputError):
     """Family parameters outside their validity range (message names the constraint)."""
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import mixed_norms as mn
+from .errors import InputError
 from .mixed_norms import GridFunction, MixedNormSpec
 
 __all__ = [
@@ -50,11 +51,11 @@ __all__ = [
 ]
 
 
-class FeasibilityError(ValueError):
+class FeasibilityError(InputError):
     """Profile violates the cutoff constraints (endpoints, monotonicity, range)."""
 
 
-class IterationHypothesisError(ValueError):
+class IterationHypothesisError(InputError):
     """The pairwise hypothesis of the iteration lemma fails on the sample grid."""
 
 

@@ -17,6 +17,10 @@ from parabolab import variational as vr
 from parabolab.embeddings import ExponentConfig
 
 
+def _default(kind, name):
+    return cli.EXPERIMENTS[kind][1][name][0]
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -133,6 +137,17 @@ class TestConfigValidation:
         assert cli.main(["sde", "--out", str(out), "--seed", str(2**64 - 1)]) == 0
         assert json.loads((out / "report.json").read_text())["seed"] == 2**64 - 1
 
+    def test_degiorgi_level_inside_schema_but_negative_is_validation(self, tmp_path, capsys):
+        # the schema admits (-1e-12, 0); level_truncate rejects negative levels
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "degiorgi", "parameters": {"level": -1e-13}}))
+        out = tmp_path / "o"
+        assert cli.main(["degiorgi", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "validation" and "nonnegative" in err["message"]
+        assert not (out / "report.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_memory_error_is_numerical(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate the path array")
@@ -191,7 +206,7 @@ class TestExperiments:
     def test_variational_solves_each_problem_once(self, tmp_path, monkeypatch):
         solved, instances = [], []
         oracle = vr.oracle_infimum
-        knot_count = cli.DEFAULTS["variational"]["knot_count"]
+        knot_count = _default("variational", "knot_count")
 
         def counting(prob, knots=41):
             arrays = (prob.alphas, prob.ps, prob.betas, prob.f_samples)
@@ -253,7 +268,7 @@ class TestExperiments:
             "fixture": "rotation-drift", "nx": nx, "dt": 0.05, "T": 0.1}}))
         assert cli.main(["pde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         rep = json.loads((tmp_path / "o" / "report.json").read_text())
-        p = cli.DEFAULTS["pde"]
+        p = {name: _default("pde", name) for name in ("p0", "p4", "q4", "box")}
         exp_cfg = ExponentConfig(d=2, p0=p["p0"], p4=p["p4"], q4=p["q4"])
         h = 2 * p["box"] / nx
         want = pde.check_hypotheses(pde.rotation_drift_field(pure=False), exp_cfg,
@@ -320,7 +335,10 @@ CHEAP_CONFIGS = st.one_of(
         "x0": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)})),
     st.tuples(st.just("degiorgi"), st.fixed_dictionaries({
         "nx": st.integers(4, 24), "dt": st.sampled_from([0.1, 0.25, 0.5]),
-        "level": st.floats(0.0, 0.5), "p4": st.one_of(st.floats(2.0, 8.0), st.just("inf"))})),
+        # the schema's whole range (-1e-12, inf]; the negative part is rejected later
+        "level": st.one_of(st.floats(-1e-12, 0.0, exclude_min=True, exclude_max=True),
+                           st.floats(0.0)),
+        "p4": st.one_of(st.floats(2.0, 8.0), st.just("inf"))})),
 )
 
 
