@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import fft, ndimage
 
 from .errors import InputError
 
@@ -79,7 +79,9 @@ class GradientError(InputError):
 
 _BOUNDARY_TAGS = ("zero-extension", "periodic")
 
-FFT_BLOCK_BYTES = 1 << 19  # input slices per batched FFT convolution: about 0.5 MB
+# input slices per batched FFT convolution: about 0.5 MB; the kernel is transformed
+# once per call, each block of slices on its own
+FFT_BLOCK_BYTES = 1 << 19
 
 
 def _check_exponent(e: float, name: str = "exponent") -> float:
@@ -404,10 +406,15 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
     ``arr`` has one leading (time/window) axis; entry (t, i) becomes the l^p
     aggregate of the cells in the ball around edge i (p-th power times measure
     for finite p, plain max for p = inf), for the edges ``i`` on the lattice of
-    strides ``st_x``.  Finite p convolves blocks of about ``FFT_BLOCK_BYTES`` of
-    leading-axis slices at a time; each slice is transformed on its own, so the
-    blocking does not change the result.  The convolution's round-off is
-    absolute (about 1e-16 of the largest ball sum), see :func:`_ball_reduce_direct`.
+    strides ``st_x``.  Finite p is a full linear convolution on ``scipy.fft``,
+    the steps of ``scipy.signal.fftconvolve(mode="full")``: real transforms
+    padded to fast lengths over the axes where neither operand has length 1
+    (broadcast elsewhere), their product transformed back and cropped.  The
+    kernel is transformed once per call; the input goes in blocks of about
+    ``FFT_BLOCK_BYTES`` of leading-axis slices, each slice transformed on its
+    own, so the blocking does not change the result.  The convolution's
+    round-off is absolute (about 1e-16 of the largest ball sum), see
+    :func:`_ball_reduce_direct`.
     """
     a = np.abs(arr)
     sub = [slice(None)] + [slice(None, None, s) for s in st_x]
@@ -415,16 +422,24 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
         origins = [lo + s // 2 for lo, s in zip(o_mins, kernel.shape)]
         return ndimage.maximum_filter(a, footprint=(kernel > 0)[None], mode="constant",
                                       cval=0.0, origin=[0] + origins)[tuple(sub)]
-    rev = kernel[tuple(slice(None, None, -1) for _ in kernel.shape)]
+    rev = kernel[tuple(slice(None, None, -1) for _ in kernel.shape)][None]
+    full = (slice(None),) + tuple(slice(n + m - 1) for n, m in zip(a.shape[1:], kernel.shape))
     for k, lo in enumerate(o_mins):
         o_max = lo + kernel.shape[k] - 1
         sub[1 + k] = slice(o_max, o_max + arr.shape[1 + k], st_x[k])
+    axes = [k for k in range(1, a.ndim) if a.shape[k] != 1 and rev.shape[k] != 1]
+    fshape = [fft.next_fast_len(a.shape[k] + rev.shape[k] - 1, True) for k in axes]
+    if axes:
+        kernel_hat = fft.rfftn(rev, fshape, axes=axes)
     out = np.empty((a.shape[0],) + tuple(len(range(0, n, s)) for n, s in zip(a.shape[1:], st_x)))
     step = max(1, FFT_BLOCK_BYTES // (a[0].size * 8))
     for lo in range(0, a.shape[0], step):
-        conv = signal.fftconvolve(a[lo:lo + step] ** p, rev[None], mode="full",
-                                  axes=tuple(range(1, a.ndim)))
-        out[lo:lo + step] = np.maximum(conv[tuple(sub)], 0.0) * cellvol
+        block = a[lo:lo + step] ** p
+        if axes:
+            conv = fft.irfftn(fft.rfftn(block, fshape, axes=axes) * kernel_hat, fshape, axes=axes)
+        else:
+            conv = block * rev
+        out[lo:lo + step] = np.maximum(conv[full][tuple(sub)], 0.0) * cellvol
     return out
 
 

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .cutoffs import INF, CutoffFamily
 from .errors import InputError
@@ -412,6 +411,13 @@ def sliced_wasserstein1(A: np.ndarray, B: np.ndarray) -> float:
     return out
 
 
+def _spearman(x, y) -> float:
+    """Spearman rank correlation; ``scipy.stats`` is imported here so a fresh process skips it."""
+    from scipy import stats
+
+    return float(stats.spearmanr(x, y).statistic)
+
+
 @dataclass
 class CauchyReport:
     n_list: list
@@ -456,7 +462,7 @@ def approximation_cauchy_report(
     if len(set(distances)) == 1:
         rho = 0.0  # no trend at the noise floor (identical laws)
     else:
-        rho = float(stats.spearmanr(np.arange(len(distances)), distances).statistic)
+        rho = _spearman(np.arange(len(distances)), distances)
     # weighted straight-line growth test for the sup moment vs index rank
     x = np.arange(len(n_list), dtype=float)
     xbar = x.mean()
@@ -500,8 +506,8 @@ def uniqueness_perturbation_report(
     eps_arr = [r["eps"] for r in rows]
     div_arr = [r["divergence"] for r in rows]
     pos = [i for i, e in enumerate(eps_arr) if e > 0]
-    rho = float(stats.spearmanr([eps_arr[i] for i in pos],
-                                [div_arr[i] for i in pos]).statistic) if len(pos) >= 2 else 1.0
+    rho = (_spearman([eps_arr[i] for i in pos], [div_arr[i] for i in pos])
+           if len(pos) >= 2 else 1.0)
     return {"rows": rows, "spearman_eps_vs_divergence": rho,
             "floor_hits": coeffs.floor_hits}
 

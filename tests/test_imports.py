@@ -1,6 +1,9 @@
-"""Every name a package module imports is used there or re-exported by its ``__all__``."""
+"""Every name a package module imports is used there or re-exported by its ``__all__``;
+a fresh ``import parabolab.cli`` stays clear of the heavy scipy subpackages."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +62,12 @@ def test_detector_sees_unused_and_used_names():
               "def f(x: 'C') -> None:\n"
               "    return math.pi\n")
     assert unused_imports(source) == ["os"]
+
+
+def test_cold_start_skips_scipy_signal_and_stats():
+    # scipy.signal (which imports scipy.stats) is most of a fresh process's start-up
+    src = str(Path(parabolab.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import parabolab.cli; "
+            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -193,10 +193,11 @@ class TestMinkowski:
 
 def _lattice_field(d):
     rng = np.random.default_rng(40 + d)
-    nx = (41,) if d == 1 else (13, 11)
+    nx, dx = {1: ((41,), (0.1,)), 2: ((13, 11), (0.2, 0.25)),
+              3: ((9, 8, 7), (0.3, 0.25, 0.35))}[d]
     vals = rng.standard_normal((37,) + nx)
     vals[10] += 5.0  # a row that no window covers at lattice step 1 and radius 1/2
-    return GridFunction(0.0, 0.05, (0.0,) * d, (0.1,) if d == 1 else (0.2, 0.25), vals)
+    return GridFunction(0.0, 0.05, (0.0,) * d, dx, vals)
 
 
 def _window_slices(f, kernel, o_mins, it, ix, to_min, to_max):
@@ -364,8 +365,9 @@ def _full_array_fft_norm(f, spec, lattice_step, radius):
 class TestLatticeLocalizedNorm:
     """The convolution path computes only lattice entries, bitwise as the full array."""
 
-    @pytest.fixture(params=[(d, k) for d in (1, 2) for k in (None, 1, 3)],
-                    ids=[f"d{d}-{k}" for d in (1, 2) for k in ("default", "one-slice", "uneven")])
+    @pytest.fixture(params=[(d, k) for d in (1, 2, 3) for k in (None, 1, 3)],
+                    ids=[f"d{d}-{k}" for d in (1, 2, 3)
+                         for k in ("default", "one-slice", "uneven")])
     def field(self, request, monkeypatch):
         d, slices = request.param
         f = _lattice_field(d)
