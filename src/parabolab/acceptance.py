@@ -373,7 +373,7 @@ def criterion_12_determinism() -> tuple[bool, str]:
         for sub in ("a", "b"):
             out = Path(tmp) / sub
             for kind in ("norms", "sde"):
-                rc = cli.main([kind, "--out", str(out / kind), "--seed", "42"])
+                rc = cli.run(cli.load_config(None, kind, 42, out / kind))
                 if rc != 0:
                     return False, f"cli {kind} exited {rc}"
             outs.append(out)

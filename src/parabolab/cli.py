@@ -80,6 +80,12 @@ def _positive(lo=0.0, hi=math.inf, integer=False):
     return check
 
 
+def _nonnegative(name, v):
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not v >= 0:
+        raise ValidationError(f"parameter {name} must be a nonnegative number, got {v!r}")
+    return v
+
+
 def _choice(*options):
     def check(name, v):
         if v not in options:
@@ -385,7 +391,7 @@ EXPERIMENTS = {
     "degiorgi": (run_degiorgi, {
         "nx": (80, _positive(3, 512, integer=True)),
         "dt": (0.02, _positive(0, 1.0)),
-        "level": (0.0, _positive(-1e-12)),
+        "level": (0.0, _nonnegative),
         "p4": (4.0, _positive(1.999)),
     }),
     "sde": (run_sde, {

@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import fft, ndimage
@@ -165,8 +165,7 @@ class GridFunction:
             raise GridError("dt and every dx must be positive")
         if values.shape[0] < 2 or any(n < 2 for n in values.shape[1:]):
             raise GridError("need at least 2 samples along every axis")
-        if not np.all(np.isfinite(values)):
-            raise GridError("grid values must be finite (no NaN/Inf)")
+        _require_finite(values)
         if boundary not in _BOUNDARY_TAGS:
             raise GridError(f"boundary must be one of {_BOUNDARY_TAGS}, got {boundary!r}")
         values.setflags(write=False)
@@ -209,14 +208,33 @@ class GridFunction:
 
     def sample(self, fn: Callable) -> np.ndarray:
         """``fn(t, X)`` at every time center on this grid's cell centers, shape ``(nt, *nx, ...)``."""
-        X = self.meshgrid()
-        return np.stack([fn(t, X) for t in self.t_centers()])
+        return _sample_rows(fn, self.t_centers(), self.meshgrid())
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.t0, self.dt, self.x0, self.dx, values, self.boundary)
 
     def scaled(self, c: float) -> "GridFunction":
         return self.with_values(c * self.values)
+
+
+def _require_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise GridError("grid values must be finite (no NaN/Inf)")
+
+
+def _sample_rows(fn: Callable, ts: np.ndarray, X: np.ndarray, out: np.ndarray | None = None):
+    """``fn(t, X)`` for each ``t`` in ``ts``, written row by row into one array.
+
+    Without ``out`` the array takes the shape and dtype of the first row, as
+    ``np.stack`` of the rows would.
+    """
+    for i, t in enumerate(ts):
+        row = fn(t, X)
+        if out is None:
+            row = np.asarray(row)
+            out = np.empty((len(ts),) + row.shape, row.dtype)
+        out[i] = row
+    return out
 
 
 def cell_centers(x0, dx, nx) -> np.ndarray:
@@ -238,11 +256,8 @@ def from_callable(fn: Callable, t_span, nt: int, box, nx, boundary="zero-extensi
         raise GridError("box and nx must have the same number of axes")
     x0 = tuple(lo for lo, _ in box)
     dx = tuple((hi - lo) / n for (lo, hi), n in zip(box, nx))
-    X = cell_centers(x0, dx, nx)
     ts = t0 + (np.arange(nt) + 0.5) * dt
-    vals = np.empty((nt,) + nx)
-    for i, t in enumerate(ts):
-        vals[i] = fn(t, X)
+    vals = _sample_rows(fn, ts, cell_centers(x0, dx, nx), np.empty((nt,) + nx))
     return GridFunction(t0, dt, x0, dx, vals, boundary)
 
 
@@ -322,7 +337,9 @@ def restrict_time(f: GridFunction, t_lo: float, t_hi: float) -> GridFunction:
     keep = np.nonzero((tc >= t_lo - 1e-12) & (tc <= t_hi + 1e-12))[0]
     if keep.size < 2:
         raise GridError("time restriction keeps fewer than 2 samples")
-    return GridFunction(f.t0 + keep[0] * f.dt, f.dt, f.x0, f.dx, f.values[keep], f.boundary)
+    # time centers increase, so the kept cells are one contiguous range: a view, copied once
+    return GridFunction(f.t0 + keep[0] * f.dt, f.dt, f.x0, f.dx,
+                        f.values[keep[0]:keep[-1] + 1], f.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +359,32 @@ def _axis_gradient(values: np.ndarray, axis: int, h: float, periodic: bool) -> n
     return out
 
 
+def _gradient(values: np.ndarray, dx: Sequence[float], periodic: bool) -> np.ndarray:
+    """Gradient stack ``(d, *values.shape)`` of samples with one leading time axis.
+
+    Every stencil runs along a spatial axis, so a time slice of ``values``
+    gives the same entries as the whole array.
+    """
+    return np.stack([_axis_gradient(values, 1 + k, h, periodic) for k, h in enumerate(dx)],
+                    axis=0)
+
+
+def _gradient_norm(values: np.ndarray, dx: Sequence[float], periodic: bool) -> np.ndarray:
+    g = _gradient(values, dx, periodic)
+    return np.sqrt((g**2).sum(axis=0))
+
+
 def spatial_gradient(f: GridFunction) -> np.ndarray:
     """Second-order spatial gradient, shape ``(d, nt, *nx)``.
 
     Central differences in the interior; periodic wrap or one-sided
     second-order stencils at the edges, per the boundary tag.
     """
-    periodic = f.boundary == "periodic"
-    return np.stack(
-        [_axis_gradient(f.values, 1 + k, f.dx[k], periodic) for k in range(f.d)], axis=0
-    )
+    return _gradient(f.values, f.dx, f.boundary == "periodic")
 
 
 def gradient_magnitude(f: GridFunction) -> GridFunction:
-    g = spatial_gradient(f)
-    return f.with_values(np.sqrt((g**2).sum(axis=0)))
+    return f.with_values(_gradient_norm(f.values, f.dx, f.boundary == "periodic"))
 
 
 def gradient_sup(f: GridFunction) -> float:
@@ -399,6 +427,11 @@ def _strides(f: GridFunction, lattice_step: float) -> tuple[int, list[int]]:
     return st_t, st_x
 
 
+def _block_rows(row_size: int) -> int:
+    """Leading-axis slices of ``row_size`` float64 entries per ``FFT_BLOCK_BYTES`` block (>= 1)."""
+    return max(1, FFT_BLOCK_BYTES // (row_size * 8))
+
+
 def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
                        cellvol: float, st_x: Sequence[int]) -> np.ndarray:
     """Edge-centered spatial ball reduction of |arr| along the trailing axes.
@@ -412,29 +445,28 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
     (broadcast elsewhere), their product transformed back and cropped.  The
     kernel is transformed once per call; the input goes in blocks of about
     ``FFT_BLOCK_BYTES`` of leading-axis slices, each slice transformed on its
-    own, so the blocking does not change the result.  The convolution's
-    round-off is absolute (about 1e-16 of the largest ball sum), see
-    :func:`_ball_reduce_direct`.
+    own, so the blocking does not change the result; ``|arr|^p`` is taken per
+    block, never for the whole input.  The convolution's round-off is absolute
+    (about 1e-16 of the largest ball sum), see :func:`_ball_reduce_direct`.
     """
-    a = np.abs(arr)
     sub = [slice(None)] + [slice(None, None, s) for s in st_x]
     if math.isinf(p):
         origins = [lo + s // 2 for lo, s in zip(o_mins, kernel.shape)]
-        return ndimage.maximum_filter(a, footprint=(kernel > 0)[None], mode="constant",
+        return ndimage.maximum_filter(np.abs(arr), footprint=(kernel > 0)[None], mode="constant",
                                       cval=0.0, origin=[0] + origins)[tuple(sub)]
     rev = kernel[tuple(slice(None, None, -1) for _ in kernel.shape)][None]
-    full = (slice(None),) + tuple(slice(n + m - 1) for n, m in zip(a.shape[1:], kernel.shape))
+    full = (slice(None),) + tuple(slice(n + m - 1) for n, m in zip(arr.shape[1:], kernel.shape))
     for k, lo in enumerate(o_mins):
         o_max = lo + kernel.shape[k] - 1
         sub[1 + k] = slice(o_max, o_max + arr.shape[1 + k], st_x[k])
-    axes = [k for k in range(1, a.ndim) if a.shape[k] != 1 and rev.shape[k] != 1]
-    fshape = [fft.next_fast_len(a.shape[k] + rev.shape[k] - 1, True) for k in axes]
+    axes = [k for k in range(1, arr.ndim) if arr.shape[k] != 1 and rev.shape[k] != 1]
+    fshape = [fft.next_fast_len(arr.shape[k] + rev.shape[k] - 1, True) for k in axes]
     if axes:
         kernel_hat = fft.rfftn(rev, fshape, axes=axes)
-    out = np.empty((a.shape[0],) + tuple(len(range(0, n, s)) for n, s in zip(a.shape[1:], st_x)))
-    step = max(1, FFT_BLOCK_BYTES // (a[0].size * 8))
-    for lo in range(0, a.shape[0], step):
-        block = a[lo:lo + step] ** p
+    out = np.empty((len(arr),) + tuple(len(range(0, n, s)) for n, s in zip(arr.shape[1:], st_x)))
+    step = _block_rows(arr[0].size)
+    for lo in range(0, len(arr), step):
+        block = np.abs(arr[lo:lo + step]) ** p
         if axes:
             conv = fft.irfftn(fft.rfftn(block, fshape, axes=axes) * kernel_hat, fshape, axes=axes)
         else:
@@ -466,35 +498,85 @@ def _ball_reduce_direct(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
     return out
 
 
-def _window_norms(f: GridFunction, spec: MixedNormSpec, radius: float, st_x: Sequence[int],
-                  rows: np.ndarray, to_min: int, to_max: int, ball: Callable) -> np.ndarray:
+def _window_norms(f: GridFunction, blocks: Iterable[np.ndarray], spec: MixedNormSpec,
+                  radius: float, st_x: Sequence[int], rows: np.ndarray, to_min: int, to_max: int,
+                  ball: Callable) -> np.ndarray:
     """Norm of every lattice window ``[it + to_min, it + to_max] x B_radius(z)``.
 
-    Time windows run over ``rows`` (cell offsets, clipped to the grid); ball
-    centers ``z`` run over the edge lattice with strides ``st_x``, reduced by
-    ``ball`` (:func:`_space_ball_reduce` or :func:`_ball_reduce_direct`).
-    Returns an array of shape ``(len(rows), *centers)``.
+    ``blocks`` yields the sampled values on ``f``'s grid as consecutive time
+    blocks (``[f.values]`` for the whole array at once).  Time windows run over
+    ``rows`` (cell offsets, clipped to the grid); ball centers ``z`` run over
+    the edge lattice with strides ``st_x``, reduced by ``ball``
+    (:func:`_space_ball_reduce` or :func:`_ball_reduce_direct`), block by
+    block in the time-outer order.  Returns an array of shape
+    ``(len(rows), *centers)``.
     """
     kernel, o_mins = _ball_kernel(f.dx, radius)
     p, q = spec.p, spec.q
+    lo = np.clip(rows + to_min, 0, f.nt)
+    hi = np.clip(rows + to_max + 1, 0, f.nt)
 
-    def time_reduce(a):
-        """l^q norm over each time window of ``a = |g|^q`` (``|g|`` for q = inf)."""
+    def time_reduce(parts):
+        """l^q norm over each time window of the rows ``|g|^q`` (``|g|`` for q = inf).
+
+        The rows come in consecutive ``parts``.  Finite q keeps a running row
+        sum, the same sequential adds as ``np.cumsum`` over the whole array,
+        written in place over each part; of its prefix sums only those at the
+        window edges ``lo`` and ``hi`` are kept.  q = inf folds each part into
+        a running max per window.
+        """
+        start, out = 0, None
         if math.isinf(q):
-            return np.stack([a[max(it + to_min, 0):it + to_max + 1].max(axis=0) for it in rows])
-        csum = np.concatenate([np.zeros((1,) + a.shape[1:]), np.cumsum(a, axis=0)], axis=0)
-        hi = np.clip(rows + to_max + 1, 0, a.shape[0])
-        lo = np.clip(rows + to_min, 0, a.shape[0])
-        return ((csum[hi] - csum[lo]) * f.dt) ** (1.0 / q)
+            for a in parts:
+                if out is None:
+                    out = np.full((len(rows),) + a.shape[1:], -np.inf)
+                stop = start + len(a)
+                for j in np.nonzero((lo < stop) & (hi > start))[0]:
+                    part = a[max(lo[j] - start, 0):hi[j] - start].max(axis=0)
+                    np.maximum(out[j], part, out=out[j])
+                start = stop
+            return out
+        edges, prefix, run = set(lo.tolist()) | set(hi.tolist()), {}, None
+        for a in parts:
+            if run is not None:
+                a[0] += run
+            for i in range(1, len(a)):
+                a[i] += a[i - 1]
+            for k in range(start + 1, start + len(a) + 1):
+                if k in edges:  # the sum of the first k rows
+                    prefix[k] = a[k - start - 1].copy()
+            start, run = start + len(a), a[-1]
+        prefix[0] = np.zeros(run.shape)
+        out = np.empty((len(rows),) + run.shape)
+        for j, (h, l) in enumerate(zip(hi, lo)):
+            np.subtract(prefix[h], prefix[l], out=out[j])
+        return (out * f.dt) ** (1.0 / q)
 
     if spec.order == "time-outer":
-        S = ball(f.values, p, kernel, o_mins, f.cell_volume, st_x)
-        if math.isinf(p):
-            return time_reduce(S if math.isinf(q) else S**q)
-        return time_reduce(S ** (1.0 / p) if math.isinf(q) else S ** (q / p))
-    a = np.abs(f.values)
-    R = ball(time_reduce(a if math.isinf(q) else a**q), p, kernel, o_mins, f.cell_volume, st_x)
+        def powered(block):
+            S = ball(block, p, kernel, o_mins, f.cell_volume, st_x)
+            if math.isinf(p):
+                return S if math.isinf(q) else S**q
+            return S ** (1.0 / p) if math.isinf(q) else S ** (q / p)
+
+        return time_reduce(map(powered, blocks))
+    R = ball(time_reduce(np.abs(b) if math.isinf(q) else np.abs(b) ** q for b in blocks),
+             p, kernel, o_mins, f.cell_volume, st_x)
     return R if math.isinf(p) else R ** (1.0 / p)
+
+
+def _lattice_norm(f: GridFunction, blocks: Iterable[np.ndarray], spec: MixedNormSpec,
+                  lattice_step: float, radius: float) -> float:
+    """:func:`localized_norm` of the values that ``blocks`` yields on ``f``'s grid."""
+    if not 0 < lattice_step <= 1:
+        raise GridError(f"lattice_step must lie in (0, 1], got {lattice_step}")
+    if not radius > 0:
+        raise GridError("window radius must be positive")
+    st_t, st_x = _strides(f, lattice_step)
+    to_min, to_max = _offset_range(f.dt, radius**2)
+    rows = np.arange(0, f.nt, st_t)  # lattice time rows
+    return float(_window_norms(f, blocks, spec, radius, st_x, rows, to_min, to_max,
+                               _space_ball_reduce).max())
 
 
 def localized_norm(
@@ -511,15 +593,7 @@ def localized_norm(
     round-off.  Window sums are convolutions, and only the entries that the
     shift lattice reads are computed.
     """
-    if not 0 < lattice_step <= 1:
-        raise GridError(f"lattice_step must lie in (0, 1], got {lattice_step}")
-    if not radius > 0:
-        raise GridError("window radius must be positive")
-    st_t, st_x = _strides(f, lattice_step)
-    to_min, to_max = _offset_range(f.dt, radius**2)
-    rows = np.arange(0, f.nt, st_t)  # lattice time rows
-    return float(_window_norms(f, spec, radius, st_x, rows, to_min, to_max,
-                               _space_ball_reduce).max())
+    return _lattice_norm(f, [f.values], spec, lattice_step, radius)
 
 
 def localized_spatial_norm(values: np.ndarray, dx: Sequence[float], p: float) -> float:
@@ -573,8 +647,8 @@ def covering_equivalence_report(
     # start at row 0 and so cancel nothing
     g = f.with_values(f.values * inside.reshape((-1,) + (1,) * f.d))
     _, st_x = _strides(f, 0.25)
-    n1, nr = (_window_norms(g, spec, rho, st_x, np.zeros(1, int), 0, f.nt - 1, _ball_reduce_direct)
-              for rho in (1.0, r))
+    n1, nr = (_window_norms(g, [g.values], spec, rho, st_x, np.zeros(1, int), 0, f.nt - 1,
+                            _ball_reduce_direct) for rho in (1.0, r))
     ratios = n1[nr > 0] / nr[nr > 0]
     if ratios.size == 0:
         return (0.0, 0.0)
@@ -586,12 +660,26 @@ def v_norm(u: GridFunction, kappa: float, lattice_step: float = 0.25) -> float:
 
     ``|||u|||_(L~^(inf,2)_(t,x)) + |||grad u|||_(L~^(kappa,2)_(x,t))`` with the
     gradient by second-order differences honoring the boundary tag.
+
+    Working memory is O(block) beside ``u``: the gradient magnitude is made in
+    time blocks of about ``FFT_BLOCK_BYTES``, each folded into running window
+    sums and dropped, so the whole gradient is never held.  The result equals
+    :func:`localized_norm` of :func:`gradient_magnitude` bit for bit, and a
+    non-finite gradient raises :class:`GridError` as that does.
     """
     if not 1.0 <= kappa <= 2.0:
         raise ExponentError(f"kappa must lie in [1, 2], got {kappa}")
     part1 = localized_norm(u, MixedNormSpec(2.0, INF, "time-outer"), lattice_step)
-    grad = gradient_magnitude(u)
-    part2 = localized_norm(grad, MixedNormSpec(kappa, 2.0, "space-outer"), lattice_step)
+
+    def gradient_blocks():
+        step = _block_rows(u.values[0].size)
+        for lo in range(0, u.nt, step):
+            g = _gradient_norm(u.values[lo:lo + step], u.dx, u.boundary == "periodic")
+            _require_finite(g)
+            yield g
+
+    part2 = _lattice_norm(u, gradient_blocks(), MixedNormSpec(kappa, 2.0, "space-outer"),
+                          lattice_step, 1.0)
     return part1 + part2
 
 

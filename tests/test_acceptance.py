@@ -22,3 +22,10 @@ def test_criterion(index, name):
     assert res.passed, f"criterion {index} ({name}): {res.detail}"
     assert res.runtime <= RUNTIME_BUDGETS[index], (
         f"criterion {index} took {res.runtime:.1f}s, budget {RUNTIME_BUDGETS[index]}s")
+
+
+def test_criterion_12_prints_nothing(capsys):
+    # its nested CLI runs write to a temporary directory; none may print its path
+    passed, detail = acceptance.criterion_12_determinism()
+    assert passed, detail
+    assert capsys.readouterr() == ("", "")

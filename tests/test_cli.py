@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from parabolab import pde_solver as pde
 from parabolab import sde_mc as sde
 from parabolab import variational as vr
 from parabolab.embeddings import ExponentConfig
+from parabolab.mixed_norms import INF
 
 
 def _default(kind, name):
@@ -138,7 +140,7 @@ class TestConfigValidation:
         assert json.loads((out / "report.json").read_text())["seed"] == 2**64 - 1
 
     def test_degiorgi_level_inside_schema_but_negative_is_validation(self, tmp_path, capsys):
-        # the schema admits (-1e-12, 0); level_truncate rejects negative levels
+        # the schema admits level >= 0, so a negative level exits 2 at load time, before the run
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"kind": "degiorgi", "parameters": {"level": -1e-13}}))
         out = tmp_path / "o"
@@ -147,6 +149,19 @@ class TestConfigValidation:
         assert err["error"] == "validation" and "nonnegative" in err["message"]
         assert not (out / "report.json").exists()
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level,want", [(0.0, 0.0), (-0.0, 0.0), (0.5, 0.5), ("inf", INF)])
+    def test_degiorgi_schema_admits_nonnegative_levels(self, tmp_path, level, want):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "degiorgi", "parameters": {"level": level}}))
+        assert cli.load_config(cfg, "degiorgi", 0, None).parameters["level"] == want
+
+    @pytest.mark.parametrize("level", [-1e-13, -5e-324, math.nan, True, "0"])
+    def test_degiorgi_schema_rejects_other_levels(self, tmp_path, level):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "degiorgi", "parameters": {"level": level}}))
+        with pytest.raises(cli.ValidationError):
+            cli.load_config(cfg, "degiorgi", 0, None)
 
     def test_memory_error_is_numerical(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
@@ -335,7 +350,7 @@ CHEAP_CONFIGS = st.one_of(
         "x0": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)})),
     st.tuples(st.just("degiorgi"), st.fixed_dictionaries({
         "nx": st.integers(4, 24), "dt": st.sampled_from([0.1, 0.25, 0.5]),
-        # the schema's whole range (-1e-12, inf]; the negative part is rejected later
+        # the schema's range [0, inf] and negative levels next to it, which exit 2 at load time
         "level": st.one_of(st.floats(-1e-12, 0.0, exclude_min=True, exclude_max=True),
                            st.floats(0.0)),
         "p4": st.one_of(st.floats(2.0, 8.0), st.just("inf"))})),

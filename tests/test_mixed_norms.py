@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,18 @@ class TestGridFunction:
         assert np.array_equal(f.values, g.values)
         assert g.dt == f.dt and g.x0 == f.x0 and g.boundary == f.boundary
 
+    @pytest.mark.parametrize("t_lo,t_hi", [(0.2, 0.6), (0.0, 1.0), (-1.0, 2.0)],
+                             ids=["partial", "full", "wider"])
+    def test_restrict_time_equals_fancy_index(self, rng, t_lo, t_hi):
+        f = random_field(rng, d=2, nt=10, nx=4)
+        tc = f.t_centers()
+        keep = np.nonzero((tc >= t_lo - 1e-12) & (tc <= t_hi + 1e-12))[0]
+        g = mn.restrict_time(f, t_lo, t_hi)
+        assert np.array_equal(g.values, f.values[keep])
+        assert g.t0 == f.t0 + keep[0] * f.dt
+        assert (g.dt, g.x0, g.dx, g.boundary) == (f.dt, f.x0, f.dx, f.boundary)
+        assert not np.shares_memory(g.values, f.values)
+
 
 class TestSampling:
     """``cell_centers`` and ``GridFunction.sample`` equal the inline constructions they replace."""
@@ -72,13 +85,24 @@ class TestSampling:
         lambda t, X: np.sin(t + X[..., 0]) * X[..., -1],
         lambda t, X: (1 + t) * X,
         lambda t, X: np.einsum("...i,...j->...ij", X, X) + t,
-    ], ids=["scalar", "vector", "matrix"])
+        lambda t, X: X[..., 0] > t,
+    ], ids=["scalar", "vector", "matrix", "bool"])
     def test_sample(self, rng, fn):
         f = random_field(rng, d=2, nt=6, nx=5).with_values(np.zeros((6, 5, 5)))
         axes = [f.x0[k] + (np.arange(f.nx[k]) + 0.5) * f.dx[k] for k in range(f.d)]
         X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         want = np.stack([fn(t, X) for t in f.t_centers()])
-        assert np.array_equal(f.sample(fn), want)
+        got = f.sample(fn)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_from_callable_casts_rows_to_float(self):
+        def fn(t, X):
+            return X[..., 0] > t
+
+        f = mn.from_callable(fn, (0.0, 1.0), 4, [(0.0, 1.0), (0.0, 2.0)], (8, 3))
+        want = np.stack([fn(t, f.meshgrid()) for t in f.t_centers()]).astype(float)
+        assert f.values.dtype == float and np.array_equal(f.values, want)
 
 
 class TestMixedNorm:
@@ -549,3 +573,88 @@ class TestGradientAndVNorm:
     def test_kappa_range_enforced(self, unit_box_constant):
         with pytest.raises(mn.ExponentError):
             mn.v_norm(unit_box_constant, 2.5)
+
+
+def _whole_array_v_norm(u, kappa, lattice_step):
+    """Reference: the whole gradient magnitude, then the whole-array localized norms."""
+    part1 = mn.localized_norm(u, MixedNormSpec(2.0, INF, "time-outer"), lattice_step)
+    grad = mn.gradient_magnitude(u)
+    return part1 + mn.localized_norm(grad, MixedNormSpec(kappa, 2.0, "space-outer"), lattice_step)
+
+
+class TestStreamedVNorm:
+    """``v_norm`` streams the gradient in time blocks, bitwise as the whole-array formulas."""
+
+    @pytest.fixture(params=[(d, b, k) for d in (1, 2, 3) for b in ("zero-extension", "periodic")
+                            for k in (None, 1, 3)],
+                    ids=[f"d{d}-{b}-{k}" for d in (1, 2, 3) for b in ("zero", "periodic")
+                         for k in ("default", "one-row", "uneven")])
+    def field(self, request, monkeypatch):
+        d, boundary, rows = request.param
+        f = _lattice_field(d)
+        f = GridFunction(f.t0, f.dt, f.x0, f.dx, f.values, boundary)
+        if rows:  # blocks of one row, or of three, which split 37 rows unevenly
+            monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", rows * f.values[0].nbytes)
+        return f
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("lattice_step", [0.25, 0.5])
+    def test_equals_whole_array(self, field, kappa, lattice_step):
+        assert mn.v_norm(field, kappa, lattice_step) == _whole_array_v_norm(field, kappa,
+                                                                             lattice_step)
+
+    def test_gradient_part_equals_cumsum_reference(self, field):
+        spec = MixedNormSpec(1.5, 2.0, "space-outer")
+        part1 = mn.localized_norm(field, MixedNormSpec(2.0, INF, "time-outer"), 0.25)
+        want = _full_array_fft_norm(mn.gradient_magnitude(field), spec, 0.25, 1.0)
+        assert mn.v_norm(field, 1.5, 0.25) == part1 + want
+
+
+@pytest.mark.parametrize("q", [1.0, INF])
+@pytest.mark.parametrize("splits", [(37,), (1, 3, 7, 26), (5, 5, 5, 5, 5, 5, 5, 2)],
+                         ids=["whole", "growing", "fives"])
+def test_running_time_reduce_equals_cumsum(q, splits):
+    """Windows ``[0, it]`` read every prefix: the running sum is ``np.cumsum``, the running max
+    ``np.maximum.accumulate``, over blocks that split the rows unevenly."""
+    f = _lattice_field(2)
+    edges = np.cumsum((0,) + splits)
+    blocks = [f.values[a:b] for a, b in zip(edges[:-1], edges[1:])]
+
+    def identity_ball(a, *args):
+        return a
+
+    got = mn._window_norms(f, blocks, MixedNormSpec(INF, q, "space-outer"), 1.0, [1, 1],
+                           np.arange(f.nt), -f.nt, 0, identity_ball)
+    a = np.abs(f.values)
+    want = np.maximum.accumulate(a, axis=0) if math.isinf(q) else np.cumsum(a, axis=0) * f.dt
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows", [None, 1])
+def test_v_norm_overflowing_gradient_raises(monkeypatch, rows):
+    f = _lattice_field(2)
+    vals = f.values.copy()
+    vals[30] = np.where(np.indices(f.nx).sum(axis=0) % 2, 1e308, -1e308)  # one row of +-1e308
+    u = f.with_values(vals)
+    if rows:
+        monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", rows * vals[0].nbytes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(mn.GridError):
+            mn.gradient_magnitude(u)
+        with pytest.raises(mn.GridError):
+            mn.v_norm(u, 1.5, 0.5)
+
+
+def test_v_norm_memory_is_a_few_blocks():
+    # 129 rows of 64 x 64 cells, 4.2 MB: the criterion-07 geometry at half resolution
+    rng = np.random.default_rng(7)
+    u = GridFunction(0.0, 1 / 128, (-4.0, -4.0), (0.125, 0.125),
+                     rng.standard_normal((129, 64, 64)), "periodic")
+    mn.v_norm(u, 1.2, 0.5)  # first call: FFT plans and caches
+    tracemalloc.start()
+    try:
+        mn.v_norm(u, 1.2, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * u.values.nbytes
