@@ -85,7 +85,7 @@ def level_truncate(u: GridFunction, kappa: float) -> GridFunction:
     """Pointwise positive part above the level: ``(u - kappa)^+``."""
     if kappa < 0:
         raise PreconditionError("levels are nonnegative")
-    return u.with_values(np.maximum(u.values - kappa, 0.0))
+    return u._with_owned(np.maximum(u.values - kappa, 0.0))
 
 
 def level_energy(u: GridFunction, kappa: float, cyl: Cylinder, r: float, s: float,
@@ -109,7 +109,7 @@ def lk1_check(u: GridFunction, kappa0: float, kappa1: float, cyl: Cylinder,
     spec = MixedNormSpec(r, s, "time-outer")
     w1 = level_truncate(u, kappa1)
     w0 = level_truncate(u, kappa0)
-    ind = u.with_values((w1.values > 0).astype(float))
+    ind = u._with_owned((w1.values > 0).astype(float))
     lhs = mn.cylinder_norm(ind, spec, cyl)
     rhs = mn.cylinder_norm(w0, spec, cyl) / (kappa1 - kappa0)
     return lhs, rhs
@@ -199,7 +199,7 @@ def pad_run_backward(u: GridFunction, t_lo: float) -> GridFunction:
     if n_extra <= 0:
         return u
     vals = np.concatenate([np.zeros((n_extra,) + u.nx), u.values], axis=0)
-    return GridFunction(u.t0 - n_extra * u.dt, u.dt, u.x0, u.dx, vals, u.boundary)
+    return GridFunction._owning(u.t0 - n_extra * u.dt, u.dt, u.x0, u.dx, vals, u.boundary)
 
 
 def iteration_exponents(cfg: ExponentConfig) -> dict:
@@ -284,10 +284,10 @@ def energy_estimate_diagnostic(
         wterm += val
     f_norm = 0.0
     if field.forcing is not None:
-        f_gf = u.with_values(u.sample(field.forcing))
+        f_gf = u._with_owned(u.sample(field.forcing))
         f_norm = mn.mixed_norm_masked(f_gf, MixedNormSpec(cfg.p4, cfg.q4, "time-outer"),
                                       tmask2, smask2)
-    ind = u.with_values((w.values > 0).astype(float))
+    ind = u._with_owned((w.values > 0).astype(float))
     ind_norm = mn.mixed_norm_masked(ind, MixedNormSpec(pairs["r3"], pairs["s3"], "time-outer"),
                                     tmask2, smask2)
     fterm = f_norm**2 * ind_norm**2
@@ -331,7 +331,7 @@ def local_max_diagnostic(u: GridFunction, field: CoefficientField, cfg: Exponent
         raise PreconditionError("need p > 0")
     origin = (0.0, (0.0,) * u.d)
     Q1, Q2 = Cylinder(1.0, origin), Cylinder(2.0, origin)
-    up = u.with_values(np.maximum(u.values, 0.0))
+    up = u._with_owned(np.maximum(u.values, 0.0))
     t1, s1 = mn.cylinder_masks(up, Q1)
     mask1 = t1.reshape((-1,) + (1,) * u.d) * s1[None]
     lhs = float((up.values * mask1).max())
@@ -342,7 +342,7 @@ def local_max_diagnostic(u: GridFunction, field: CoefficientField, cfg: Exponent
     upp = float((np.abs(vals2) ** p).sum() * meas) ** (1.0 / p)
     f_norm = 0.0
     if field.forcing is not None:
-        f_norm = mn.mixed_norm_masked(u.with_values(u.sample(field.forcing)),
+        f_norm = mn.mixed_norm_masked(u._with_owned(u.sample(field.forcing)),
                                       MixedNormSpec(cfg.p4, cfg.q4, "time-outer"), t2, s2)
     rhs = upp + f_norm
     if rhs == 0.0 and lhs > 0.0:

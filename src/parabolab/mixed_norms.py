@@ -148,12 +148,32 @@ class GridFunction:
     boundary:
         ``"zero-extension"`` (the function is 0 outside the box) or
         ``"periodic"``.
+
+    The instance owns ``values``: a read-only float64 array that nothing
+    outside the instance can write.  The constructor and :meth:`with_values`
+    copy the caller's array for that.  Where this package has just computed
+    an array that nothing else references, it hands it over without a copy
+    through :meth:`_owning` or :meth:`_with_owned`, after the same checks.
     """
 
     __slots__ = ("t0", "dt", "x0", "dx", "values", "boundary")
 
     def __init__(self, t0, dt, x0, dx, values, boundary="zero-extension"):
-        values = np.array(values, dtype=float, copy=True)
+        self._adopt(t0, dt, x0, dx, np.array(values, dtype=float, copy=True), boundary)
+
+    @classmethod
+    def _owning(cls, t0, dt, x0, dx, values, boundary="zero-extension") -> "GridFunction":
+        """The constructor without its copy: the instance takes ``values`` itself.
+
+        Only for a new array that nothing else references, never a view of a
+        caller's array; it is cast to float64 only if it is not already, then
+        checked and made read-only as the constructor does.
+        """
+        self = object.__new__(cls)
+        self._adopt(t0, dt, x0, dx, np.asarray(values, dtype=float), boundary)
+        return self
+
+    def _adopt(self, t0, dt, x0, dx, values: np.ndarray, boundary) -> None:
         if values.ndim < 2 or values.ndim > 4:
             raise GridError(f"values must have 1 time + 1..3 space axes, got shape {values.shape}")
         d = values.ndim - 1
@@ -211,10 +231,15 @@ class GridFunction:
         return _sample_rows(fn, self.t_centers(), self.meshgrid())
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
+        """This grid with a copy of ``values``."""
         return GridFunction(self.t0, self.dt, self.x0, self.dx, values, self.boundary)
 
+    def _with_owned(self, values: np.ndarray) -> "GridFunction":
+        """:meth:`with_values` without the copy, on the terms of :meth:`_owning`."""
+        return GridFunction._owning(self.t0, self.dt, self.x0, self.dx, values, self.boundary)
+
     def scaled(self, c: float) -> "GridFunction":
-        return self.with_values(c * self.values)
+        return self._with_owned(c * self.values)
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -258,7 +283,7 @@ def from_callable(fn: Callable, t_span, nt: int, box, nx, boundary="zero-extensi
     dx = tuple((hi - lo) / n for (lo, hi), n in zip(box, nx))
     ts = t0 + (np.arange(nt) + 0.5) * dt
     vals = _sample_rows(fn, ts, cell_centers(x0, dx, nx), np.empty((nt,) + nx))
-    return GridFunction(t0, dt, x0, dx, vals, boundary)
+    return GridFunction._owning(t0, dt, x0, dx, vals, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +356,20 @@ def minkowski_gap(f: GridFunction, p: float, q: float) -> float:
     return a - b
 
 
-def restrict_time(f: GridFunction, t_lo: float, t_hi: float) -> GridFunction:
-    """Sub-grid of the cells whose time centers lie in ``[t_lo, t_hi]``."""
+def _time_rows(f: GridFunction, t_lo: float, t_hi: float) -> tuple[int, int]:
+    """Rows ``[lo, hi)`` of the cells whose time centers lie in ``[t_lo, t_hi]``."""
     tc = f.t_centers()
     keep = np.nonzero((tc >= t_lo - 1e-12) & (tc <= t_hi + 1e-12))[0]
     if keep.size < 2:
         raise GridError("time restriction keeps fewer than 2 samples")
-    # time centers increase, so the kept cells are one contiguous range: a view, copied once
-    return GridFunction(f.t0 + keep[0] * f.dt, f.dt, f.x0, f.dx,
-                        f.values[keep[0]:keep[-1] + 1], f.boundary)
+    # time centers increase, so the kept cells are one contiguous range
+    return keep[0], keep[-1] + 1
+
+
+def restrict_time(f: GridFunction, t_lo: float, t_hi: float) -> GridFunction:
+    """Sub-grid of the cells whose time centers lie in ``[t_lo, t_hi]`` (a copy)."""
+    lo, hi = _time_rows(f, t_lo, t_hi)
+    return GridFunction(f.t0 + lo * f.dt, f.dt, f.x0, f.dx, f.values[lo:hi], f.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +414,7 @@ def spatial_gradient(f: GridFunction) -> np.ndarray:
 
 
 def gradient_magnitude(f: GridFunction) -> GridFunction:
-    return f.with_values(_gradient_norm(f.values, f.dx, f.boundary == "periodic"))
+    return f._with_owned(_gradient_norm(f.values, f.dx, f.boundary == "periodic"))
 
 
 def gradient_sup(f: GridFunction) -> float:
@@ -622,6 +652,30 @@ def localized_spatial_norm(values: np.ndarray, dx: Sequence[float], p: float) ->
     return float(R.max())
 
 
+def _sampled_localized_norm(f: GridFunction, fn: Callable, spec: MixedNormSpec,
+                            lattice_step: float) -> float:
+    """:func:`localized_norm` of ``fn(t, X)`` sampled on ``f``'s grid, never held whole.
+
+    The samples are drawn in time blocks of about ``FFT_BLOCK_BYTES`` into one
+    buffer, each block checked finite (a non-finite sample raises
+    :class:`GridError`, as wrapping the whole sample would) and folded into
+    the running window sums before the next is drawn.  Equals
+    ``localized_norm(f.with_values(f.sample(fn)), spec, lattice_step)`` bit for bit.
+    """
+    ts, X = f.t_centers(), f.meshgrid()
+    step = _block_rows(f.values[0].size)
+    buf = np.empty((step,) + f.nx)
+
+    def blocks():
+        for lo in range(0, f.nt, step):
+            rows = ts[lo:lo + step]
+            block = _sample_rows(fn, rows, X, buf[:len(rows)])
+            _require_finite(block)
+            yield block
+
+    return _lattice_norm(f, blocks(), spec, lattice_step, 1.0)
+
+
 def covering_equivalence_report(
     f: GridFunction,
     spec: MixedNormSpec,
@@ -645,7 +699,7 @@ def covering_equivalence_report(
         return (0.0, 0.0)
     # f zeroed outside [0, T) and one time window over all its rows, whose sums
     # start at row 0 and so cancel nothing
-    g = f.with_values(f.values * inside.reshape((-1,) + (1,) * f.d))
+    g = f._with_owned(f.values * inside.reshape((-1,) + (1,) * f.d))
     _, st_x = _strides(f, 0.25)
     n1, nr = (_window_norms(g, [g.values], spec, rho, st_x, np.zeros(1, int), 0, f.nt - 1,
                             _ball_reduce_direct) for rho in (1.0, r))
@@ -714,8 +768,8 @@ def load_grid_function(path_prefix) -> GridFunction:
     vals = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
     shape = (header["nt"], *header["nx"])
     vals = vals.reshape(shape)
-    return GridFunction(header["t0"], header["dt"], header["x0"], header["dx"], vals,
-                        header["boundary_tag"])
+    return GridFunction._owning(header["t0"], header["dt"], header["x0"], header["dx"], vals,
+                                header["boundary_tag"])
 
 
 def norm_record(op: str, spec: MixedNormSpec | None, value: float, **extra) -> dict:

@@ -253,7 +253,7 @@ def spatial_initial_condition(values_or_fn, box, nx, boundary="periodic") -> Gri
         vals = np.asarray(values_or_fn(mn.cell_centers(x0, dx, nx)), dtype=float)
     else:
         vals = np.asarray(values_or_fn, dtype=float)
-    return GridFunction(0.0, 1.0, x0, dx, np.stack([vals, vals]), boundary)
+    return GridFunction._owning(0.0, 1.0, x0, dx, np.stack([vals, vals]), boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +537,10 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
     solution sampled at the step times k*dt (the output grid's cells are
     centered on those nodes).  Raises SolverError if an implicit solve misses
     ``LINEAR_TOL``; raises SolverConfigError on an advective CFL violation.
+
+    Working memory beside the factorization is the output array, filled step
+    by step and handed to the returned grid without a copy, plus a few
+    arrays of one time row.
     """
     d = u0.d
     x0, dx, nx = u0.x0, u0.dx, u0.nx
@@ -585,7 +589,7 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
         if not np.all(np.isfinite(u)):
             raise SolverError(f"solution lost finiteness at step {step}")
         out[step + 1] = u
-    return GridFunction(-cfg.dt / 2.0, cfg.dt, x0, dx, out, u0.boundary)
+    return GridFunction._owning(-cfg.dt / 2.0, cfg.dt, x0, dx, out, u0.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +607,24 @@ def weak_residual(u: GridFunction, field: CoefficientField, test_bank) -> float:
     Each test function must vanish on a 2-cell rim in space and time;
     derivatives of both u and the tests are second-order differences, all
     pairings are midpoint quadrature.
+
+    Working memory beside ``u`` and the bank: the flux ``a grad u`` (d arrays
+    of u's size), ``b . grad u`` and ``f`` when present, and one derivative of
+    the current test function at a time, into which the pairings' products
+    are written before they are summed.  The coefficient samples and
+    ``grad u`` are dropped once the flux exists.
     """
     results = []
     du = mn.spatial_gradient(u)  # (d, nt, *nx)
     a_vals = u.sample(field.a_matrix)  # (nt, *nx, d, d)
     flux = np.einsum("t...ij,jt...->it...", a_vals, du)
+    del a_vals
     bgrad = None  # the drift pairing b . grad u, the same for every test function
     if field.b1 is not None or field.b2 is not None:
         b_vals = u.sample(field.b_total)
         bgrad = sum(b_vals[..., i] * du[i] for i in range(u.d))
+        del b_vals
+    del du
     f_vals = None
     if field.forcing is not None:
         f_vals = u.sample(field.forcing)
@@ -624,15 +637,21 @@ def weak_residual(u: GridFunction, field: CoefficientField, test_bank) -> float:
         rim[core] = False
         if np.any(np.abs(phi.values[rim]) > 0):
             raise TestBankError("test function touches the domain boundary")
+        # each pairing's product is written over a derivative of phi and summed;
+        # the time derivative is dropped before the gradient is made
         dphi_t = _time_derivative(phi.values, u.dt)
-        dphi = mn.spatial_gradient(phi)
-        r = -(u.values * dphi_t).sum() * meas
-        r += (flux * dphi).sum() * meas
+        u_t = np.multiply(u.values, dphi_t, out=dphi_t).sum() * meas
+        drift = force = 0.0
         if bgrad is not None:
-            r -= (bgrad * phi.values).sum() * meas
+            drift = np.multiply(bgrad, phi.values, out=dphi_t).sum() * meas
         if f_vals is not None:
-            r -= (f_vals * phi.values).sum() * meas
-        results.append(abs(float(r)))
+            force = np.multiply(f_vals, phi.values, out=dphi_t).sum() * meas
+        del dphi_t
+        dphi = mn.spatial_gradient(phi)
+        diffusion = np.multiply(flux, dphi, out=dphi).sum() * meas
+        del dphi
+        # the terms in the identity's order; subtracting an absent term's 0.0 is exact
+        results.append(abs(float(-u_t + diffusion - drift - force)))
     return max(results)
 
 
@@ -652,7 +671,7 @@ def steklov_mean(u: GridFunction, h: float) -> GridFunction:
     padded = np.concatenate([u.values, np.zeros((m,) + u.nx)], axis=0)
     for j, w in enumerate(weights):
         vals += w * padded[j: j + u.nt]
-    return u.with_values(vals)
+    return u._with_owned(vals)
 
 
 @dataclass
@@ -672,15 +691,24 @@ def max_principle_report(u: GridFunction, field: CoefficientField, cfg: Exponent
 
     ``(||u||_inf + |||u|||_V) / |||f|||`` with the forcing norm in the
     declared (p4, q4) time-outer localized space.  A vanishing forcing gives
-    ratio None (reported, not raised).
+    ratio None (reported, not raised); a non-finite one raises GridError.
+
+    Working memory is a few time blocks of about ``mn.FFT_BLOCK_BYTES``: ``u``
+    is read in place (restricted by a copy only when ``[0, T]`` drops rows),
+    ``||u||_inf`` is a max over blocks of ``|u|``, and the forcing is sampled
+    block by block into the running window sums, so neither ``|u|`` nor the
+    sampled forcing is ever held whole.  The values equal those of the
+    whole-array formulas bit for bit.
     """
-    uT = mn.restrict_time(u, 0.0, T)
-    u_inf = float(np.abs(uT.values).max())
+    lo, hi = mn._time_rows(u, 0.0, T)
+    uT = u if hi - lo == u.nt else mn.restrict_time(u, 0.0, T)
+    step = mn._block_rows(uT.values[0].size)
+    u_inf = max(float(np.abs(uT.values[i:i + step]).max()) for i in range(0, uT.nt, step))
     vn = mn.v_norm(uT, cfg.kappa, lattice_step)
     if field.forcing is None:
         return MaxPrincipleReport(u_inf, vn, 0.0, None)
-    f_gf = uT.with_values(uT.sample(field.forcing))
-    f_norm = mn.localized_norm(f_gf, MixedNormSpec(cfg.p4, cfg.q4, "time-outer"), lattice_step)
+    f_norm = mn._sampled_localized_norm(uT, field.forcing,
+                                        MixedNormSpec(cfg.p4, cfg.q4, "time-outer"), lattice_step)
     if f_norm == 0.0:
         return MaxPrincipleReport(u_inf, vn, 0.0, None)
     return MaxPrincipleReport(u_inf, vn, f_norm, (u_inf + vn) / f_norm)

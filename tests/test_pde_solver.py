@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
+from parabolab import acceptance
 from parabolab import mixed_norms as mn
 from parabolab import pde_solver as pde
 from parabolab.embeddings import B1_MUST_VANISH, ExponentConfig
@@ -380,3 +382,163 @@ class TestLuOrdering:
         assert not field.is_diagonal
         assert np.array_equal(pde.solve(field, u0, cfg).values,
                               _plain_lu_march(field, u0, cfg))
+
+
+def _report_grid(d):
+    """Random samples laid out as a solver run (time centers on k * dt) with 37 rows."""
+    rng = np.random.default_rng(60 + d)
+    nx, dx = {1: ((41,), (0.1,)), 2: ((13, 11), (0.2, 0.25)),
+              3: ((9, 8, 7), (0.3, 0.25, 0.35))}[d]
+    return -0.025, 0.05, (-1.0,) * d, dx, rng.standard_normal((37,) + nx)
+
+
+def _report_forcing(t, X):
+    return np.cos(3 * t) * np.exp(-(X**2).sum(axis=-1)) + 0.1 * X[..., 0]
+
+
+def _whole_array_report(u, field, cfg, T, lattice_step):
+    """The report by its whole-array formulas: a restricted copy, |u| and the sampled forcing."""
+    uT = mn.restrict_time(u, 0.0, T)
+    f_gf = uT.with_values(uT.sample(field.forcing))
+    f_norm = mn.localized_norm(f_gf, mn.MixedNormSpec(cfg.p4, cfg.q4, "time-outer"),
+                               lattice_step)
+    return float(np.abs(uT.values).max()), mn.v_norm(uT, cfg.kappa, lattice_step), f_norm
+
+
+class TestStreamedReport:
+    """``max_principle_report`` reads u in place and streams the forcing, bitwise as before."""
+
+    @pytest.fixture(params=[(d, b, k) for d in (1, 2, 3) for b in ("zero-extension", "periodic")
+                            for k in (None, 1, 3)],
+                    ids=[f"d{d}-{b}-{k}" for d in (1, 2, 3) for b in ("zero", "periodic")
+                         for k in ("default", "one-row", "uneven")])
+    def u(self, request, monkeypatch):
+        d, boundary, rows = request.param
+        t0, dt, x0, dx, vals = _report_grid(d)
+        if rows:  # blocks of one row, or of three, which split 37 rows unevenly
+            monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", rows * vals[0].nbytes)
+        return mn.GridFunction(t0, dt, x0, dx, vals, boundary)
+
+    @pytest.mark.parametrize("q4", [INF, 3.0])
+    @pytest.mark.parametrize("T", [1.8, 1.2], ids=["all-rows", "restricted"])
+    def test_equals_whole_array(self, u, q4, T):
+        field = pde.identity_field(u.d, forcing=_report_forcing)
+        cfg = ExponentConfig(d=u.d, p0=INF, p4=4.0, q4=q4)
+        rep = pde.max_principle_report(u, field, cfg, T, lattice_step=0.5)
+        want = _whole_array_report(u, field, cfg, T, 0.5)
+        assert (rep.u_inf, rep.v_norm, rep.f_norm) == want
+        assert rep.ratio == (want[0] + want[1]) / want[2]
+
+    def test_non_finite_forcing_raises(self, u):
+        def forcing(t, X):  # infinite on the row centered at t = 0.5 only
+            return np.full(X.shape[:-1], np.inf if abs(t - 0.5) < 1e-9 else 1.0)
+
+        field = pde.identity_field(u.d, forcing=forcing)
+        cfg = ExponentConfig(d=u.d, p0=INF, p4=4.0, q4=INF)
+        with pytest.raises(mn.GridError):
+            pde.max_principle_report(u, field, cfg, 1.8, lattice_step=0.5)
+
+
+def _c7_half_resolution():
+    """Criterion 07's field and box at half resolution: 129 rows of 64 x 64 cells."""
+    field = pde.example_62_field(alpha=0.2, R=1.0, n=4,
+                                 forcing=lambda t, X: np.exp(-(X**2).sum(axis=-1) / 0.32))
+    u0 = pde.spatial_initial_condition(lambda X: np.zeros(X.shape[:-1]),
+                                       [(-4, 4)] * 2, (64, 64), "periodic")
+    return field, u0, pde.SolverConfig(dt=1 / 128, T=1.0)
+
+
+def _traced_peak(fn):
+    """Peak bytes that ``fn()`` allocates, after a first call has filled every cache."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestWorkingMemory:
+    def test_solve_holds_one_output(self):
+        field, u0, cfg = _c7_half_resolution()
+        u, peak = _traced_peak(lambda: pde.solve(field, u0, cfg))
+        assert peak < 1.6 * u.values.nbytes
+
+    def test_report_copies_nothing_of_size_u(self):
+        field, u0, cfg = _c7_half_resolution()
+        u = pde.solve(field, u0, cfg)
+        exp_cfg = ExponentConfig(d=2, p0=2.4, p4=4.0, q4=INF)
+        _, peak = _traced_peak(lambda: pde.max_principle_report(u, field, exp_cfg, 1.0, 0.5))
+        assert peak < 1.5 * u.values.nbytes
+
+    def test_weak_residual_drops_its_temporaries(self):
+        u, field, _ = heat_solution_run(64)  # 2049 rows of 64 cells
+        bank = acceptance._heat_bank(u)
+        _, peak = _traced_peak(lambda: pde.weak_residual(u, field, bank))
+        assert peak < 4 * u.values.nbytes
+
+
+class TestOwnership:
+    """Public constructors copy; every grid the package returns has read-only values."""
+
+    def test_public_constructor_and_with_values_copy(self):
+        src = np.ones((3, 4))
+        f = mn.GridFunction(0.0, 0.1, (0.0,), (0.25,), src)
+        src[:] = 7.0
+        other = np.zeros((3, 4))
+        g = f.with_values(other)
+        other[:] = 5.0
+        assert np.all(f.values == 1.0) and np.all(g.values == 0.0)
+
+    def test_results_are_read_only(self):
+        field = pde.identity_field(1)
+        u0 = pde.spatial_initial_condition(lambda X: np.sin(np.pi * X[..., 0]),
+                                           [(0, 1)], (16,), "zero-extension")
+        u = pde.solve(field, u0, pde.SolverConfig(dt=0.01, T=0.1))
+        results = [u, mn.from_callable(lambda t, X: t + X[..., 0], (0, 1), 4, [(0, 1)], (8,)),
+                   mn.restrict_time(u, 0.0, 0.05), pde.steklov_mean(u, 0.02),
+                   mn.gradient_magnitude(u)]
+        for g in results:
+            assert not g.values.flags.writeable
+            with pytest.raises(ValueError):
+                g.values[0] = 1.0
+
+    def test_owning_constructor_keeps_the_array_and_checks_it(self):
+        vals = np.ones((3, 4))
+        g = mn.GridFunction._owning(0.0, 0.1, (0.0,), (0.25,), vals)
+        assert g.values is vals and not vals.flags.writeable
+        assert mn.GridFunction._owning(0.0, 0.1, (0.0,), (0.25,), np.ones((3, 4), int)
+                                       ).values.dtype == np.float64
+        bad = np.ones((3, 4))
+        bad[1, 2] = np.nan
+        with pytest.raises(mn.GridError):
+            mn.GridFunction._owning(0.0, 0.1, (0.0,), (0.25,), bad)
+        with pytest.raises(mn.GridError):
+            mn.GridFunction._owning(0.0, 0.1, (0.0,), (0.25,), np.ones((3, 4)), "mirror")
+        with pytest.raises(mn.GridError):
+            mn.GridFunction._owning(0.0, 0.1, (0.0,), (0.25,), np.ones(3))
+
+
+# weak residuals on criterion 06's heat grids, pinned before the residual dropped its
+# temporaries: the products and whole-array sums are unchanged, so the bits are too
+@pytest.mark.parametrize("nx,forced,want", [
+    (32, False, "0x1.b9520dfd06800p-16"), (64, False, "0x1.b4002a9754000p-18"),
+    (128, False, "0x1.b2aab4cac0000p-20"), (32, True, "0x1.da72ddcf67f91p-7")])
+def test_weak_residual_bits_on_criterion_06_grids(nx, forced, want):
+    u, field, _ = heat_solution_run(nx)
+    if forced:
+        field = pde.identity_field(1, forcing=lambda t, X: np.cos(X[..., 0]) * (1 + t))
+    assert pde.weak_residual(u, field, acceptance._heat_bank(u)).hex() == want
+
+
+def test_weak_residual_bits_with_drift_and_forcing():
+    field = pde.rotation_drift_field(pure=False, forcing=lambda t, X: np.exp(-(X**2).sum(axis=-1)))
+    u0 = pde.spatial_initial_condition(lambda X: np.exp(-(X**2).sum(axis=-1)), [(-2, 2)] * 2,
+                                       (24, 24))
+    u = pde.solve(field, u0, pde.SolverConfig(dt=0.01, T=0.3))
+    bank = [mn.from_callable(lambda t, X: np.maximum(0.6 - (X**2).sum(axis=-1), 0) ** 3
+                             * max(0.0, (t - 0.05) * (0.25 - t)) ** 3,
+                             (u.t0, u.t0 + u.nt * u.dt), u.nt, [(-2, 2)] * 2, (24, 24))]
+    assert pde.weak_residual(u, field, bank).hex() == "0x1.a55ea18e7be00p-34"
