@@ -401,7 +401,7 @@ CRITERIA = [
 ]
 
 
-def run_all(indices=None, progress=print) -> list[CriterionResult]:
+def run_all(indices=None) -> list[CriterionResult]:
     results = []
     for i, name, fn in CRITERIA:
         if indices is not None and i not in indices:
@@ -410,6 +410,5 @@ def run_all(indices=None, progress=print) -> list[CriterionResult]:
         passed, detail = fn()
         res = CriterionResult(i, name, passed, time.perf_counter() - start, detail)
         results.append(res)
-        if progress is not None:
-            progress(res.line())
+        print(res.line())
     return results

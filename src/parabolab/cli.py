@@ -200,18 +200,21 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
+# canned test functions of the ``norms`` kind on the unit box; None is seeded noise
+NORM_FIXTURES = {
+    "constant": lambda t, X: np.ones(X.shape[:-1]),
+    "bump": lambda t, X: np.exp(-((X - 0.5) ** 2).sum(axis=-1) / 0.02 - (t - 0.5) ** 2 / 0.02),
+    "indicator": lambda t, X: (t < 0.5) * np.ones(X.shape[:-1]),
+    "random": None,
+}
+
+
 def _norms_fixture(name, d, nt, nx, rng):
-    box = [(0.0, 1.0)] * d
-    if name == "constant":
-        fn = lambda t, X: np.ones(X.shape[:-1])
-    elif name == "bump":
-        fn = lambda t, X: np.exp(-((X - 0.5) ** 2).sum(axis=-1) / 0.02 - (t - 0.5) ** 2 / 0.02)
-    elif name == "indicator":
-        fn = lambda t, X: (t < 0.5) * np.ones(X.shape[:-1])
-    else:
+    fn = NORM_FIXTURES[name]
+    if fn is None:
         vals = rng.standard_normal((nt,) + (nx,) * d)
-        return GridFunction(0.0, 1.0 / nt, (0.0,) * d, (1.0 / nx,) * d, vals)
-    return mn.from_callable(fn, (0.0, 1.0), nt, box, (nx,) * d)
+        return GridFunction._owning(0.0, 1.0 / nt, (0.0,) * d, (1.0 / nx,) * d, vals)
+    return mn.from_callable(fn, (0.0, 1.0), nt, [(0.0, 1.0)] * d, (nx,) * d)
 
 
 def run_norms(config: ExperimentConfig, outdir: Path) -> dict:
@@ -346,7 +349,7 @@ def run_sde(config: ExperimentConfig, outdir: Path) -> dict:
 
 def run_acceptance(config: ExperimentConfig, outdir: Path) -> dict:
     indices = config.parameters.get("criteria") or None  # an empty list runs them all
-    results = acceptance.run_all(indices=indices, progress=print)
+    results = acceptance.run_all(indices=indices)
     rows = [{"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results]
     return {"criteria": rows, "all_passed": all(r.passed for r in results)}
@@ -356,7 +359,7 @@ def run_acceptance(config: ExperimentConfig, outdir: Path) -> dict:
 # parameter out of ``parameters`` unless the config gives it
 EXPERIMENTS = {
     "norms": (run_norms, {
-        "fixture": ("constant", _choice("constant", "bump", "indicator", "random")),
+        "fixture": ("constant", _choice(*NORM_FIXTURES)),
         "d": (1, _positive(0, 3, integer=True)),
         "nt": (16, _positive(1, 512, integer=True)),
         "nx": (16, _positive(1, 512, integer=True)),
@@ -453,7 +456,7 @@ def list_builtin_fixtures() -> dict:
             entry["kind"] = "pde+sde"
         else:
             catalog[name] = {"kind": "sde", "condition": condition}
-    for name in ("constant", "bump", "indicator", "random"):
+    for name in NORM_FIXTURES:
         catalog[name] = {"kind": "test-function", "condition": "none"}
     return catalog
 

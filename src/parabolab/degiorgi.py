@@ -275,13 +275,11 @@ def energy_estimate_diagnostic(
     lhs = _cyl_v_norm(w, Q1, cfg.kappa) ** 2
 
     tmask2, smask2 = mn.cylinder_masks(w, Q2)
-    wterm = 0.0
-    terms = {}
-    for i in (1, 2):
-        spec = MixedNormSpec(pairs[f"r{i}"], pairs[f"s{i}"], "time-outer")
-        val = mn.mixed_norm_masked(w, spec, tmask2, smask2) ** 2
-        terms[f"level_term_{i}"] = val
-        wterm += val
+    # (r1, s1) = (r2, s2), so both level terms are one masked norm
+    spec = MixedNormSpec(pairs["r2"], pairs["s2"], "time-outer")
+    val = mn.mixed_norm_masked(w, spec, tmask2, smask2) ** 2
+    terms = {"level_term_1": val, "level_term_2": val}
+    wterm = val + val
     f_norm = 0.0
     if field.forcing is not None:
         f_gf = u._with_owned(u.sample(field.forcing))

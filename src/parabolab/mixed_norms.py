@@ -79,9 +79,9 @@ class GradientError(InputError):
 
 _BOUNDARY_TAGS = ("zero-extension", "periodic")
 
-# input slices per batched FFT convolution: about 0.5 MB; the kernel is transformed
-# once per call, each block of slices on its own
-FFT_BLOCK_BYTES = 1 << 19
+# one working block: about 0.5 MB of FFT input slices, streamed gradient or forcing
+# rows, or ensemble paths (``sde_mc``); the FFT kernel is transformed once per call
+BLOCK_BYTES = 1 << 19
 
 
 def _check_exponent(e: float, name: str = "exponent") -> float:
@@ -268,6 +268,17 @@ def cell_centers(x0, dx, nx) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
+def _box_cells(box, nx) -> tuple[tuple, tuple, tuple]:
+    """``(x0, dx, nx)`` of ``nx`` equal cells per axis of ``box``, a list of (lo, hi) pairs."""
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    nx = tuple(int(n) for n in np.atleast_1d(nx))
+    if len(nx) != len(box):
+        raise GridError("box and nx must have the same number of axes")
+    x0 = tuple(lo for lo, _ in box)
+    dx = tuple((hi - lo) / n for (lo, hi), n in zip(box, nx))
+    return x0, dx, nx
+
+
 def from_callable(fn: Callable, t_span, nt: int, box, nx, boundary="zero-extension") -> GridFunction:
     """Sample ``fn(t, X)`` at cell centers; ``X`` has shape ``(*nx, d)``.
 
@@ -275,12 +286,7 @@ def from_callable(fn: Callable, t_span, nt: int, box, nx, boundary="zero-extensi
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     dt = (t1 - t0) / int(nt)
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    nx = tuple(int(n) for n in np.atleast_1d(nx))
-    if len(nx) != len(box):
-        raise GridError("box and nx must have the same number of axes")
-    x0 = tuple(lo for lo, _ in box)
-    dx = tuple((hi - lo) / n for (lo, hi), n in zip(box, nx))
+    x0, dx, nx = _box_cells(box, nx)
     ts = t0 + (np.arange(nt) + 0.5) * dt
     vals = _sample_rows(fn, ts, cell_centers(x0, dx, nx), np.empty((nt,) + nx))
     return GridFunction._owning(t0, dt, x0, dx, vals, boundary)
@@ -377,16 +383,20 @@ def restrict_time(f: GridFunction, t_lo: float, t_hi: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _axis_gradient(values: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
+def _axis_gradient(values: np.ndarray, axis: int, h: float, periodic: bool,
+                   out: np.ndarray) -> None:
+    """Derivative along ``axis`` into ``out``: central, edges wrapped or one-sided second order."""
     if values.shape[axis] < 3:
         raise GradientError("need at least 3 samples per spatial axis for the gradient")
-    out = (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * h)
-    if not periodic:
-        # one-sided second-order stencils at the box edges (written through views of out)
-        v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    if periodic:
+        o[0], o[-1] = v[1] - v[-1], v[0] - v[-2]
+        o /= 2 * h
+    else:
+        o[1:-1] /= 2 * h
         o[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
         o[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-    return out
 
 
 def _gradient(values: np.ndarray, dx: Sequence[float], periodic: bool) -> np.ndarray:
@@ -395,8 +405,10 @@ def _gradient(values: np.ndarray, dx: Sequence[float], periodic: bool) -> np.nda
     Every stencil runs along a spatial axis, so a time slice of ``values``
     gives the same entries as the whole array.
     """
-    return np.stack([_axis_gradient(values, 1 + k, h, periodic) for k, h in enumerate(dx)],
-                    axis=0)
+    out = np.empty((len(dx),) + values.shape)
+    for k, h in enumerate(dx):
+        _axis_gradient(values, 1 + k, h, periodic, out[k])
+    return out
 
 
 def _gradient_norm(values: np.ndarray, dx: Sequence[float], periodic: bool) -> np.ndarray:
@@ -458,8 +470,8 @@ def _strides(f: GridFunction, lattice_step: float) -> tuple[int, list[int]]:
 
 
 def _block_rows(row_size: int) -> int:
-    """Leading-axis slices of ``row_size`` float64 entries per ``FFT_BLOCK_BYTES`` block (>= 1)."""
-    return max(1, FFT_BLOCK_BYTES // (row_size * 8))
+    """Leading-axis slices of ``row_size`` float64 entries per ``BLOCK_BYTES`` block (>= 1)."""
+    return max(1, BLOCK_BYTES // (row_size * 8))
 
 
 def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
@@ -474,7 +486,7 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
     padded to fast lengths over the axes where neither operand has length 1
     (broadcast elsewhere), their product transformed back and cropped.  The
     kernel is transformed once per call; the input goes in blocks of about
-    ``FFT_BLOCK_BYTES`` of leading-axis slices, each slice transformed on its
+    ``BLOCK_BYTES`` of leading-axis slices, each slice transformed on its
     own, so the blocking does not change the result; ``|arr|^p`` is taken per
     block, never for the whole input.  The convolution's round-off is absolute
     (about 1e-16 of the largest ball sum), see :func:`_ball_reduce_direct`.
@@ -656,7 +668,7 @@ def _sampled_localized_norm(f: GridFunction, fn: Callable, spec: MixedNormSpec,
                             lattice_step: float) -> float:
     """:func:`localized_norm` of ``fn(t, X)`` sampled on ``f``'s grid, never held whole.
 
-    The samples are drawn in time blocks of about ``FFT_BLOCK_BYTES`` into one
+    The samples are drawn in time blocks of about ``BLOCK_BYTES`` into one
     buffer, each block checked finite (a non-finite sample raises
     :class:`GridError`, as wrapping the whole sample would) and folded into
     the running window sums before the next is drawn.  Equals
@@ -716,7 +728,7 @@ def v_norm(u: GridFunction, kappa: float, lattice_step: float = 0.25) -> float:
     gradient by second-order differences honoring the boundary tag.
 
     Working memory is O(block) beside ``u``: the gradient magnitude is made in
-    time blocks of about ``FFT_BLOCK_BYTES``, each folded into running window
+    time blocks of about ``BLOCK_BYTES``, each folded into running window
     sums and dropped, so the whole gradient is never held.  The result equals
     :func:`localized_norm` of :func:`gradient_magnitude` bit for bit, and a
     non-finite gradient raises :class:`GridError` as that does.
@@ -742,9 +754,23 @@ def v_norm(u: GridFunction, kappa: float, lattice_step: float = 0.25) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _write_export(path_prefix, header: dict, values: np.ndarray) -> tuple[Path, Path]:
+    """Sorted JSON header ``<prefix>.json``; ``<prefix>.bin`` flat little-endian float64."""
+    jpath, bpath = (Path(path_prefix).with_suffix(s) for s in (".json", ".bin"))
+    jpath.write_text(json.dumps(header, sort_keys=True, indent=1) + "\n")
+    values.astype("<f8", copy=False).tofile(bpath)
+    return jpath, bpath
+
+
+def _read_export(path_prefix) -> tuple[dict, np.ndarray]:
+    """The header and the flat values written by :func:`_write_export`."""
+    prefix = Path(path_prefix)
+    header = json.loads(prefix.with_suffix(".json").read_text())
+    return header, np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
+
+
 def save_grid_function(f: GridFunction, path_prefix) -> tuple[Path, Path]:
     """Write ``<prefix>.json`` (header) and ``<prefix>.bin`` (flat float64, C order)."""
-    prefix = Path(path_prefix)
     header = {
         "d": f.d,
         "t0": f.t0,
@@ -755,19 +781,12 @@ def save_grid_function(f: GridFunction, path_prefix) -> tuple[Path, Path]:
         "nx": list(f.nx),
         "boundary_tag": f.boundary,
     }
-    jpath = prefix.with_suffix(".json")
-    bpath = prefix.with_suffix(".bin")
-    jpath.write_text(json.dumps(header, sort_keys=True, indent=1) + "\n")
-    f.values.astype("<f8").tofile(bpath)
-    return jpath, bpath
+    return _write_export(path_prefix, header, f.values)
 
 
 def load_grid_function(path_prefix) -> GridFunction:
-    prefix = Path(path_prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text())
-    vals = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
-    shape = (header["nt"], *header["nx"])
-    vals = vals.reshape(shape)
+    header, vals = _read_export(path_prefix)
+    vals = vals.reshape(header["nt"], *header["nx"])
     return GridFunction._owning(header["t0"], header["dt"], header["x0"], header["dx"], vals,
                                 header["boundary_tag"])
 

@@ -151,12 +151,17 @@ def diagonal_power_field(d: int, alpha: float, R: float = 1.0, n: float = INF,
     return CoefficientField("diagonal-power", d, None, a_diag, forcing=forcing)
 
 
+def _example_61_alpha_max(d: int) -> float:
+    """The singular family's ``alpha < min(d/2 - 1, 1/2 + 1/(d-1))`` (none admissible for d < 3)."""
+    return min(d / 2 - 1, 0.5 + 1.0 / max(d - 1, 1))
+
+
 def example_61_field(d: int = 3, alpha: float = 0.3, R: float = 2.0, n: float = INF,
                      forcing=None) -> CoefficientField:
     """Isotropic singular family ``a = f_(R,n)^(-alpha)(|x|^2) I`` (needs d >= 3)."""
     if d < 3:
         raise CoefficientError("the isotropic singular family requires d >= 3")
-    hi = min(d / 2 - 1, 0.5 + 1.0 / (d - 1))
+    hi = _example_61_alpha_max(d)
     if not 0 < alpha < hi:
         raise CoefficientError(
             f"requires 0 < alpha < min(d/2 - 1, 1/2 + 1/(d-1)) = {hi}, got {alpha}")
@@ -190,9 +195,6 @@ def rotation_drift_field(pure: bool = True, forcing=None) -> CoefficientField:
     periodic boxes (divergence-free analytically, O(dx^2) discretely).
     """
 
-    def a_diag(t, X):
-        return np.ones(X.shape[:-1] + (2,))
-
     def b2(t, X):
         rot = np.stack([-X[..., 1], X[..., 0]], axis=-1)
         if pure:
@@ -201,7 +203,8 @@ def rotation_drift_field(pure: bool = True, forcing=None) -> CoefficientField:
         chi = np.exp(-((r2 / 3.0**2) ** 4))
         return rot * chi[..., None]
 
-    return CoefficientField("rotation-drift", 2, None, a_diag, b2=b2, forcing=forcing)
+    return CoefficientField("rotation-drift", 2, None, identity_field(2).a_diag, b2=b2,
+                            forcing=forcing)
 
 
 def tabulated_diagonal_field(diag_entries: list[GridFunction], forcing=None) -> CoefficientField:
@@ -245,14 +248,9 @@ def build_field(name: str, **params) -> CoefficientField:
 
 def spatial_initial_condition(values_or_fn, box, nx, boundary="periodic") -> GridFunction:
     """Initial data wrapped as a (degenerate) space-time grid; only slice 0 is read."""
-    nx = tuple(int(n) for n in np.atleast_1d(nx))
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    x0 = tuple(lo for lo, _ in box)
-    dx = tuple((hi - lo) / n for (lo, hi), n in zip(box, nx))
-    if callable(values_or_fn):
-        vals = np.asarray(values_or_fn(mn.cell_centers(x0, dx, nx)), dtype=float)
-    else:
-        vals = np.asarray(values_or_fn, dtype=float)
+    x0, dx, nx = mn._box_cells(box, nx)
+    vals = values_or_fn(mn.cell_centers(x0, dx, nx)) if callable(values_or_fn) else values_or_fn
+    vals = np.asarray(vals, dtype=float)
     return GridFunction._owning(0.0, 1.0, x0, dx, np.stack([vals, vals]), boundary)
 
 
@@ -693,7 +691,7 @@ def max_principle_report(u: GridFunction, field: CoefficientField, cfg: Exponent
     declared (p4, q4) time-outer localized space.  A vanishing forcing gives
     ratio None (reported, not raised); a non-finite one raises GridError.
 
-    Working memory is a few time blocks of about ``mn.FFT_BLOCK_BYTES``: ``u``
+    Working memory is a few time blocks of about ``mn.BLOCK_BYTES``: ``u``
     is read in place (restricted by a copy only when ``[0, T]`` drops rows),
     ``||u||_inf`` is a max over blocks of ``|u|``, and the forcing is sampled
     block by block into the running window sums, so neither ``|u|`` nor the

@@ -7,13 +7,12 @@ documented as a heuristic).  Each path owns an independent counter-based Philox 
 by ``(seed, path_index)``, so ensembles are bitwise reproducible and the first
 k paths of a run coincide with a k-path run at the same seed; one generator is
 re-keyed per path, so no OS entropy is read per path.  Statistics are
-fixed-order numpy reductions over blocks of about ``BLOCK_BYTES`` of live
+fixed-order numpy reductions over blocks of about ``mn.BLOCK_BYTES`` of live
 paths, so they need O(block) extra memory, not copies of the path array.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import mixed_norms as mn
+from . import pde_solver as pde
 from .cutoffs import INF, CutoffFamily
 from .errors import InputError
 from .mixed_norms import GridFunction
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 RAW_FIELD_FLOOR = 1e-12
-BLOCK_BYTES = 1 << 19  # path values per statistics block: about 0.5 MB, cache sized
 CHUNK_PATHS = 20000  # paths stepped together by euler_maruyama
 SCHEME_TAG = "euler-maruyama"  # the only scheme; recorded in every export header
 
@@ -70,8 +70,8 @@ class SdeCoefficients:
 
 SDE_FAMILIES = {
     "brownian": "no constraints (sigma = I, b = 0)",
-    "example-6.1": "d >= 3, 0 < alpha < min(d/2 - 1, 1/2 + 1/(d-1))",
-    "example-6.2": "d = 2, 0 < alpha < 1/4",
+    "example-6.1": pde.PDE_FIXTURES["example-6.1"]["condition"],
+    "example-6.2": pde.PDE_FIXTURES["example-6.2"]["condition"],
     "prop-6.1": "d >= 3, 0 < alpha < min(d/2 - 1, 1/2 + 1/(d-1)), 0 < beta < 2*alpha, lambda >= 0",
 }
 
@@ -89,44 +89,32 @@ def build_coefficients(
 
     ``n = inf`` selects the raw field; for the singular family that means a
     hard floor at |x| = 1e-12 with clamped evaluations counted in
-    ``floor_hits`` (heuristic, reported).
+    ``floor_hits`` (heuristic, reported).  Families the solver shares take
+    sigma from its diagonal fields at half the exponent, so ``sigma^2 = a``.
     """
     params = {"R": R, "alpha": alpha, "beta": beta, "lambda": lam, "n": n}
     if family_tag == "brownian":
         d = d or 1
+        return SdeCoefficients(d, family_tag, params, pde.identity_field(d).a_diag)
 
-        def sigma_diag(t, X):
-            return np.ones(X.shape[:-1] + (d,))
-
-        return SdeCoefficients(d, family_tag, params, sigma_diag=sigma_diag)
+    if family_tag in ("example-6.1", "prop-6.1"):
+        d = d or 3
+        hi = pde._example_61_alpha_max(d)
 
     if family_tag == "example-6.1":
-        d = d or 3
-        hi = min(d / 2 - 1, 0.5 + 1.0 / max(d - 1, 1))  # no admissible alpha for d < 3
         if d < 3 or not 0 < alpha < hi:
             raise SdeParameterError(
                 f"example-6.1 requires d >= 3 and 0 < alpha < min(d/2 - 1, 1/2 + 1/(d-1)) = {hi}")
-        fam = CutoffFamily(R, -alpha / 2.0, n)
-
-        def sigma_diag(t, X):
-            s = fam.f_n((X**2).sum(axis=-1))
-            return np.repeat(s[..., None], d, axis=-1)
-
-        return SdeCoefficients(d, family_tag, params, sigma_diag=sigma_diag)
+        return SdeCoefficients(d, family_tag, params,
+                               pde.example_61_field(d, alpha / 2.0, R, n).a_diag)
 
     if family_tag == "example-6.2":
         if d not in (None, 2) or not 0 < alpha < 0.25:
             raise SdeParameterError("example-6.2 requires d = 2 and 0 < alpha < 1/4")
-        fam = CutoffFamily(R, alpha / 2.0, n)
-
-        def sigma_diag(t, X):
-            return np.stack([fam.f_n(X[..., 1] ** 2), fam.f_n(X[..., 0] ** 2)], axis=-1)
-
-        return SdeCoefficients(2, family_tag, params, sigma_diag=sigma_diag)
+        return SdeCoefficients(2, family_tag, params,
+                               pde.example_62_field(alpha / 2.0, R, n).a_diag)
 
     if family_tag == "prop-6.1":
-        d = d or 3
-        hi = min(d / 2 - 1, 0.5 + 1.0 / max(d - 1, 1))  # no admissible alpha for d < 3
         if d < 3 or not 0 <= alpha < hi:
             raise SdeParameterError(
                 f"prop-6.1 requires d >= 3 and 0 <= alpha < min(d/2 - 1, 1/2 + 1/(d-1)) = {hi}")
@@ -288,8 +276,8 @@ def _live_rows(alive: np.ndarray) -> np.ndarray:
 
 
 def _row_blocks(rows: np.ndarray, n_keep: int, d: int) -> list:
-    """Split ``rows`` into blocks of about BLOCK_BYTES of path values each."""
-    step = max(1, BLOCK_BYTES // (n_keep * d * 8))
+    """Split ``rows`` into blocks of about ``mn.BLOCK_BYTES`` of path values each."""
+    step = mn._block_rows(n_keep * d)
     return [rows[lo:lo + step] for lo in range(0, rows.size, step)]
 
 
@@ -522,7 +510,6 @@ def export_ensemble(ens: PathEnsemble, path_prefix) -> tuple[Path, Path]:
 
     ``frozen`` lists the indices of the frozen paths.
     """
-    prefix = Path(path_prefix)
     header = {
         "family_tag": ens.family_tag,
         "params": {k: (None if isinstance(v, float) and math.isinf(v) else v)
@@ -538,19 +525,13 @@ def export_ensemble(ens: PathEnsemble, path_prefix) -> tuple[Path, Path]:
         "n_frozen": ens.n_frozen,
         "frozen": np.flatnonzero(~ens.alive()).tolist(),
     }
-    jpath = prefix.with_suffix(".json")
-    bpath = prefix.with_suffix(".bin")
-    jpath.write_text(json.dumps(header, sort_keys=True, indent=1) + "\n")
-    ens.paths.astype("<f8", copy=False).tofile(bpath)  # no copy of a native float64 array
-    return jpath, bpath
+    return mn._write_export(path_prefix, header, ens.paths)
 
 
 def load_ensemble(path_prefix) -> PathEnsemble:
-    prefix = Path(path_prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text())
+    header, paths = mn._read_export(path_prefix)
     if header.get("scheme_tag") != SCHEME_TAG:
         raise SdeParameterError(f"scheme_tag {header.get('scheme_tag')!r} is not {SCHEME_TAG!r}")
-    paths = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
     paths = paths.reshape(header["n_paths"], header["n_steps"] + 1, header["d"])
     params = {k: (math.inf if v is None else v) for k, v in header["params"].items()}
     frozen = np.zeros(header["n_paths"], dtype=bool)

@@ -18,7 +18,7 @@ RUNTIME_BUDGETS = {
                          [(i, n) for i, n, _ in acceptance.CRITERIA],
                          ids=[f"{i:02d}_{n.replace(' ', '_')}" for i, n, _ in acceptance.CRITERIA])
 def test_criterion(index, name):
-    [res] = acceptance.run_all(indices=[index], progress=print)
+    [res] = acceptance.run_all(indices=[index])
     assert res.passed, f"criterion {index} ({name}): {res.detail}"
     assert res.runtime <= RUNTIME_BUDGETS[index], (
         f"criterion {index} took {res.runtime:.1f}s, budget {RUNTIME_BUDGETS[index]}s")

@@ -265,6 +265,46 @@ class TestExperiments:
         for row in rep["diagnostics"]:
             assert {"run_id", "op", "lhs", "rhs", "ratio", "gamma_fit"} <= set(row)
 
+    def test_degiorgi_diagnostics_pinned(self, tmp_path):
+        # float.hex of both rows at nx 50, dt 0.04; the two equal level terms of the
+        # energy estimate are one masked norm, computed once
+        out = tmp_path / "dg"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "degiorgi", "parameters": {"nx": 50, "dt": 0.04}}))
+        assert cli.main(["degiorgi", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["diagnostics"]
+        got = {r["op"]: tuple(float(r[k]).hex() for k in ("lhs", "rhs", "ratio"))
+               for r in rows}
+        assert got == {
+            "energy_estimate": ("0x1.6943474b6d201p-2", "0x1.895209112209ap+4",
+                                "0x1.d644f4d366ce4p-7"),
+            "local_max": ("0x1.5dc8e9f8a065ep-2", "0x1.2dd1cdf4c1259p+1",
+                          "0x1.28af0132e8627p-3"),
+        }
+        assert float(rows[0]["gamma_fit"]).hex() == "-0x1.eaaebae226d31p-45"
+
+    # small configs of the kinds that criterion 12 does not rerun, and the
+    # files each one writes beside report.json and meta.json
+    RERUN_CONFIGS = {
+        "embed": ({"n_points": 30}, {"sweep.csv"}),
+        "variational": ({"n_instances": 2, "knot_count": 17}, {"best_profile.csv"}),
+        "pde": ({"nx": 16, "dt": 0.05, "T": 0.2}, {"solution.json", "solution.bin"}),
+        "degiorgi": ({"nx": 40, "dt": 0.1}, {"diagnostics.csv"}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(RERUN_CONFIGS))
+    def test_rerun_is_byte_identical(self, tmp_path, kind):
+        params, written = self.RERUN_CONFIGS[kind]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        outs = (tmp_path / "a", tmp_path / "b")
+        for out in outs:
+            assert cli.main([kind, "--config", str(cfg), "--seed", "42", "--out", str(out)]) == 0
+        names = [sorted(p.name for p in out.iterdir() if p.name != "meta.json") for out in outs]
+        assert names[0] == names[1] == sorted(written | {"report.json"})
+        for name in names[0]:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_pde_solution_export(self, tmp_path):
         out = tmp_path / "pde"
         cfg = tmp_path / "c.json"
@@ -291,7 +331,69 @@ class TestExperiments:
         assert rep["hypotheses"]["b2_norm"] == want.b2_norm
 
 
+FIXTURES_STDOUT = """\
+{
+ "brownian": {
+  "condition": "no constraints (sigma = I, b = 0)",
+  "kind": "sde"
+ },
+ "bump": {
+  "condition": "none",
+  "kind": "test-function"
+ },
+ "constant": {
+  "condition": "none",
+  "kind": "test-function"
+ },
+ "diagonal-power": {
+  "condition": "alpha real, R >= 1, n >= 1 or inf",
+  "kind": "pde"
+ },
+ "example-6.1": {
+  "condition": "d >= 3, 0 < alpha < min(d/2 - 1, 1/2 + 1/(d-1))",
+  "kind": "pde+sde"
+ },
+ "example-6.2": {
+  "condition": "d = 2, 0 < alpha < 1/4",
+  "kind": "pde+sde"
+ },
+ "identity": {
+  "condition": "d in {1,2,3}",
+  "kind": "pde"
+ },
+ "indicator": {
+  "condition": "none",
+  "kind": "test-function"
+ },
+ "prop-6.1": {
+  "condition": "d >= 3, 0 < alpha < min(d/2 - 1, 1/2 + 1/(d-1)), 0 < beta < 2*alpha, lambda >= 0",
+  "kind": "sde"
+ },
+ "random": {
+  "condition": "none",
+  "kind": "test-function"
+ },
+ "rotation-drift": {
+  "condition": "d = 2, div b = 0",
+  "kind": "pde"
+ }
+}
+"""
+
+
 class TestFixtures:
+    def test_stdout_snapshot(self, capsys):
+        # the catalog reads the solver fixtures, the SDE families and the norm fixtures
+        assert cli.main(["fixtures"]) == 0
+        assert capsys.readouterr().out == FIXTURES_STDOUT
+
+    def test_norm_fixtures_are_the_schema_choices(self):
+        check = cli.EXPERIMENTS["norms"][1]["fixture"][1]
+        for name in cli.NORM_FIXTURES:
+            assert check("fixture", name) == name
+        with pytest.raises(cli.ValidationError, match="bump"):
+            check("fixture", "gaussian")
+
     def test_catalog_contents(self, capsys):
         assert cli.main(["fixtures"]) == 0
         catalog = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -54,6 +55,29 @@ class TestGridFunction:
         g = mn.load_grid_function(tmp_path / "field")
         assert np.array_equal(f.values, g.values)
         assert g.dt == f.dt and g.x0 == f.x0 and g.boundary == f.boundary
+
+    def test_export_format_golden(self, tmp_path):
+        # the header text and the .bin bytes of one tiny grid, pinned; ensembles
+        # are written by the same writer (tests/test_sde_mc.py pins one too)
+        f = GridFunction(0.0, 0.5, (-1.0,), (0.25,), np.arange(8.0).reshape(2, 4) / 3, "periodic")
+        jpath, bpath = mn.save_grid_function(f, tmp_path / "grid")
+        assert (jpath, bpath) == (tmp_path / "grid.json", tmp_path / "grid.bin")
+        assert jpath.read_text() == (
+            '{\n "boundary_tag": "periodic",\n "d": 1,\n "dt": 0.5,\n "dx": [\n  0.25\n ],\n'
+            ' "nt": 2,\n "nx": [\n  4\n ],\n "t0": 0.0,\n "x0": [\n  -1.0\n ]\n}\n')
+        assert hashlib.sha256(bpath.read_bytes()).hexdigest() == (
+            "0b2a9d473f9a5678cff17a606b7cef428f4b7e4be3a1bec96329679622c0a813")
+
+    def test_save_does_not_copy_the_grid(self, tmp_path, rng):
+        f = random_field(rng, d=2, nt=64, nx=64)
+        mn.save_grid_function(f, tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            mn.save_grid_function(f, tmp_path / "field")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * f.values.nbytes
 
     @pytest.mark.parametrize("t_lo,t_hi", [(0.2, 0.6), (0.0, 1.0), (-1.0, 2.0)],
                              ids=["partial", "full", "wider"])
@@ -396,7 +420,7 @@ class TestLatticeLocalizedNorm:
         d, slices = request.param
         f = _lattice_field(d)
         if slices:  # FFT blocks of one slice, or of three, which split 37 rows unevenly
-            monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", slices * f.values[0].nbytes)
+            monkeypatch.setattr(mn, "BLOCK_BYTES", slices * f.values[0].nbytes)
         return f
 
     @pytest.mark.parametrize("order", ["time-outer", "space-outer"])
@@ -594,7 +618,7 @@ class TestStreamedVNorm:
         f = _lattice_field(d)
         f = GridFunction(f.t0, f.dt, f.x0, f.dx, f.values, boundary)
         if rows:  # blocks of one row, or of three, which split 37 rows unevenly
-            monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", rows * f.values[0].nbytes)
+            monkeypatch.setattr(mn, "BLOCK_BYTES", rows * f.values[0].nbytes)
         return f
 
     @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0])
@@ -637,12 +661,30 @@ def test_v_norm_overflowing_gradient_raises(monkeypatch, rows):
     vals[30] = np.where(np.indices(f.nx).sum(axis=0) % 2, 1e308, -1e308)  # one row of +-1e308
     u = f.with_values(vals)
     if rows:
-        monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", rows * vals[0].nbytes)
+        monkeypatch.setattr(mn, "BLOCK_BYTES", rows * vals[0].nbytes)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(mn.GridError):
             mn.gradient_magnitude(u)
         with pytest.raises(mn.GridError):
             mn.v_norm(u, 1.5, 0.5)
+
+
+@pytest.mark.parametrize("boundary", ["zero-extension", "periodic"])
+@pytest.mark.parametrize("shape", [(2049, 64), (129, 64, 64)], ids=["d1", "d2"])
+def test_spatial_gradient_holds_only_its_output(shape, boundary):
+    # each axis is written into its slice of the one output: no per-axis copies to stack
+    rng = np.random.default_rng(11)
+    d = len(shape) - 1
+    f = GridFunction(0.0, 1 / 128, (0.0,) * d, (1 / 64,) * d, rng.standard_normal(shape),
+                     boundary)
+    mn.spatial_gradient(f)
+    tracemalloc.start()
+    try:
+        g = mn.spatial_gradient(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * g.nbytes
 
 
 def test_v_norm_memory_is_a_few_blocks():

@@ -118,6 +118,15 @@ class TestSolve:
         t = np.arange(u.nt) * 0.01
         assert np.abs(u.values - t[:, None]).max() < 1e-10
 
+    def test_initial_condition_cells_are_from_callables(self):
+        box, nx = [(-1.0, 2.0), (0.5, 1.25)], (6, 5)
+        u0 = pde.spatial_initial_condition(lambda X: X[..., 0], box, nx)
+        g = mn.from_callable(lambda t, X: X[..., 0], (0.0, 1.0), 2, box, nx)
+        assert (u0.x0, u0.dx, u0.nx) == (g.x0, g.dx, g.nx)
+        assert np.array_equal(u0.values, g.values)
+        with pytest.raises(mn.GridError, match="same number of axes"):
+            pde.spatial_initial_condition(lambda X: X[..., 0], box, (6,))
+
     def test_degenerate_run_finite(self):
         field = pde.example_62_field(alpha=0.2, R=1.0, n=4,
                                      forcing=lambda t, X: np.exp(-(X**2).sum(axis=-1)))
@@ -416,7 +425,7 @@ class TestStreamedReport:
         d, boundary, rows = request.param
         t0, dt, x0, dx, vals = _report_grid(d)
         if rows:  # blocks of one row, or of three, which split 37 rows unevenly
-            monkeypatch.setattr(mn, "FFT_BLOCK_BYTES", rows * vals[0].nbytes)
+            monkeypatch.setattr(mn, "BLOCK_BYTES", rows * vals[0].nbytes)
         return mn.GridFunction(t0, dt, x0, dx, vals, boundary)
 
     @pytest.mark.parametrize("q4", [INF, 3.0])

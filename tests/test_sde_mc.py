@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -8,6 +9,7 @@ from scipy.special import ndtr
 
 from parabolab import cutoffs as co
 from parabolab import mixed_norms as mn
+from parabolab import pde_solver as pde
 from parabolab import sde_mc as sde
 from parabolab.mixed_norms import INF
 
@@ -89,6 +91,44 @@ class TestBuildCoefficients:
         X = np.zeros((1, 3))
         cap = (1.0 / n) ** (-0.3 / 2) / math.sqrt(2)
         assert c.sigma_diag(0.0, X).max() == pytest.approx(cap)
+
+
+class TestSigmaIsTheSolverField:
+    """sigma is the solver's diagonal field at half the exponent, so sigma^2 = a."""
+
+    @staticmethod
+    def _check(sigma, half, full, X):
+        s = sigma(0.0, X)
+        assert np.array_equal(s, half.a_diag(0.0, X))
+        assert np.allclose(s[..., :, None] ** 2 * np.eye(X.shape[-1]), full.a_matrix(0.0, X),
+                           rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_brownian(self, d):
+        X = np.random.default_rng(d).uniform(-3.0, 3.0, (6, 5, d))
+        c = sde.build_coefficients("brownian", d=d)
+        self._check(c.sigma_diag, pde.identity_field(d), pde.identity_field(d), X)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.49])
+    @pytest.mark.parametrize("n", [1, 3, INF])
+    @pytest.mark.parametrize("R", [1.0, 2.0, 3.5])
+    def test_example_61(self, R, n, alpha):
+        X = np.random.default_rng(5).uniform(-8.0, 8.0, (40, 3))
+        X[0] = 0.0
+        c = sde.build_coefficients("example-6.1", d=3, R=R, alpha=alpha, n=n)
+        with np.errstate(divide="ignore"):  # the raw field is infinite at the origin
+            self._check(c.sigma_diag, pde.example_61_field(3, alpha / 2, R, n),
+                        pde.example_61_field(3, alpha, R, n), X[1:] if math.isinf(n) else X)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.24])
+    @pytest.mark.parametrize("n", [1, 3, INF])
+    @pytest.mark.parametrize("R", [1.0, 2.0, 3.5])
+    def test_example_62(self, R, n, alpha):
+        X = np.random.default_rng(6).uniform(-8.0, 8.0, (40, 2))
+        X[0] = 0.0
+        c = sde.build_coefficients("example-6.2", R=R, alpha=alpha, n=n)
+        self._check(c.sigma_diag, pde.example_62_field(alpha / 2, R, n),
+                    pde.example_62_field(alpha, R, n), X)
 
 
 # admissible parameters per family, and whether they give a drift
@@ -345,9 +385,9 @@ class TestBlockedStatistics:
     """Blocked statistics equal the one-shot formulas bitwise, whatever the block size."""
 
     # 64 B holds less than one row: one path per block; 8 KiB splits 211 paths unevenly
-    @pytest.fixture(params=[sde.BLOCK_BYTES, 8192, 64], ids=["default", "8KiB", "row"])
+    @pytest.fixture(params=[mn.BLOCK_BYTES, 8192, 64], ids=["default", "8KiB", "row"])
     def block_bytes(self, request, monkeypatch):
-        monkeypatch.setattr(sde, "BLOCK_BYTES", request.param)
+        monkeypatch.setattr(mn, "BLOCK_BYTES", request.param)
         return request.param
 
     @pytest.mark.parametrize("lags,T", [
@@ -562,6 +602,21 @@ class TestEnsembleExport:
         assert np.array_equal(back.frozen, ens.frozen)
         assert back.n_frozen == ens.n_frozen
         assert sde.sup_moment(back) == sde.sup_moment(ens)
+
+    def test_export_format_golden(self, tmp_path):
+        # the header text and the .bin bytes of one tiny ensemble, pinned; grids are
+        # written by the same writer (tests/test_mixed_norms.py pins one too)
+        ens = sde.euler_maruyama(sde.build_coefficients("brownian", d=2), [0.0, 0.0],
+                                 0.0, 0.02, 0.01, 3, 7)
+        jpath, bpath = sde.export_ensemble(ens, tmp_path / "ens")
+        assert (jpath, bpath) == (tmp_path / "ens.json", tmp_path / "ens.bin")
+        assert jpath.read_text() == (
+            '{\n "T": 0.02,\n "d": 2,\n "dt": 0.01,\n "family_tag": "brownian",\n'
+            ' "frozen": [],\n "n_frozen": 0,\n "n_paths": 3,\n "n_steps": 2,\n'
+            ' "params": {\n  "R": 1.0,\n  "alpha": 0.0,\n  "beta": 0.0,\n  "lambda": 0.0,\n'
+            '  "n": null\n },\n "scheme_tag": "euler-maruyama",\n "seed": 7,\n "t0": 0.0\n}\n')
+        assert hashlib.sha256(bpath.read_bytes()).hexdigest() == (
+            "c5e02bb7b044e2c3d3f8ef018e245d3eba98f2c2861ed336bb79d24549722da4")
 
     def test_unknown_scheme_tag_rejected(self, tmp_path):
         c = sde.build_coefficients("brownian", d=1)
