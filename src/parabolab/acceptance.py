@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import degiorgi as dg
 from . import mixed_norms as mn
@@ -239,6 +238,8 @@ def _staircase_ball_forcing() -> GridFunction:
 
 def _staircase_oracle(f: GridFunction, dt: float, n_steps: int) -> float:
     """Exact Gaussian measure of the gridded ball at each sample time (product CDFs)."""
+    from scipy.special import ndtr
+
     nx = f.nx[0]
     edges = f.x0[0] + f.dx[0] * np.arange(nx + 1)
     mask = f.values[0]

@@ -23,6 +23,7 @@ sub-cell shift cannot change which samples a window captures.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import fft, ndimage
 
 from .errors import InputError
 
@@ -80,7 +80,7 @@ class GradientError(InputError):
 _BOUNDARY_TAGS = ("zero-extension", "periodic")
 
 # one working block: about 0.5 MB of FFT input slices, streamed gradient or forcing
-# rows, or ensemble paths (``sde_mc``); the FFT kernel is transformed once per call
+# rows, or ensemble paths (``sde_mc``); the FFT kernel is transformed once per window sweep
 BLOCK_BYTES = 1 << 19
 
 
@@ -475,7 +475,8 @@ def _block_rows(row_size: int) -> int:
 
 
 def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
-                       cellvol: float, st_x: Sequence[int]) -> np.ndarray:
+                       cellvol: float, st_x: Sequence[int], kernel_hats: dict | None = None
+                       ) -> np.ndarray:
     """Edge-centered spatial ball reduction of |arr| along the trailing axes.
 
     ``arr`` has one leading (time/window) axis; entry (t, i) becomes the l^p
@@ -485,12 +486,16 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
     the steps of ``scipy.signal.fftconvolve(mode="full")``: real transforms
     padded to fast lengths over the axes where neither operand has length 1
     (broadcast elsewhere), their product transformed back and cropped.  The
-    kernel is transformed once per call; the input goes in blocks of about
+    kernel is transformed once per call, or once per padded shape into
+    ``kernel_hats`` when a caller that reduces many inputs with one kernel
+    passes the same dict to every call; the input goes in blocks of about
     ``BLOCK_BYTES`` of leading-axis slices, each slice transformed on its
     own, so the blocking does not change the result; ``|arr|^p`` is taken per
     block, never for the whole input.  The convolution's round-off is absolute
     (about 1e-16 of the largest ball sum), see :func:`_ball_reduce_direct`.
     """
+    from scipy import fft, ndimage
+
     sub = [slice(None)] + [slice(None, None, s) for s in st_x]
     if math.isinf(p):
         origins = [lo + s // 2 for lo, s in zip(o_mins, kernel.shape)]
@@ -503,14 +508,16 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
         sub[1 + k] = slice(o_max, o_max + arr.shape[1 + k], st_x[k])
     axes = [k for k in range(1, arr.ndim) if arr.shape[k] != 1 and rev.shape[k] != 1]
     fshape = [fft.next_fast_len(arr.shape[k] + rev.shape[k] - 1, True) for k in axes]
-    if axes:
-        kernel_hat = fft.rfftn(rev, fshape, axes=axes)
+    hats = {} if kernel_hats is None else kernel_hats
+    key = (tuple(axes), tuple(fshape))
+    if axes and key not in hats:
+        hats[key] = fft.rfftn(rev, fshape, axes=axes)
     out = np.empty((len(arr),) + tuple(len(range(0, n, s)) for n, s in zip(arr.shape[1:], st_x)))
     step = _block_rows(arr[0].size)
     for lo in range(0, len(arr), step):
         block = np.abs(arr[lo:lo + step]) ** p
         if axes:
-            conv = fft.irfftn(fft.rfftn(block, fshape, axes=axes) * kernel_hat, fshape, axes=axes)
+            conv = fft.irfftn(fft.rfftn(block, fshape, axes=axes) * hats[key], fshape, axes=axes)
         else:
             conv = block * rev
         out[lo:lo + step] = np.maximum(conv[full][tuple(sub)], 0.0) * cellvol
@@ -617,8 +624,9 @@ def _lattice_norm(f: GridFunction, blocks: Iterable[np.ndarray], spec: MixedNorm
     st_t, st_x = _strides(f, lattice_step)
     to_min, to_max = _offset_range(f.dt, radius**2)
     rows = np.arange(0, f.nt, st_t)  # lattice time rows
-    return float(_window_norms(f, blocks, spec, radius, st_x, rows, to_min, to_max,
-                               _space_ball_reduce).max())
+    # one kernel transform serves every block of this call
+    ball = functools.partial(_space_ball_reduce, kernel_hats={})
+    return float(_window_norms(f, blocks, spec, radius, st_x, rows, to_min, to_max, ball).max())
 
 
 def localized_norm(

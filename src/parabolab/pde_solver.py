@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as splinalg
 
 from . import cutoffs, mixed_norms as mn
 from .embeddings import B1_MUST_VANISH, ExponentConfig, check_Re01, check_Re1
@@ -453,6 +451,8 @@ def _assemble_diffusion(field: CoefficientField, t: float, x0, dx, nx, nbrs):
 
     ``nbrs[k][s]`` is the ``_neighbor`` map one step ``s`` (+1 or -1) along axis k.
     """
+    from scipy import sparse
+
     d = len(nx)
     N = int(np.prod(nx))
     idx = np.arange(N)
@@ -540,6 +540,9 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
     by step and handed to the returned grid without a copy, plus a few
     arrays of one time row.
     """
+    from scipy import sparse
+    from scipy.sparse import linalg as splinalg
+
     d = u0.d
     x0, dx, nx = u0.x0, u0.dx, u0.nx
     periodic = u0.boundary == "periodic"

@@ -90,7 +90,9 @@ def build_coefficients(
     ``n = inf`` selects the raw field; for the singular family that means a
     hard floor at |x| = 1e-12 with clamped evaluations counted in
     ``floor_hits`` (heuristic, reported).  Families the solver shares take
-    sigma from its diagonal fields at half the exponent, so ``sigma^2 = a``.
+    sigma from its diagonal fields at half the exponent, so ``sigma^2 = a``;
+    their range checks also require ``alpha / 2 > 0``, which rejects the one
+    positive alpha (the smallest subnormal) whose half underflows to zero.
     """
     params = {"R": R, "alpha": alpha, "beta": beta, "lambda": lam, "n": n}
     if family_tag == "brownian":
@@ -102,14 +104,14 @@ def build_coefficients(
         hi = pde._example_61_alpha_max(d)
 
     if family_tag == "example-6.1":
-        if d < 3 or not 0 < alpha < hi:
+        if d < 3 or not (alpha / 2.0 > 0 and alpha < hi):
             raise SdeParameterError(
                 f"example-6.1 requires d >= 3 and 0 < alpha < min(d/2 - 1, 1/2 + 1/(d-1)) = {hi}")
         return SdeCoefficients(d, family_tag, params,
                                pde.example_61_field(d, alpha / 2.0, R, n).a_diag)
 
     if family_tag == "example-6.2":
-        if d not in (None, 2) or not 0 < alpha < 0.25:
+        if d not in (None, 2) or not (alpha / 2.0 > 0 and alpha < 0.25):
             raise SdeParameterError("example-6.2 requires d = 2 and 0 < alpha < 1/4")
         return SdeCoefficients(2, family_tag, params,
                                pde.example_62_field(alpha / 2.0, R, n).a_diag)
@@ -281,9 +283,25 @@ def _row_blocks(rows: np.ndarray, n_keep: int, d: int) -> list:
     return [rows[lo:lo + step] for lo in range(0, rows.size, step)]
 
 
-def _sup_sq_norm(P: np.ndarray) -> np.ndarray:
-    """Per path, ``max_t |P_t|^2`` (the square root commutes with the max bitwise)."""
-    return (P**2).sum(axis=2).max(axis=1)
+def _block_scratch(blocks: list, n_keep: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A ``(block, n_keep, d)`` path buffer and a ``(block, n_keep)`` sum buffer for ``blocks``.
+
+    A block is about ``mn.BLOCK_BYTES``, above the allocator's mmap threshold,
+    so a fresh temporary per lag or block would be a fresh mapping faulted in
+    page by page; the statistics fill these two through ``out=`` instead.
+    """
+    return np.empty((len(blocks[0]), n_keep, d)), np.empty((len(blocks[0]), n_keep))
+
+
+def _sup_sq_norm(P: np.ndarray, sq: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Per path, ``max_t |P_t|^2``, through the scratch buffers ``sq`` and ``sums``.
+
+    ``P`` is squared into ``sq`` (``P`` itself may serve) and summed over the
+    last axis into ``sums``; the square root commutes with the max bitwise.
+    """
+    np.square(P, out=sq)
+    np.add.reduce(sq, axis=2, out=sums)
+    return sums.max(axis=1)
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
@@ -357,8 +375,9 @@ def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> Mod
     if max(lags) >= n_keep:
         raise SdeParameterError(f"delta={deltas.max()} does not fit in the horizon "
                                 f"of {n_keep - 1} steps")
-    rows = _live_rows(ens.alive())
     order = sorted(set(lags))
+    blocks = _row_blocks(_live_rows(ens.alive()), n_keep, ens.d)
+    diff, sums = _block_scratch(blocks, n_keep, ens.d)
 
     def block_best(P):
         # running max over lags j <= m of the squared increment norm, one row per m
@@ -367,13 +386,14 @@ def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> Mod
         j = 1
         for i, m in enumerate(order):
             while j <= m:
-                np.maximum(best, _sup_sq_norm(P[:, j:, :] - P[:, :-j, :]), out=best)
+                D = diff[:len(P), :n_keep - j]
+                np.subtract(P[:, j:, :], P[:, :-j, :], out=D)
+                np.maximum(best, _sup_sq_norm(D, D, sums[:len(P), :n_keep - j]), out=best)
                 j += 1
             out[i] = best
         return out
 
-    best = np.concatenate([block_best(ens.paths[b, :n_keep, :])
-                           for b in _row_blocks(rows, n_keep, ens.d)], axis=1)
+    best = np.concatenate([block_best(ens.paths[b, :n_keep, :]) for b in blocks], axis=1)
     roots = np.sqrt(np.sqrt(best))
     moments, errs = np.array([_mean_stderr(roots[order.index(m)]) for m in lags]).T
     slope, intercept = np.polyfit(np.log(deltas), np.log(moments), 1)
@@ -383,10 +403,11 @@ def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> Mod
 def sup_moment(ens: PathEnsemble, T: float | None = None) -> tuple[float, float]:
     """(mean, stderr) of ``sup_(t<=T) |X_t|`` over the non-frozen paths; T is a grid time."""
     n_keep = _horizon(ens, T)
-    rows = _live_rows(ens.alive())
-    sq = np.concatenate([_sup_sq_norm(ens.paths[b, :n_keep, :])
-                         for b in _row_blocks(rows, n_keep, ens.d)])
-    return _mean_stderr(np.sqrt(sq))
+    blocks = _row_blocks(_live_rows(ens.alive()), n_keep, ens.d)
+    sq, sums = _block_scratch(blocks, n_keep, ens.d)
+    sup_sq = np.concatenate([_sup_sq_norm(ens.paths[b, :n_keep, :], sq[:len(b)], sums[:len(b)])
+                             for b in blocks])
+    return _mean_stderr(np.sqrt(sup_sq))
 
 
 def sliced_wasserstein1(A: np.ndarray, B: np.ndarray) -> float:
@@ -399,11 +420,28 @@ def sliced_wasserstein1(A: np.ndarray, B: np.ndarray) -> float:
     return out
 
 
-def _spearman(x, y) -> float:
-    """Spearman rank correlation; ``scipy.stats`` is imported here so a fresh process skips it."""
-    from scipy import stats
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``v``; the tie run at sorted positions lo..hi-1 shares (lo+1+hi)/2."""
+    order = np.argsort(v, kind="mergesort")
+    s = v[order]
+    lo = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    hi = np.r_[lo[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat(0.5 * (lo + 1 + hi), hi - lo)
+    return ranks
 
-    return float(stats.spearmanr(x, y).statistic)
+
+def _spearman(x, y) -> float:
+    """Spearman rank correlation, bit for bit ``scipy.stats.spearmanr(x, y).statistic``.
+
+    Pearson's correlation of the average ranks, taken from element ``[1, 0]``
+    of ``np.corrcoef`` as scipy does (``[0, 1]`` can differ in the last bit).
+    NaN for fewer than two points, a constant input or a NaN, as scipy.
+    """
+    x, y = (np.asarray(v, dtype=float) for v in (x, y))
+    if not (x.size > 1 and np.ptp(x) > 0 and np.ptp(y) > 0):
+        return math.nan
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
 
 
 @dataclass
@@ -486,9 +524,12 @@ def uniqueness_perturbation_report(
         shifted = x0.copy()
         shifted[0] += eps
         pert = euler_maruyama(coeffs, shifted, 0.0, T, dt, n_paths, seed)
-        live = _live_rows(base.alive() & pert.alive())
-        sq = np.concatenate([_sup_sq_norm(base.paths[b] - pert.paths[b])
-                             for b in _row_blocks(live, base.n_steps + 1, base.d)])
+        blocks = _row_blocks(_live_rows(base.alive() & pert.alive()), base.n_steps + 1, base.d)
+        diff, sums = _block_scratch(blocks, base.n_steps + 1, base.d)
+        sq = np.concatenate([
+            _sup_sq_norm(np.subtract(base.paths[b], pert.paths[b], out=diff[:len(b)]),
+                         diff[:len(b)], sums[:len(b)])
+            for b in blocks])
         divergence, stderr = _mean_stderr(np.sqrt(sq))
         rows.append({"eps": eps, "divergence": divergence, "stderr": stderr})
     eps_arr = [r["eps"] for r in rows]

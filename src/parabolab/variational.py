@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import mixed_norms as mn
 from .errors import InputError
@@ -474,6 +473,8 @@ def radial_embedding_infimum(
     ||w||))`` with norms over ``I x B_delta`` in the space-outer (kappa, q)
     ordering.  Requires ``1/kappa = 1/p + theta/(d-1)`` and ``alpha * p >= 1``.
     """
+    from scipy import ndimage
+
     if w.d != 2:
         raise FeasibilityError("the radial reduction is implemented at desk scale d = 2")
     if not (1.0 <= tau < delta <= 2.0):

@@ -1,7 +1,9 @@
 """Every name a package module imports is used there or re-exported by its ``__all__``;
-a fresh ``import parabolab.cli`` stays clear of the heavy scipy subpackages."""
+scipy is imported only inside the functions that run it, so a fresh ``import
+parabolab.cli`` loads none of it and each CLI kind loads only what it runs."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import parabolab
 
 MODULES = sorted(p for p in Path(parabolab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+SRC = str(Path(parabolab.__file__).resolve().parents[1])
 
 
 def _imported(tree):
@@ -64,10 +67,82 @@ def test_detector_sees_unused_and_used_names():
     assert unused_imports(source) == ["os"]
 
 
+def _module_paths(node, at_import_only):
+    """Dotted names imported under ``node``; ``at_import_only`` skips function bodies."""
+    stack, names = [node], []
+    while stack:
+        node = stack.pop()
+        if at_import_only and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def scipy_imports(source):
+    """(scipy modules imported when the module is, every scipy.stats import anywhere)."""
+    tree = ast.parse(source)
+    at_import = [m for m in _module_paths(tree, True) if m.split(".")[0] == "scipy"]
+    stats = [m for m in _module_paths(tree, False) if m.startswith("scipy.stats")]
+    return sorted(set(at_import)), sorted(set(stats))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_scipy_is_imported_only_inside_functions(path):
+    assert scipy_imports(path.read_text()) == ([], [])
+
+
+def test_scipy_detector_sees_module_level_and_stats_imports():
+    source = ("import numpy as np\n"
+              "try:\n"
+              "    from scipy import fft\n"
+              "except ImportError:\n"
+              "    pass\n"
+              "class C:\n"
+              "    import scipy.sparse.linalg as splinalg\n"
+              "def f():\n"
+              "    from scipy import ndimage, stats\n")
+    assert scipy_imports(source) == (["scipy", "scipy.fft", "scipy.sparse.linalg"],
+                                     ["scipy.stats"])
+
+
+def _scipy_after(statement):
+    """The scipy modules a fresh interpreter holds after it runs ``statement``."""
+    code = (f"import sys; sys.path.insert(0, {SRC!r})\n{statement}\n"
+            "print('scipy:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return set(out.stdout.splitlines()[-1].split()[1:])
+
+
+def _scipy_after_run(tmp_path, kind, parameters):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+    argv = [kind, "--config", str(config), "--out", str(tmp_path / "out")]
+    return _scipy_after(f"import parabolab.cli\nassert parabolab.cli.main({argv!r}) == 0")
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_after("import parabolab.cli") == set()
+
+
+def test_sde_run_loads_no_heavy_scipy(tmp_path):
+    loaded = _scipy_after_run(tmp_path, "sde", {"n_paths": 50, "T": 0.1})
+    heavy = {"scipy.fft", "scipy.ndimage", "scipy.sparse.linalg", "scipy.special", "scipy.stats"}
+    assert loaded & heavy == set()
+
+
+def test_variational_run_loads_no_fft_or_sparse_lu(tmp_path):
+    loaded = _scipy_after_run(tmp_path, "variational", {"n_instances": 1})
+    assert loaded & {"scipy.fft", "scipy.sparse.linalg"} == set()
+
+
 def test_cold_start_skips_scipy_signal_and_stats():
     # scipy.signal (which imports scipy.stats) is most of a fresh process's start-up
-    src = str(Path(parabolab.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import parabolab.cli; "
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import parabolab.cli; "
             "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == []

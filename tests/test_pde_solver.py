@@ -489,6 +489,36 @@ class TestWorkingMemory:
         assert peak < 4 * u.values.nbytes
 
 
+def test_fine_report_transforms_the_kernel_once_per_window_sweep(monkeypatch):
+    # criterion 07's fine run: the forcing and both v_norm parts are window sweeps
+    # over many time blocks, each sweep transforming the ball kernel only once
+    import scipy.fft
+
+    field = pde.example_62_field(alpha=0.2, R=1.0, n=4,
+                                 forcing=lambda t, X: np.exp(-(X**2).sum(axis=-1) / 0.32))
+    u0 = pde.spatial_initial_condition(lambda X: np.zeros(X.shape[:-1]),
+                                       [(-4, 4)] * 2, (128, 128), "periodic")
+    u = pde.solve(field, u0, pde.SolverConfig(dt=0.005, T=1.0))
+    calls, rfftn, window_norms = [], scipy.fft.rfftn, mn._window_norms
+
+    def counted_rfftn(x, *args, **kwargs):
+        calls.append("kernel" if x.shape[1:] != u.nx else "block")
+        return rfftn(x, *args, **kwargs)
+
+    def counted_window_norms(*args):
+        calls.append("sweep")
+        return window_norms(*args)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", counted_rfftn)
+    monkeypatch.setattr(mn, "_window_norms", counted_window_norms)
+    cfg = ExponentConfig(d=2, p0=2.4, p1=INF, p4=4.0, q4=INF)
+    rep = pde.max_principle_report(u, field, cfg, 1.0, lattice_step=0.5)
+    assert calls.count("kernel") == calls.count("sweep") == 3
+    assert calls.count("block") > 50
+    assert (rep.v_norm.hex(), rep.f_norm.hex(), rep.ratio.hex()) == (
+        "0x1.24eefd889cff6p-1", "0x1.6a849bb29d8b2p-1", "0x1.2480383b73ddfp+0")
+
+
 class TestOwnership:
     """Public constructors copy; every grid the package returns has read-only values."""
 

@@ -84,6 +84,13 @@ class TestBuildCoefficients:
         with pytest.raises(sde.SdeParameterError, match="beta"):
             sde.build_coefficients("prop-6.1", d=3, alpha=0.3, beta=0.7, lam=1.0)
 
+    @pytest.mark.parametrize("tag,kw", [("example-6.1", {"d": 3}), ("example-6.2", {})])
+    def test_alpha_whose_half_underflows_rejected(self, tag, kw):
+        # 5e-324 / 2 is 0.0, which the solver's builder would reject with its own error
+        with pytest.raises(sde.SdeParameterError, match=f"{tag} requires"):
+            sde.build_coefficients(tag, alpha=5e-324, **kw)
+        assert sde.build_coefficients(tag, alpha=1e-323, **kw).family_tag == tag
+
     def test_mollified_sigma_cap(self):
         n = 9
         c = sde.build_coefficients("prop-6.1", d=3, alpha=0.3, beta=0.2, lam=1.0,
@@ -577,6 +584,39 @@ class TestCauchyAndUniqueness:
         divs = [r["divergence"] for r in out["rows"]]
         assert all(a > b for a, b in zip(divs, divs[1:]))
         assert out["spearman_eps_vs_divergence"] >= 0.99
+
+
+class TestSpearman:
+    """``_spearman`` equals ``scipy.stats.spearmanr`` bit for bit."""
+
+    @staticmethod
+    def _cases(n, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            yield x, y
+            yield rng.integers(0, 3, n).astype(float), y  # ties in x
+            yield x, np.round(y, 0)  # ties in y
+            yield rng.integers(0, 3, n), rng.integers(0, 3, n) * 0.1  # ties in both
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_equals_scipy(self, n):
+        from scipy import stats
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on the constant draws
+            for x, y in self._cases(n, n):
+                want = float(stats.spearmanr(x, y).statistic)
+                got = sde._spearman(x, y)
+                assert got == want or (math.isnan(got) and math.isnan(want)), (x, y)
+
+    @pytest.mark.parametrize("x,y", [([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+                                     ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]),
+                                     ([1.0], [2.0]), ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])])
+    def test_undefined_is_nan(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(sde._spearman(x, y))
 
 
 class TestEnsembleExport:
