@@ -231,10 +231,9 @@ def iteration_exponents(cfg: ExponentConfig) -> dict:
 
 
 def _cyl_v_norm(w: GridFunction, cyl: Cylinder, kappa: float) -> float:
-    tmask, smask = mn.cylinder_masks(w, cyl)
-    part1 = mn.mixed_norm_masked(w, MixedNormSpec(2.0, INF, "time-outer"), tmask, smask)
-    grad = mn.gradient_magnitude(w)
-    part2 = mn.mixed_norm_masked(grad, MixedNormSpec(kappa, 2.0, "space-outer"), tmask, smask)
+    part1 = mn.cylinder_norm(w, MixedNormSpec(2.0, INF, "time-outer"), cyl)
+    part2 = mn.cylinder_norm(mn.gradient_magnitude(w), MixedNormSpec(kappa, 2.0, "space-outer"),
+                             cyl)
     return part1 + part2
 
 
@@ -243,7 +242,6 @@ class EnergyDiagnostic:
     lhs: float
     rhs_terms: dict
     rhs_total: float
-    gamma: float
     ratio: float
 
 
@@ -254,14 +252,13 @@ def energy_estimate_diagnostic(
     tau1: float,
     tau2: float,
     cfg: ExponentConfig,
-    gamma: float = 1.0,
 ) -> EnergyDiagnostic:
     """Both sides of the truncated energy estimate on nested cylinders.
 
     ``lhs = ||w||^2`` in the cylinder energy norm on Q_tau1;
-    ``rhs = (tau2 - tau1)^(-gamma) sum_i ||1_(Q_tau2) w|^2 + ||f||^2 ||1_(w!=0)||^2``
-    with the window pairs from :func:`iteration_exponents`.  gamma is an
-    empirical fit, reported alongside.
+    ``rhs = (tau2 - tau1)^(-1) sum_i ||1_(Q_tau2) w||^2 + ||f||^2 ||1_(w!=0)||^2``
+    with the window pairs from :func:`iteration_exponents`.  The power of the
+    gap is fitted separately by :func:`energy_gap_sweep`.
     """
     if not (1.0 <= tau1 < tau2 <= 2.0):
         raise PreconditionError("need 1 <= tau1 < tau2 <= 2")
@@ -274,38 +271,35 @@ def energy_estimate_diagnostic(
     w = level_truncate(u, kappa_level)
     lhs = _cyl_v_norm(w, Q1, cfg.kappa) ** 2
 
-    tmask2, smask2 = mn.cylinder_masks(w, Q2)
-    # (r1, s1) = (r2, s2), so both level terms are one masked norm
-    spec = MixedNormSpec(pairs["r2"], pairs["s2"], "time-outer")
-    val = mn.mixed_norm_masked(w, spec, tmask2, smask2) ** 2
+    # (r1, s1) = (r2, s2), so both level terms are one window norm
+    val = mn.cylinder_norm(w, MixedNormSpec(pairs["r2"], pairs["s2"], "time-outer"), Q2) ** 2
     terms = {"level_term_1": val, "level_term_2": val}
     wterm = val + val
     f_norm = 0.0
     if field.forcing is not None:
         f_gf = u._with_owned(u.sample(field.forcing))
-        f_norm = mn.mixed_norm_masked(f_gf, MixedNormSpec(cfg.p4, cfg.q4, "time-outer"),
-                                      tmask2, smask2)
+        f_norm = mn.cylinder_norm(f_gf, MixedNormSpec(cfg.p4, cfg.q4, "time-outer"), Q2)
     ind = u._with_owned((w.values > 0).astype(float))
-    ind_norm = mn.mixed_norm_masked(ind, MixedNormSpec(pairs["r3"], pairs["s3"], "time-outer"),
-                                    tmask2, smask2)
+    ind_norm = mn.cylinder_norm(ind, MixedNormSpec(pairs["r3"], pairs["s3"], "time-outer"), Q2)
     fterm = f_norm**2 * ind_norm**2
     terms["forcing_term"] = fterm
-    rhs = (tau2 - tau1) ** (-gamma) * wterm + fterm
+    rhs = (tau2 - tau1) ** -1.0 * wterm + fterm
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
-    return EnergyDiagnostic(lhs, terms, rhs, gamma, ratio)
+    return EnergyDiagnostic(lhs, terms, rhs, ratio)
 
 
 def energy_gap_sweep(u, field, kappa_level, cfg, gaps) -> dict:
     """Fit the gap power: regress the required prefactor on -log(gap).
 
-    For each gap the diagnostic is run at (2 - gap, 2) with gamma = 0;
-    the fitted slope of ``log((lhs - forcing term)^+ / level term)`` against
-    ``-log(gap)`` is the empirical gamma.
+    For each gap the diagnostic is run at (2 - gap, 2), and only its lhs and
+    its right-side terms are read, not the gap prefactor; the fitted slope of
+    ``log((lhs - forcing term)^+ / level term)`` against ``-log(gap)`` is the
+    empirical gap power gamma.
     """
     xs, ys = [], []
     rows = []
     for gap in gaps:
-        diag = energy_estimate_diagnostic(u, field, kappa_level, 2.0 - gap, 2.0, cfg, gamma=0.0)
+        diag = energy_estimate_diagnostic(u, field, kappa_level, 2.0 - gap, 2.0, cfg)
         S = diag.rhs_terms["level_term_1"] + diag.rhs_terms["level_term_2"]
         F = diag.rhs_terms["forcing_term"]
         need = max(diag.lhs - F, 1e-300)
@@ -330,18 +324,14 @@ def local_max_diagnostic(u: GridFunction, field: CoefficientField, cfg: Exponent
     origin = (0.0, (0.0,) * u.d)
     Q1, Q2 = Cylinder(1.0, origin), Cylinder(2.0, origin)
     up = u._with_owned(np.maximum(u.values, 0.0))
-    t1, s1 = mn.cylinder_masks(up, Q1)
-    mask1 = t1.reshape((-1,) + (1,) * u.d) * s1[None]
-    lhs = float((up.values * mask1).max())
-    # p < 1 is a quasi-norm power; reuse the reduction with the direct formula
-    t2, s2 = mn.cylinder_masks(up, Q2)
-    vals2 = up.values * t2.reshape((-1,) + (1,) * u.d) * s2[None]
-    meas = u.dt * u.cell_volume
-    upp = float((np.abs(vals2) ** p).sum() * meas) ** (1.0 / p)
+    lhs = float(mn._cylinder_values(up, Q1).max())
+    # p < 1 is a quasi-norm power, outside MixedNormSpec: the (p, p) sum by hand
+    vals2 = mn._cylinder_values(up, Q2)
+    upp = float((np.abs(vals2) ** p).sum() * (u.dt * u.cell_volume)) ** (1.0 / p)
     f_norm = 0.0
     if field.forcing is not None:
-        f_norm = mn.mixed_norm_masked(u._with_owned(u.sample(field.forcing)),
-                                      MixedNormSpec(cfg.p4, cfg.q4, "time-outer"), t2, s2)
+        f_norm = mn.cylinder_norm(u._with_owned(u.sample(field.forcing)),
+                                  MixedNormSpec(cfg.p4, cfg.q4, "time-outer"), Q2)
     rhs = upp + f_norm
     if rhs == 0.0 and lhs > 0.0:
         raise DiagnosticAnomaly("vanishing right side with a positive maximum")

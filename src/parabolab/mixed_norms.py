@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -47,8 +48,6 @@ __all__ = [
     "cell_centers",
     "from_callable",
     "mixed_norm",
-    "mixed_norm_masked",
-    "cylinder_masks",
     "cylinder_norm",
     "localized_norm",
     "localized_spatial_norm",
@@ -322,33 +321,20 @@ def mixed_norm(f: GridFunction, spec: MixedNormSpec) -> float:
     return _reduce_values(f.values, spec, f.dt, f.cell_volume)
 
 
-def mixed_norm_masked(f: GridFunction, spec: MixedNormSpec, time_mask=None, space_mask=None) -> float:
-    """Mixed norm of ``f`` restricted to a product window ``time_mask x space_mask``."""
-    vals = f.values
-    if time_mask is not None:
-        vals = vals * np.asarray(time_mask, dtype=float).reshape((-1,) + (1,) * f.d)
-    if space_mask is not None:
-        vals = vals * np.asarray(space_mask, dtype=float)[None]
-    return _reduce_values(vals, spec, f.dt, f.cell_volume)
-
-
-def cylinder_masks(f: GridFunction, cyl: Cylinder) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator masks (time, space) of the cells whose centers lie in ``cyl``."""
-    eps = 1e-12
-    tc = f.t_centers()
-    tmask = np.abs(tc - cyl.s) <= cyl.r**2 * (1 + eps) + eps * f.dt
+def _cylinder_values(f: GridFunction, cyl: Cylinder) -> np.ndarray:
+    """``f``'s values with the cells whose centers lie outside ``cyl`` set to zero."""
     z = cyl.z
     if z.size != f.d:
         raise GridError(f"cylinder center has {z.size} spatial coordinates, grid has {f.d}")
-    X = f.meshgrid()
-    dist2 = ((X - z) ** 2).sum(axis=-1)
-    smask = dist2 <= cyl.r**2 * (1 + eps) + eps * min(f.dx)
-    return tmask.astype(float), smask.astype(float)
+    eps = 1e-12
+    tmask = np.abs(f.t_centers() - cyl.s) <= cyl.r**2 * (1 + eps) + eps * f.dt
+    smask = ((f.meshgrid() - z) ** 2).sum(axis=-1) <= cyl.r**2 * (1 + eps) + eps * min(f.dx)
+    return f.values * tmask.reshape((-1,) + (1,) * f.d) * smask
 
 
 def cylinder_norm(f: GridFunction, spec: MixedNormSpec, cyl: Cylinder) -> float:
-    tmask, smask = cylinder_masks(f, cyl)
-    return mixed_norm_masked(f, spec, tmask, smask)
+    """Mixed norm of ``f`` on the cells whose centers lie in ``cyl``."""
+    return _reduce_values(_cylinder_values(f, cyl), spec, f.dt, f.cell_volume)
 
 
 def minkowski_gap(f: GridFunction, p: float, q: float) -> float:
@@ -494,13 +480,15 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
     block, never for the whole input.  The convolution's round-off is absolute
     (about 1e-16 of the largest ball sum), see :func:`_ball_reduce_direct`.
     """
-    from scipy import fft, ndimage
-
     sub = [slice(None)] + [slice(None, None, s) for s in st_x]
     if math.isinf(p):
+        from scipy import ndimage
+
         origins = [lo + s // 2 for lo, s in zip(o_mins, kernel.shape)]
         return ndimage.maximum_filter(np.abs(arr), footprint=(kernel > 0)[None], mode="constant",
                                       cval=0.0, origin=[0] + origins)[tuple(sub)]
+    from scipy import fft
+
     rev = kernel[tuple(slice(None, None, -1) for _ in kernel.shape)][None]
     full = (slice(None),) + tuple(slice(n + m - 1) for n, m in zip(arr.shape[1:], kernel.shape))
     for k, lo in enumerate(o_mins):
@@ -770,11 +758,35 @@ def _write_export(path_prefix, header: dict, values: np.ndarray) -> tuple[Path, 
     return jpath, bpath
 
 
-def _read_export(path_prefix) -> tuple[dict, np.ndarray]:
-    """The header and the flat values written by :func:`_write_export`."""
-    prefix = Path(path_prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text())
-    return header, np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
+def _read_export(path_prefix, keys: Sequence[str], shape: Callable[[dict], Sequence[int]]
+                 ) -> tuple[dict, np.ndarray]:
+    """The header and the values written by :func:`_write_export`, shaped ``shape(header)``.
+
+    An unreadable file, a header that is not a JSON object holding every
+    one of ``keys``, a shape that is not a tuple of counts, or a ``.bin`` that
+    does not hold exactly as many values as that shape raises :class:`GridError`
+    naming the file, before any reshape.
+    """
+    jpath, bpath = (Path(path_prefix).with_suffix(s) for s in (".json", ".bin"))
+    try:
+        header = json.loads(jpath.read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise GridError(f"cannot read export header {jpath}: {exc}") from exc
+    missing = [k for k in keys if k not in header] if isinstance(header, dict) else list(keys)
+    if missing:
+        raise GridError(f"export header {jpath} lacks {', '.join(missing)}")
+    try:
+        dims = tuple(operator.index(n) for n in shape(header))
+    except TypeError as exc:
+        raise GridError(f"export header {jpath} gives no valid shape: {exc}") from exc
+    try:
+        values = np.fromfile(bpath, dtype="<f8")
+    except OSError as exc:
+        raise GridError(f"cannot read export values {bpath}: {exc}") from exc
+    if min(dims, default=0) < 0 or values.size != math.prod(dims):
+        raise GridError(f"{bpath} holds {values.size} values, but its header {jpath} "
+                        f"gives the shape {dims}")
+    return header, values.reshape(dims)
 
 
 def save_grid_function(f: GridFunction, path_prefix) -> tuple[Path, Path]:
@@ -793,8 +805,9 @@ def save_grid_function(f: GridFunction, path_prefix) -> tuple[Path, Path]:
 
 
 def load_grid_function(path_prefix) -> GridFunction:
-    header, vals = _read_export(path_prefix)
-    vals = vals.reshape(header["nt"], *header["nx"])
+    """The grid :func:`save_grid_function` wrote; a damaged export raises :class:`GridError`."""
+    header, vals = _read_export(path_prefix, ("t0", "dt", "nt", "x0", "dx", "nx", "boundary_tag"),
+                                lambda h: (h["nt"], *h["nx"]))
     return GridFunction._owning(header["t0"], header["dt"], header["x0"], header["dx"], vals,
                                 header["boundary_tag"])
 

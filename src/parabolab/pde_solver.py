@@ -52,7 +52,6 @@ __all__ = [
     "PDE_FIXTURES",
     "spatial_initial_condition",
     "ellipticity_profiles",
-    "mu_distortion_bruteforce",
     "check_hypotheses",
     "discrete_divergence",
     "solve",
@@ -268,47 +267,13 @@ class EllipticityProfile:
             raise CoefficientError("profile violates 0 <= lambda <= mu")
 
 
-def _unit_sphere_grid(d: int, n: int) -> np.ndarray:
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        ang = np.linspace(0, 2 * math.pi, n, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    # Fibonacci sphere
-    i = np.arange(n) + 0.5
-    phi = math.pi * (1 + 5**0.5) * i
-    z = 1 - 2 * i / n
-    r = np.sqrt(np.maximum(1 - z**2, 0))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
-def mu_distortion_bruteforce(A: np.ndarray, n_xi: int = 10000) -> float:
-    """Max of |A xi|^2 / (xi . A xi) over the unit sphere, grid plus local refine."""
-    d = A.shape[0]
-    evals, evecs = np.linalg.eigh(A)
-    xis = np.concatenate([_unit_sphere_grid(d, n_xi), evecs.T])
-
-    def ratio(v):
-        Av = v @ A.T
-        quad = (v * Av).sum(axis=1)
-        num = (Av**2).sum(axis=1)
-        out = np.where(quad > 1e-300, num / np.maximum(quad, 1e-300), 0.0)
-        return out
-
-    # local perturbations around the best eigendirection
-    v0 = evecs[:, np.argmax(evals)]
-    rng = np.random.default_rng(0)
-    pert = v0[None, :] + 0.05 * rng.standard_normal((200, d))
-    pert /= np.linalg.norm(pert, axis=1, keepdims=True)
-    return float(max(ratio(xis).max(), ratio(pert).max()))
-
-
 def ellipticity_profiles(field: CoefficientField, x0, dx, nx) -> EllipticityProfile:
     """Pointwise smallest directional ellipticity and largest distortion quotient at t = 0.
 
-    ``lam(x) = lambda_min(a(0,x))``, ``mu(x)`` the distortion quotient; for
-    symmetric PSD ``a`` the latter equals the largest eigenvalue
-    (``mu_distortion_bruteforce``, the xi-grid maximization, is kept as its reference).
+    ``lam(x) = lambda_min(a(0,x))``, ``mu(x)`` the distortion quotient
+    ``max |a xi|^2 / (xi . a xi)`` over unit ``xi``; for symmetric PSD ``a`` the
+    latter equals the largest eigenvalue (``tests/test_pde_solver.py`` keeps the
+    xi-grid maximization as its reference).
     """
     x0 = tuple(np.atleast_1d(x0).astype(float))
     dx = tuple(np.atleast_1d(dx).astype(float))

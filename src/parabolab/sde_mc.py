@@ -269,18 +269,20 @@ def _horizon(ens: PathEnsemble, T: float | None) -> int:
     return k + 1
 
 
-def _live_rows(alive: np.ndarray) -> np.ndarray:
-    """Indices of the live paths; a statistic over none of them is an error."""
-    rows = np.flatnonzero(alive)
-    if rows.size == 0:
+def _live_blocks(alive: np.ndarray, row_size: int) -> list[slice]:
+    """Slices of consecutive live paths, in order, each at most one block.
+
+    A block holds about ``mn.BLOCK_BYTES`` of paths of ``row_size`` values
+    each, so the statistics read it as a view of the path array, never a
+    copy.  A statistic over no live path is an error.
+    """
+    edges = np.flatnonzero(np.diff(np.r_[False, alive, False]))  # run starts and stops
+    if edges.size == 0:
         raise SdeParameterError("no live paths left in the ensemble")
-    return rows
-
-
-def _row_blocks(rows: np.ndarray, n_keep: int, d: int) -> list:
-    """Split ``rows`` into blocks of about ``mn.BLOCK_BYTES`` of path values each."""
-    step = mn._block_rows(n_keep * d)
-    return [rows[lo:lo + step] for lo in range(0, rows.size, step)]
+    step = mn._block_rows(row_size)
+    return [slice(lo, min(lo + step, hi))
+            for start, hi in zip(edges[::2].tolist(), edges[1::2].tolist())
+            for lo in range(start, hi, step)]
 
 
 def _block_scratch(blocks: list, n_keep: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,15 +292,18 @@ def _block_scratch(blocks: list, n_keep: int, d: int) -> tuple[np.ndarray, np.nd
     so a fresh temporary per lag or block would be a fresh mapping faulted in
     page by page; the statistics fill these two through ``out=`` instead.
     """
-    return np.empty((len(blocks[0]), n_keep, d)), np.empty((len(blocks[0]), n_keep))
+    rows = max(b.stop - b.start for b in blocks)
+    return np.empty((rows, n_keep, d)), np.empty((rows, n_keep))
 
 
 def _sup_sq_norm(P: np.ndarray, sq: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """Per path, ``max_t |P_t|^2``, through the scratch buffers ``sq`` and ``sums``.
 
-    ``P`` is squared into ``sq`` (``P`` itself may serve) and summed over the
-    last axis into ``sums``; the square root commutes with the max bitwise.
+    ``P`` is squared into the first ``len(P)`` rows of ``sq`` (``P`` itself may
+    serve) and summed over the last axis into those of ``sums``; the square
+    root commutes with the max bitwise.
     """
+    sq, sums = sq[:len(P)], sums[:len(P)]
     np.square(P, out=sq)
     np.add.reduce(sq, axis=2, out=sums)
     return sums.max(axis=1)
@@ -334,14 +339,14 @@ def krylov_functional(ens: PathEnsemble, f: GridFunction, t0: float, t1: float
     over the non-frozen paths.
     """
     times = ens.times()
-    rows = _live_rows(ens.alive())
+    blocks = _live_blocks(ens.alive(), 1)
     k_idx = np.nonzero((times >= t0 - 1e-12) & (times < t1 - 1e-12))[0]
     if k_idx.size == 0:
         raise SdeParameterError("[t0, t1] does not meet the ensemble time grid")
     acc = np.zeros(ens.n_paths)
     for k in k_idx:
         acc += _grid_lookup(f, times[k], ens.paths[:, k, :]) * ens.dt
-    return _mean_stderr(acc[rows])
+    return _mean_stderr(np.concatenate([acc[b] for b in blocks]))
 
 
 @dataclass
@@ -376,7 +381,7 @@ def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> Mod
         raise SdeParameterError(f"delta={deltas.max()} does not fit in the horizon "
                                 f"of {n_keep - 1} steps")
     order = sorted(set(lags))
-    blocks = _row_blocks(_live_rows(ens.alive()), n_keep, ens.d)
+    blocks = _live_blocks(ens.alive(), n_keep * ens.d)
     diff, sums = _block_scratch(blocks, n_keep, ens.d)
 
     def block_best(P):
@@ -393,7 +398,7 @@ def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> Mod
             out[i] = best
         return out
 
-    best = np.concatenate([block_best(ens.paths[b, :n_keep, :]) for b in blocks], axis=1)
+    best = np.concatenate([block_best(ens.paths[b, :n_keep]) for b in blocks], axis=1)
     roots = np.sqrt(np.sqrt(best))
     moments, errs = np.array([_mean_stderr(roots[order.index(m)]) for m in lags]).T
     slope, intercept = np.polyfit(np.log(deltas), np.log(moments), 1)
@@ -403,10 +408,9 @@ def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> Mod
 def sup_moment(ens: PathEnsemble, T: float | None = None) -> tuple[float, float]:
     """(mean, stderr) of ``sup_(t<=T) |X_t|`` over the non-frozen paths; T is a grid time."""
     n_keep = _horizon(ens, T)
-    blocks = _row_blocks(_live_rows(ens.alive()), n_keep, ens.d)
+    blocks = _live_blocks(ens.alive(), n_keep * ens.d)
     sq, sums = _block_scratch(blocks, n_keep, ens.d)
-    sup_sq = np.concatenate([_sup_sq_norm(ens.paths[b, :n_keep, :], sq[:len(b)], sums[:len(b)])
-                             for b in blocks])
+    sup_sq = np.concatenate([_sup_sq_norm(ens.paths[b, :n_keep], sq, sums) for b in blocks])
     return _mean_stderr(np.sqrt(sup_sq))
 
 
@@ -524,13 +528,13 @@ def uniqueness_perturbation_report(
         shifted = x0.copy()
         shifted[0] += eps
         pert = euler_maruyama(coeffs, shifted, 0.0, T, dt, n_paths, seed)
-        blocks = _row_blocks(_live_rows(base.alive() & pert.alive()), base.n_steps + 1, base.d)
+        blocks = _live_blocks(base.alive() & pert.alive(), base.paths[0].size)
         diff, sums = _block_scratch(blocks, base.n_steps + 1, base.d)
-        sq = np.concatenate([
-            _sup_sq_norm(np.subtract(base.paths[b], pert.paths[b], out=diff[:len(b)]),
-                         diff[:len(b)], sums[:len(b)])
-            for b in blocks])
-        divergence, stderr = _mean_stderr(np.sqrt(sq))
+        sq = []
+        for b in blocks:
+            D = np.subtract(base.paths[b], pert.paths[b], out=diff[:b.stop - b.start])
+            sq.append(_sup_sq_norm(D, D, sums))
+        divergence, stderr = _mean_stderr(np.sqrt(np.concatenate(sq)))
         rows.append({"eps": eps, "divergence": divergence, "stderr": stderr})
     eps_arr = [r["eps"] for r in rows]
     div_arr = [r["divergence"] for r in rows]
@@ -570,10 +574,16 @@ def export_ensemble(ens: PathEnsemble, path_prefix) -> tuple[Path, Path]:
 
 
 def load_ensemble(path_prefix) -> PathEnsemble:
-    header, paths = mn._read_export(path_prefix)
+    """The ensemble that :func:`export_ensemble` wrote.
+
+    A damaged export raises ``mn.GridError``; an unknown scheme tag or a
+    frozen list at odds with ``n_frozen`` raises :class:`SdeParameterError`.
+    """
+    keys = ("family_tag", "params", "seed", "dt", "t0", "n_paths", "n_steps", "d", "n_frozen")
+    header, paths = mn._read_export(path_prefix, keys,
+                                    lambda h: (h["n_paths"], h["n_steps"] + 1, h["d"]))
     if header.get("scheme_tag") != SCHEME_TAG:
         raise SdeParameterError(f"scheme_tag {header.get('scheme_tag')!r} is not {SCHEME_TAG!r}")
-    paths = paths.reshape(header["n_paths"], header["n_steps"] + 1, header["d"])
     params = {k: (math.inf if v is None else v) for k, v in header["params"].items()}
     frozen = np.zeros(header["n_paths"], dtype=bool)
     frozen[header.get("frozen", [])] = True  # older headers carry no list

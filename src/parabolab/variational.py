@@ -506,8 +506,8 @@ def radial_embedding_infimum(
     X = w.meshgrid()
     ball = ((X**2).sum(axis=-1) <= delta**2 * (1 + 1e-12)).astype(float)
     spec = MixedNormSpec(kappa, q, "space-outer")
-    wn = mn.mixed_norm_masked(w, spec, None, ball)
-    gn = mn.mixed_norm_masked(mn.gradient_magnitude(w), spec, None, ball)
+    wn = mn.mixed_norm(w._with_owned(w.values * ball), spec)
+    gn = mn.mixed_norm(w._with_owned(mn.gradient_magnitude(w).values * ball), spec)
     rhs = (delta - tau) ** (-1.0) * (gn**theta * wn ** (1.0 - theta) + wn)
     return float(J), float(rhs)
 

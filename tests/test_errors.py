@@ -1,13 +1,21 @@
-"""Every package error derives from one of the two roots in ``parabolab.errors``."""
+"""Every package error derives from one of the two roots in ``parabolab.errors``, and a
+damaged export raises one of them."""
 
 import ast
 import builtins
+import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parabolab
 from parabolab import errors
+from parabolab import mixed_norms as mn
+from parabolab import sde_mc as sde
 
 MODULES = sorted(Path(parabolab.__file__).parent.glob("*.py"))
 ROOTS = {"InputError", "NumericalError"}
@@ -85,3 +93,120 @@ def test_detectors_see_unrooted_classes_and_bare_raises():
     assert unrooted_errors([source, "class InputError(ValueError): pass\n"]) == [
         "Deeper", "Loose"]
     assert bare_raises(source) == [9, 10]
+
+
+# ---------------------------------------------------------------------------
+# damaged exports stay inside the input root
+# ---------------------------------------------------------------------------
+
+# the header keys each loader reads (an ensemble's scheme tag and frozen list
+# have their own checks in ``load_ensemble``)
+REQUIRED_KEYS = {
+    "grid": ("t0", "dt", "nt", "x0", "dx", "nx", "boundary_tag"),
+    "ensemble": ("family_tag", "params", "seed", "dt", "t0", "n_paths", "n_steps", "d",
+                 "n_frozen"),
+}
+
+
+def _export(kind, prefix):
+    """Write one small export of ``kind``; returns (json path, bin path, loader)."""
+    if kind == "grid":
+        f = mn.GridFunction(0.0, 0.5, (-1.0, 0.0), (0.25, 0.5), np.arange(24.0).reshape(2, 4, 3))
+        return (*mn.save_grid_function(f, prefix), mn.load_grid_function)
+    ens = sde.euler_maruyama(sde.build_coefficients("brownian", d=2), [0.0, 0.0],
+                             0.0, 0.03, 0.01, 4, 7)
+    return (*sde.export_ensemble(ens, prefix), sde.load_ensemble)
+
+
+def _cut_last_value(jpath, bpath):
+    bpath.write_bytes(bpath.read_bytes()[:-8])
+
+
+def _add_a_value(jpath, bpath):
+    bpath.write_bytes(bpath.read_bytes() + np.float64(1.0).tobytes())
+
+
+def _truncate_header(jpath, bpath):
+    jpath.write_text(jpath.read_text()[:-4])
+
+
+def _delete_bin(jpath, bpath):
+    bpath.unlink()
+
+
+@pytest.mark.parametrize("kind", ["grid", "ensemble"])
+@pytest.mark.parametrize("damage", [_cut_last_value, _add_a_value, _truncate_header,
+                                    _delete_bin], ids=["short", "long", "bad-json",
+                                                       "missing-bin"])
+def test_damaged_export_raises_input_error(tmp_path, kind, damage):
+    jpath, bpath, load = _export(kind, tmp_path / "x")
+    damage(jpath, bpath)
+    with pytest.raises(errors.InputError, match=r"x\.(json|bin)") as info:
+        load(tmp_path / "x")
+    assert isinstance(info.value, mn.GridError)
+
+
+@pytest.mark.parametrize("kind", ["grid", "ensemble"])
+def test_export_missing_header_key_raises_input_error(tmp_path, kind):
+    jpath, _, load = _export(kind, tmp_path / "x")
+    header = json.loads(jpath.read_text())
+    for key in REQUIRED_KEYS[kind]:
+        jpath.write_text(json.dumps({k: v for k, v in header.items() if k != key}))
+        with pytest.raises(mn.GridError, match=rf"x\.json lacks {key}"):
+            load(tmp_path / "x")
+
+
+@pytest.mark.parametrize("changes", [{"nt": "2"}, {"nt": -2, "nx": [-4, 3]}, {"nx": 12}],
+                         ids=["string-count", "negative-counts", "scalar-nx"])
+def test_export_header_without_a_valid_shape(tmp_path, changes):
+    jpath, _, _ = _export("grid", tmp_path / "x")
+    jpath.write_text(json.dumps({**json.loads(jpath.read_text()), **changes}))
+    with pytest.raises(mn.GridError, match=r"x\.(json|bin)"):
+        mn.load_grid_function(tmp_path / "x")
+
+
+@pytest.mark.parametrize("kind", ["grid", "ensemble"])
+@pytest.mark.parametrize("text", ["[]", "null", '"x"'])
+def test_export_header_not_an_object(tmp_path, kind, text):
+    jpath, _, load = _export(kind, tmp_path / "x")
+    jpath.write_text(text)
+    with pytest.raises(mn.GridError, match=r"x\.json lacks"):
+        load(tmp_path / "x")
+
+
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(2, 3), min_size=d + 1, max_size=d + 1), st.data())))
+def test_grid_export_roundtrip_is_bitwise(tmp_path_factory, shape_and_data):
+    shape, data = shape_and_data
+    n = int(np.prod(shape))
+    vals = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n))).reshape(shape)
+    d = len(shape) - 1
+    f = mn.GridFunction(-0.3, 0.1, (0.5,) * d, (1 / 3,) * d, vals,
+                        data.draw(st.sampled_from(["zero-extension", "periodic"])))
+    prefix = tmp_path_factory.mktemp("grid") / "g"
+    mn.save_grid_function(f, prefix)
+    g = mn.load_grid_function(prefix)
+    assert np.array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
+    assert (g.t0, g.dt, g.x0, g.dx, g.boundary) == (f.t0, f.dt, f.x0, f.dx, f.boundary)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 3), st.data())
+def test_ensemble_export_roundtrip_is_bitwise(tmp_path_factory, d, n_paths, n_steps, data):
+    n = n_paths * (n_steps + 1) * d
+    paths = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+    frozen = np.array(data.draw(st.lists(st.booleans(), min_size=n_paths, max_size=n_paths)))
+    ens = sde.PathEnsemble(paths.reshape(n_paths, n_steps + 1, d), 0.25, 0.01, 11, "brownian",
+                           {"R": 1.0, "n": math.inf}, frozen)
+    prefix = tmp_path_factory.mktemp("ens") / "e"
+    sde.export_ensemble(ens, prefix)
+    back = sde.load_ensemble(prefix)
+    assert np.array_equal(back.paths.view(np.uint64), ens.paths.view(np.uint64))
+    assert np.array_equal(back.frozen, ens.frozen)
+    assert (back.t0, back.dt, back.seed, back.family_tag, back.params) == (
+        ens.t0, ens.dt, ens.seed, ens.family_tag, ens.params)

@@ -135,6 +135,11 @@ def test_sde_run_loads_no_heavy_scipy(tmp_path):
     assert loaded & heavy == set()
 
 
+def test_default_norms_run_loads_no_ndimage(tmp_path):
+    # its localized norms all have finite spatial p; only p = inf needs the max filter
+    assert "scipy.ndimage" not in _scipy_after_run(tmp_path, "norms", {})
+
+
 def test_variational_run_loads_no_fft_or_sparse_lu(tmp_path):
     loaded = _scipy_after_run(tmp_path, "variational", {"n_instances": 1})
     assert loaded & {"scipy.fft", "scipy.sparse.linalg"} == set()
