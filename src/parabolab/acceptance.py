@@ -292,8 +292,9 @@ def criterion_09_modulus() -> tuple[bool, str]:
     return True, f"Brownian slope {rep.slope:.3f}; drift slope {repd.slope}"
 
 
-def _fd_divergence_rows(field, pts: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def _fd_divergence_rows(field, pts: np.ndarray) -> np.ndarray:
     """Central differences of ``sum_i d_i a_ij`` at time 0, one row ``j`` per point."""
+    h = 1e-6
     fd = np.zeros_like(pts)
     for i in range(pts.shape[1]):
         e = np.zeros(pts.shape[1])

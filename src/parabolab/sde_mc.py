@@ -339,14 +339,16 @@ def krylov_functional(ens: PathEnsemble, f: GridFunction, t0: float, t1: float
     over the non-frozen paths.
     """
     times = ens.times()
-    blocks = _live_blocks(ens.alive(), 1)
+    alive = ens.alive()
+    if not alive.any():
+        raise SdeParameterError("no live paths left in the ensemble")
     k_idx = np.nonzero((times >= t0 - 1e-12) & (times < t1 - 1e-12))[0]
     if k_idx.size == 0:
         raise SdeParameterError("[t0, t1] does not meet the ensemble time grid")
     acc = np.zeros(ens.n_paths)
     for k in k_idx:
         acc += _grid_lookup(f, times[k], ens.paths[:, k, :]) * ens.dt
-    return _mean_stderr(np.concatenate([acc[b] for b in blocks]))
+    return _mean_stderr(acc[alive])
 
 
 @dataclass
@@ -393,7 +395,7 @@ def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> Mod
             while j <= m:
                 D = diff[:len(P), :n_keep - j]
                 np.subtract(P[:, j:, :], P[:, :-j, :], out=D)
-                np.maximum(best, _sup_sq_norm(D, D, sums[:len(P), :n_keep - j]), out=best)
+                np.maximum(best, _sup_sq_norm(D, D, sums[:, :n_keep - j]), out=best)
                 j += 1
             out[i] = best
         return out
@@ -576,8 +578,9 @@ def export_ensemble(ens: PathEnsemble, path_prefix) -> tuple[Path, Path]:
 def load_ensemble(path_prefix) -> PathEnsemble:
     """The ensemble that :func:`export_ensemble` wrote.
 
-    A damaged export raises ``mn.GridError``; an unknown scheme tag or a
-    frozen list at odds with ``n_frozen`` raises :class:`SdeParameterError`.
+    A damaged export, frozen indices outside the ensemble included, raises
+    ``mn.GridError``; an unknown scheme tag or a frozen list at odds with
+    ``n_frozen`` raises :class:`SdeParameterError`.
     """
     keys = ("family_tag", "params", "seed", "dt", "t0", "n_paths", "n_steps", "d", "n_frozen")
     header, paths = mn._read_export(path_prefix, keys,
@@ -585,8 +588,14 @@ def load_ensemble(path_prefix) -> PathEnsemble:
     if header.get("scheme_tag") != SCHEME_TAG:
         raise SdeParameterError(f"scheme_tag {header.get('scheme_tag')!r} is not {SCHEME_TAG!r}")
     params = {k: (math.inf if v is None else v) for k, v in header["params"].items()}
-    frozen = np.zeros(header["n_paths"], dtype=bool)
-    frozen[header.get("frozen", [])] = True  # older headers carry no list
+    n_paths = header["n_paths"]
+    listed = header.get("frozen", [])  # older headers carry no list
+    if not (isinstance(listed, list)
+            and all(type(i) is int and 0 <= i < n_paths for i in listed)):
+        raise mn.GridError(f"export header {Path(path_prefix).with_suffix('.json')} lists "
+                           f"frozen paths that are not indices 0..{n_paths - 1}")
+    frozen = np.zeros(n_paths, dtype=bool)
+    frozen[listed] = True
     if frozen.sum() != header["n_frozen"]:
         raise SdeParameterError(f"header lists {int(frozen.sum())} frozen paths but "
                                 f"n_frozen is {header['n_frozen']}")

@@ -174,6 +174,16 @@ def test_export_header_not_an_object(tmp_path, kind, text):
         load(tmp_path / "x")
 
 
+@pytest.mark.parametrize("frozen", [[-1], [4], [1.0], [True], "0"],
+                         ids=["negative", "past-end", "float", "bool", "not-a-list"])
+def test_ensemble_frozen_indices_outside_the_ensemble(tmp_path, frozen):
+    jpath, _, _ = _export("ensemble", tmp_path / "x")
+    jpath.write_text(json.dumps({**json.loads(jpath.read_text()), "frozen": frozen,
+                                 "n_frozen": 1}))
+    with pytest.raises(mn.GridError, match=r"x\.json lists frozen paths"):
+        sde.load_ensemble(tmp_path / "x")
+
+
 FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]),
                    st.floats(allow_nan=False, allow_infinity=False))
 
