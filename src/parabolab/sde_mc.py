@@ -269,31 +269,39 @@ def _horizon(ens: PathEnsemble, T: float | None) -> int:
     return k + 1
 
 
-def _live_blocks(alive: np.ndarray, row_size: int) -> list[slice]:
-    """Slices of consecutive live paths, in order, each at most one block.
+def _live_blocks(alive: np.ndarray, row_size: int) -> list[list[slice]]:
+    """The live paths in blocks of about ``mn.BLOCK_BYTES``, each a list of runs.
 
-    A block holds about ``mn.BLOCK_BYTES`` of paths of ``row_size`` values
-    each, so the statistics read it as a view of the path array, never a
-    copy.  A statistic over no live path is an error.
+    A run is a slice of consecutive live paths, so a block of one run is read
+    as a view.  A statistic over no live path is an error.
     """
-    edges = np.flatnonzero(np.diff(np.r_[False, alive, False]))  # run starts and stops
-    if edges.size == 0:
+    rows = np.flatnonzero(alive)
+    if rows.size == 0:
         raise SdeParameterError("no live paths left in the ensemble")
-    step = mn._block_rows(row_size)
-    return [slice(lo, min(lo + step, hi))
-            for start, hi in zip(edges[::2].tolist(), edges[1::2].tolist())
-            for lo in range(start, hi, step)]
+    step, blocks = mn._block_rows(row_size), []
+    for r in np.split(rows, range(step, rows.size, step)):
+        runs = np.split(r, np.flatnonzero(np.diff(r) != 1) + 1)
+        blocks.append([slice(int(run[0]), int(run[-1]) + 1) for run in runs])
+    return blocks
 
 
-def _block_scratch(blocks: list, n_keep: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """A ``(block, n_keep, d)`` path buffer and a ``(block, n_keep)`` sum buffer for ``blocks``.
+def _gather_runs(arr: np.ndarray, runs: list[slice], buf: np.ndarray) -> np.ndarray:
+    """The rows ``runs`` of ``arr``: a view of a single run, else the runs copied into ``buf``."""
+    if len(runs) == 1:
+        return arr[runs[0]]
+    return np.concatenate([arr[s] for s in runs], out=buf[:sum(s.stop - s.start for s in runs)])
+
+
+def _block_scratch(blocks: list, n_keep: int, d: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two ``(block, n_keep, d)`` path buffers and a ``(block, n_keep)`` sum buffer.
 
     A block is about ``mn.BLOCK_BYTES``, above the allocator's mmap threshold,
     so a fresh temporary per lag or block would be a fresh mapping faulted in
-    page by page; the statistics fill these two through ``out=`` instead.
+    page by page; the statistics fill these through ``out=`` instead.
     """
-    rows = max(b.stop - b.start for b in blocks)
-    return np.empty((rows, n_keep, d)), np.empty((rows, n_keep))
+    rows = sum(s.stop - s.start for s in blocks[0])  # no later block is larger
+    return np.empty((rows, n_keep, d)), np.empty((rows, n_keep, d)), np.empty((rows, n_keep))
 
 
 def _sup_sq_norm(P: np.ndarray, sq: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -384,7 +392,7 @@ def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> Mod
                                 f"of {n_keep - 1} steps")
     order = sorted(set(lags))
     blocks = _live_blocks(ens.alive(), n_keep * ens.d)
-    diff, sums = _block_scratch(blocks, n_keep, ens.d)
+    gathered, diff, sums = _block_scratch(blocks, n_keep, ens.d)
 
     def block_best(P):
         # running max over lags j <= m of the squared increment norm, one row per m
@@ -400,7 +408,8 @@ def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> Mod
             out[i] = best
         return out
 
-    best = np.concatenate([block_best(ens.paths[b, :n_keep]) for b in blocks], axis=1)
+    best = np.concatenate([block_best(_gather_runs(ens.paths[:, :n_keep], b, gathered))
+                           for b in blocks], axis=1)
     roots = np.sqrt(np.sqrt(best))
     moments, errs = np.array([_mean_stderr(roots[order.index(m)]) for m in lags]).T
     slope, intercept = np.polyfit(np.log(deltas), np.log(moments), 1)
@@ -411,8 +420,9 @@ def sup_moment(ens: PathEnsemble, T: float | None = None) -> tuple[float, float]
     """(mean, stderr) of ``sup_(t<=T) |X_t|`` over the non-frozen paths; T is a grid time."""
     n_keep = _horizon(ens, T)
     blocks = _live_blocks(ens.alive(), n_keep * ens.d)
-    sq, sums = _block_scratch(blocks, n_keep, ens.d)
-    sup_sq = np.concatenate([_sup_sq_norm(ens.paths[b, :n_keep], sq, sums) for b in blocks])
+    sq, _, sums = _block_scratch(blocks, n_keep, ens.d)
+    sup_sq = np.concatenate([_sup_sq_norm(_gather_runs(ens.paths[:, :n_keep], b, sq), sq, sums)
+                             for b in blocks])
     return _mean_stderr(np.sqrt(sup_sq))
 
 
@@ -531,10 +541,11 @@ def uniqueness_perturbation_report(
         shifted[0] += eps
         pert = euler_maruyama(coeffs, shifted, 0.0, T, dt, n_paths, seed)
         blocks = _live_blocks(base.alive() & pert.alive(), base.paths[0].size)
-        diff, sums = _block_scratch(blocks, base.n_steps + 1, base.d)
+        diff, other, sums = _block_scratch(blocks, base.n_steps + 1, base.d)
         sq = []
         for b in blocks:
-            D = np.subtract(base.paths[b], pert.paths[b], out=diff[:b.stop - b.start])
+            B = _gather_runs(base.paths, b, diff)
+            D = np.subtract(B, _gather_runs(pert.paths, b, other), out=diff[:len(B)])
             sq.append(_sup_sq_norm(D, D, sums))
         divergence, stderr = _mean_stderr(np.sqrt(np.concatenate(sq)))
         rows.append({"eps": eps, "divergence": divergence, "stderr": stderr})
