@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -265,6 +264,20 @@ def cell_centers(x0, dx, nx) -> np.ndarray:
     """Centers of the ``nx`` cells of size ``dx`` from the left edges ``x0``, shape ``(*nx, d)``."""
     axes = [x0[k] + (np.arange(n) + 0.5) * dx[k] for k, n in enumerate(nx)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _cell_index(f: GridFunction, X: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Per axis, the index of the cell of ``f`` holding each point of ``X``, and the inside mask.
+
+    ``X`` has shape ``(..., d)``; the index is ``floor((x - x0) / dx)`` clipped
+    into the grid, and the mask is true where no axis needed the clip.
+    """
+    idx, inside = [], np.ones(X.shape[:-1], dtype=bool)
+    for k in range(f.d):
+        ik = np.floor((X[..., k] - f.x0[k]) / f.dx[k]).astype(int)
+        inside &= (ik >= 0) & (ik < f.nx[k])
+        idx.append(np.clip(ik, 0, f.nx[k] - 1))
+    return tuple(idx), inside
 
 
 def _box_cells(box, nx) -> tuple[tuple, tuple, tuple]:
@@ -758,27 +771,38 @@ def _write_export(path_prefix, header: dict, values: np.ndarray) -> tuple[Path, 
     return jpath, bpath
 
 
-def _read_export(path_prefix, keys: Sequence[str], shape: Callable[[dict], Sequence[int]]
+_REAL = (int, float)  # a JSON number: bool, an int subclass, is not one
+
+
+def _fits(value, kind) -> bool:
+    """``value``'s type is ``kind`` (or in the tuple ``kind``); ``[kind]`` is a list of such."""
+    if isinstance(kind, list):
+        return type(value) is list and all(_fits(v, kind[0]) for v in value)
+    return type(value) in (kind if isinstance(kind, tuple) else (kind,))
+
+
+def _read_export(path_prefix, fields: dict, shape: Callable[[dict], Sequence[int]]
                  ) -> tuple[dict, np.ndarray]:
     """The header and the values written by :func:`_write_export`, shaped ``shape(header)``.
 
-    An unreadable file, a header that is not a JSON object holding every
-    one of ``keys``, a shape that is not a tuple of counts, or a ``.bin`` that
-    does not hold exactly as many values as that shape raises :class:`GridError`
-    naming the file, before any reshape.
+    ``fields`` maps each header key the loader reads to its kind, as
+    :func:`_fits` takes it.  An unreadable file, a header that is not a JSON
+    object holding every key of ``fields`` with a value of its kind, a
+    negative count, or a ``.bin`` that does not hold exactly as many values as
+    the shape raises :class:`GridError` naming the file, before any reshape.
     """
     jpath, bpath = (Path(path_prefix).with_suffix(s) for s in (".json", ".bin"))
     try:
         header = json.loads(jpath.read_text())
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise GridError(f"cannot read export header {jpath}: {exc}") from exc
-    missing = [k for k in keys if k not in header] if isinstance(header, dict) else list(keys)
+    missing = [k for k in fields if k not in header] if isinstance(header, dict) else list(fields)
     if missing:
         raise GridError(f"export header {jpath} lacks {', '.join(missing)}")
-    try:
-        dims = tuple(operator.index(n) for n in shape(header))
-    except TypeError as exc:
-        raise GridError(f"export header {jpath} gives no valid shape: {exc}") from exc
+    bad = [f"{k}={header[k]!r}" for k, kind in fields.items() if not _fits(header[k], kind)]
+    if bad:
+        raise GridError(f"export header {jpath} has bad values: {', '.join(bad)}")
+    dims = shape(header)
     try:
         values = np.fromfile(bpath, dtype="<f8")
     except OSError as exc:
@@ -806,8 +830,9 @@ def save_grid_function(f: GridFunction, path_prefix) -> tuple[Path, Path]:
 
 def load_grid_function(path_prefix) -> GridFunction:
     """The grid :func:`save_grid_function` wrote; a damaged export raises :class:`GridError`."""
-    header, vals = _read_export(path_prefix, ("t0", "dt", "nt", "x0", "dx", "nx", "boundary_tag"),
-                                lambda h: (h["nt"], *h["nx"]))
+    fields = {"t0": _REAL, "dt": _REAL, "nt": int, "x0": [_REAL], "dx": [_REAL], "nx": [int],
+              "boundary_tag": str}
+    header, vals = _read_export(path_prefix, fields, lambda h: (h["nt"], *h["nx"]))
     return GridFunction._owning(header["t0"], header["dt"], header["x0"], header["dx"], vals,
                                 header["boundary_tag"])
 

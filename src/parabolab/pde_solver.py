@@ -210,11 +210,7 @@ def tabulated_diagonal_field(diag_entries: list[GridFunction], forcing=None) -> 
 
     def lookup(g: GridFunction, t, X):
         it = int(np.clip(math.floor((t - g.t0) / g.dt), 0, g.nt - 1))
-        idx = []
-        for k in range(g.d):
-            ik = np.clip(np.floor((X[..., k] - g.x0[k]) / g.dx[k]).astype(int), 0, g.nx[k] - 1)
-            idx.append(ik)
-        return g.values[(it,) + tuple(idx)]
+        return g.values[(it,) + mn._cell_index(g, X)[0]]
 
     def a_diag(t, X):
         return np.stack([lookup(g, t, X) for g in diag_entries], axis=-1)

@@ -257,51 +257,35 @@ def euler_maruyama(
 # ---------------------------------------------------------------------------
 
 
-def _horizon(ens: PathEnsemble, T: float | None) -> int:
-    """Number of grid times in [t0, T]; T must be on the ensemble's time grid."""
-    if T is None:
-        return ens.n_steps + 1
-    steps = (T - ens.t0) / ens.dt
-    k = int(round(steps)) if math.isfinite(steps) else -1
-    if not 0 <= k <= ens.n_steps or abs(ens.t0 + k * ens.dt - T) > 1e-10:
-        raise SdeParameterError(f"T={T} is not a grid time of the ensemble "
-                                f"[{ens.t0}, {ens.t0 + ens.n_steps * ens.dt}] step {ens.dt}")
-    return k + 1
+def _block_scratch(ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two ``(rows, n_steps + 1, d)`` path buffers and a ``(rows, n_steps + 1)`` sum buffer.
+
+    ``rows`` paths fill about ``mn.BLOCK_BYTES``.  A block that size is above
+    the allocator's mmap threshold, so a fresh temporary per lag or block
+    would be a fresh mapping faulted in page by page; the statistics fill
+    these through ``out=`` instead.
+    """
+    shape = (min(mn._block_rows(ens.paths[0].size), ens.n_paths), ens.n_steps + 1, ens.d)
+    return np.empty(shape), np.empty(shape), np.empty(shape[:2])
 
 
-def _live_blocks(alive: np.ndarray, row_size: int) -> list[list[slice]]:
-    """The live paths in blocks of about ``mn.BLOCK_BYTES``, each a list of runs.
+def _live_paths(ens: PathEnsemble, alive: np.ndarray, buf: np.ndarray):
+    """The paths ``alive`` selects, in order, in blocks of at most ``len(buf)`` paths.
 
-    A run is a slice of consecutive live paths, so a block of one run is read
-    as a view.  A statistic over no live path is an error.
+    A block of consecutive paths is a view of ``ens.paths``; any other is
+    gathered into ``buf`` by one ``np.take`` (``mode="clip"`` keeps numpy from
+    buffering ``out``; the rows are valid indices by construction).  A
+    statistic over no live path is an error.
     """
     rows = np.flatnonzero(alive)
     if rows.size == 0:
         raise SdeParameterError("no live paths left in the ensemble")
-    step, blocks = mn._block_rows(row_size), []
-    for r in np.split(rows, range(step, rows.size, step)):
-        runs = np.split(r, np.flatnonzero(np.diff(r) != 1) + 1)
-        blocks.append([slice(int(run[0]), int(run[-1]) + 1) for run in runs])
-    return blocks
-
-
-def _gather_runs(arr: np.ndarray, runs: list[slice], buf: np.ndarray) -> np.ndarray:
-    """The rows ``runs`` of ``arr``: a view of a single run, else the runs copied into ``buf``."""
-    if len(runs) == 1:
-        return arr[runs[0]]
-    return np.concatenate([arr[s] for s in runs], out=buf[:sum(s.stop - s.start for s in runs)])
-
-
-def _block_scratch(blocks: list, n_keep: int, d: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two ``(block, n_keep, d)`` path buffers and a ``(block, n_keep)`` sum buffer.
-
-    A block is about ``mn.BLOCK_BYTES``, above the allocator's mmap threshold,
-    so a fresh temporary per lag or block would be a fresh mapping faulted in
-    page by page; the statistics fill these through ``out=`` instead.
-    """
-    rows = sum(s.stop - s.start for s in blocks[0])  # no later block is larger
-    return np.empty((rows, n_keep, d)), np.empty((rows, n_keep, d)), np.empty((rows, n_keep))
+    for lo in range(0, rows.size, len(buf)):
+        r = rows[lo:lo + len(buf)]
+        if r[-1] - r[0] == r.size - 1:
+            yield ens.paths[r[0]:r[-1] + 1]
+        else:
+            yield np.take(ens.paths, r, axis=0, out=buf[:r.size], mode="clip")
 
 
 def _sup_sq_norm(P: np.ndarray, sq: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -328,14 +312,8 @@ def _grid_lookup(f: GridFunction, t: float, X: np.ndarray) -> np.ndarray:
     it = math.floor((t - f.t0) / f.dt)
     if it < 0 or it >= f.nt:
         return np.zeros(X.shape[0])
-    idx = []
-    inside = np.ones(X.shape[0], dtype=bool)
-    for k in range(f.d):
-        ik = np.floor((X[:, k] - f.x0[k]) / f.dx[k]).astype(int)
-        inside &= (ik >= 0) & (ik < f.nx[k])
-        idx.append(np.clip(ik, 0, f.nx[k] - 1))
-    vals = f.values[(it,) + tuple(idx)]
-    return np.where(inside, vals, 0.0)
+    idx, inside = mn._cell_index(f, X)
+    return np.where(inside, f.values[(it,) + idx], 0.0)
 
 
 def krylov_functional(ens: PathEnsemble, f: GridFunction, t0: float, t1: float
@@ -368,12 +346,11 @@ class ModulusReport:
     intercept: float
 
 
-def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> ModulusReport:
+def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
     """Least-squares slope of ``log E[sup_t sup_(s<=delta) |X_(t+s) - X_t|^(1/2)]`` vs log delta.
 
-    Each delta must be a multiple of dt shorter than the horizon ``T`` (a grid
-    time; default the ensemble's end), and the grid must span at least 1.5
-    decades with at least 3 values.
+    Each delta must be a multiple of dt shorter than the ensemble's span, and
+    the grid must span at least 1.5 decades with at least 3 values.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size < 3:
@@ -386,13 +363,11 @@ def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> Mod
         lags.append(m)
     if math.log10(deltas.max() / deltas.min()) < 1.5 - 1e-9:
         raise SdeParameterError("delta grid must span at least 1.5 decades")
-    n_keep = _horizon(ens, T)
-    if max(lags) >= n_keep:
+    if max(lags) > ens.n_steps:
         raise SdeParameterError(f"delta={deltas.max()} does not fit in the horizon "
-                                f"of {n_keep - 1} steps")
+                                f"of {ens.n_steps} steps")
     order = sorted(set(lags))
-    blocks = _live_blocks(ens.alive(), n_keep * ens.d)
-    gathered, diff, sums = _block_scratch(blocks, n_keep, ens.d)
+    gathered, diff, sums = _block_scratch(ens)
 
     def block_best(P):
         # running max over lags j <= m of the squared increment norm, one row per m
@@ -401,28 +376,26 @@ def modulus_report(ens: PathEnsemble, delta_grid, T: float | None = None) -> Mod
         j = 1
         for i, m in enumerate(order):
             while j <= m:
-                D = diff[:len(P), :n_keep - j]
+                D = diff[:len(P), :-j]
                 np.subtract(P[:, j:, :], P[:, :-j, :], out=D)
-                np.maximum(best, _sup_sq_norm(D, D, sums[:, :n_keep - j]), out=best)
+                np.maximum(best, _sup_sq_norm(D, D, sums[:, :-j]), out=best)
                 j += 1
             out[i] = best
         return out
 
-    best = np.concatenate([block_best(_gather_runs(ens.paths[:, :n_keep], b, gathered))
-                           for b in blocks], axis=1)
+    best = np.concatenate([block_best(P) for P in _live_paths(ens, ens.alive(), gathered)],
+                          axis=1)
     roots = np.sqrt(np.sqrt(best))
     moments, errs = np.array([_mean_stderr(roots[order.index(m)]) for m in lags]).T
     slope, intercept = np.polyfit(np.log(deltas), np.log(moments), 1)
     return ModulusReport(deltas, moments, errs, float(slope), float(intercept))
 
 
-def sup_moment(ens: PathEnsemble, T: float | None = None) -> tuple[float, float]:
-    """(mean, stderr) of ``sup_(t<=T) |X_t|`` over the non-frozen paths; T is a grid time."""
-    n_keep = _horizon(ens, T)
-    blocks = _live_blocks(ens.alive(), n_keep * ens.d)
-    sq, _, sums = _block_scratch(blocks, n_keep, ens.d)
-    sup_sq = np.concatenate([_sup_sq_norm(_gather_runs(ens.paths[:, :n_keep], b, sq), sq, sums)
-                             for b in blocks])
+def sup_moment(ens: PathEnsemble) -> tuple[float, float]:
+    """(mean, stderr) of ``sup_t |X_t|`` over the non-frozen paths."""
+    sq, _, sums = _block_scratch(ens)
+    sup_sq = np.concatenate([_sup_sq_norm(P, sq, sums)
+                             for P in _live_paths(ens, ens.alive(), sq)])
     return _mean_stderr(np.sqrt(sup_sq))
 
 
@@ -535,17 +508,16 @@ def uniqueness_perturbation_report(
     coeffs = build_coefficients(family_tag, **family_params)
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (coeffs.d,))
     base = euler_maruyama(coeffs, x0, 0.0, T, dt, n_paths, seed)
+    diff, other, sums = _block_scratch(base)
     rows = []
     for eps in eps_list:
         shifted = x0.copy()
         shifted[0] += eps
         pert = euler_maruyama(coeffs, shifted, 0.0, T, dt, n_paths, seed)
-        blocks = _live_blocks(base.alive() & pert.alive(), base.paths[0].size)
-        diff, other, sums = _block_scratch(blocks, base.n_steps + 1, base.d)
+        alive = base.alive() & pert.alive()
         sq = []
-        for b in blocks:
-            B = _gather_runs(base.paths, b, diff)
-            D = np.subtract(B, _gather_runs(pert.paths, b, other), out=diff[:len(B)])
+        for B, Q in zip(_live_paths(base, alive, diff), _live_paths(pert, alive, other)):
+            D = np.subtract(B, Q, out=diff[:len(B)])
             sq.append(_sup_sq_norm(D, D, sums))
         divergence, stderr = _mean_stderr(np.sqrt(np.concatenate(sq)))
         rows.append({"eps": eps, "divergence": divergence, "stderr": stderr})
@@ -589,12 +561,13 @@ def export_ensemble(ens: PathEnsemble, path_prefix) -> tuple[Path, Path]:
 def load_ensemble(path_prefix) -> PathEnsemble:
     """The ensemble that :func:`export_ensemble` wrote.
 
-    A damaged export, frozen indices outside the ensemble included, raises
-    ``mn.GridError``; an unknown scheme tag or a frozen list at odds with
+    A damaged export, a header value of the wrong type or frozen indices
+    outside the ensemble included, raises ``mn.GridError``; an unknown scheme tag or a frozen list at odds with
     ``n_frozen`` raises :class:`SdeParameterError`.
     """
-    keys = ("family_tag", "params", "seed", "dt", "t0", "n_paths", "n_steps", "d", "n_frozen")
-    header, paths = mn._read_export(path_prefix, keys,
+    fields = {"family_tag": str, "params": dict, "seed": int, "dt": mn._REAL, "t0": mn._REAL,
+              "n_paths": int, "n_steps": int, "d": int, "n_frozen": int}
+    header, paths = mn._read_export(path_prefix, fields,
                                     lambda h: (h["n_paths"], h["n_steps"] + 1, h["d"]))
     if header.get("scheme_tag") != SCHEME_TAG:
         raise SdeParameterError(f"scheme_tag {header.get('scheme_tag')!r} is not {SCHEME_TAG!r}")

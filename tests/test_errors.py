@@ -165,6 +165,19 @@ def test_export_header_without_a_valid_shape(tmp_path, changes):
         mn.load_grid_function(tmp_path / "x")
 
 
+@pytest.mark.parametrize("kind,changes", [
+    ("ensemble", {"params": 3}), ("ensemble", {"params": []}), ("ensemble", {"dt": "x"}),
+    ("ensemble", {"t0": None}), ("ensemble", {"seed": "s"}), ("ensemble", {"d": True}),
+    ("grid", {"t0": "x"}), ("grid", {"dt": "x"}), ("grid", {"dx": ["a"]}), ("grid", {"x0": "ab"}),
+], ids=["params-number", "params-list", "ensemble-dt-string", "t0-null", "seed-string",
+        "d-bool", "grid-t0-string", "grid-dt-string", "dx-string-entry", "x0-string"])
+def test_export_header_value_of_the_wrong_type(tmp_path, kind, changes):
+    jpath, _, load = _export(kind, tmp_path / "x")
+    jpath.write_text(json.dumps({**json.loads(jpath.read_text()), **changes}))
+    with pytest.raises(mn.GridError, match=r"x\.json has bad values"):
+        load(tmp_path / "x")
+
+
 @pytest.mark.parametrize("kind", ["grid", "ensemble"])
 @pytest.mark.parametrize("text", ["[]", "null", '"x"'])
 def test_export_header_not_an_object(tmp_path, kind, text):

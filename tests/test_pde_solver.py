@@ -334,6 +334,9 @@ def test_tabulated_field_lookup():
     X = mn.cell_centers((-1.0,), (0.125,), (16,))
     vals = field.a_diagonal(0.5, X)[..., 0]
     assert vals == pytest.approx(1.0 + X[..., 0] ** 2, abs=1e-12)
+    # outside the grid the lookup clamps to the edge cells, in time and space
+    outside = field.a_diagonal(5.0, np.array([[-1.5], [1.5]]))[..., 0]
+    assert outside.tolist() == g.values[-1, [0, -1]].tolist()
 
 
 def test_build_field_catalog():

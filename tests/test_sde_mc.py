@@ -341,10 +341,9 @@ class TestSupMoment:
         assert m >= oracle - allowance - 3 * se
 
 
-def _one_shot_modulus(ens, deltas, T=None):
+def _one_shot_modulus(ens, deltas):
     """The whole-array modulus formula the blocked sweep must reproduce bitwise."""
-    n_keep = ens.n_steps + 1 if T is None else int(round((T - ens.t0) / ens.dt)) + 1
-    P = ens.paths[ens.alive(), :n_keep, :]
+    P = ens.paths[ens.alive()]
     lags = [int(round(delta / ens.dt)) for delta in deltas]
     best = np.zeros(P.shape[0])
     snapshots = {}
@@ -363,6 +362,21 @@ def _one_shot_modulus(ens, deltas, T=None):
 
 def _one_shot_sups(P):
     return np.sqrt((P**2).sum(axis=2)).max(axis=1)
+
+
+def _one_shot_uniqueness_rows(coeffs, eps_list, x0, T, dt, n_paths, seed):
+    """The perturbation table's rows from whole-array differences of the jointly live paths."""
+    base = sde.euler_maruyama(coeffs, x0, 0.0, T, dt, n_paths, seed)
+    rows = []
+    for eps in eps_list:
+        shifted = x0.copy()
+        shifted[0] += eps
+        pert = sde.euler_maruyama(coeffs, shifted, 0.0, T, dt, n_paths, seed)
+        alive = base.alive() & pert.alive()
+        diff = _one_shot_sups(base.paths[alive] - pert.paths[alive])
+        rows.append({"eps": eps, "divergence": float(diff.mean()),
+                     "stderr": float(diff.std(ddof=1) / math.sqrt(diff.size))})
+    return rows
 
 
 def _freezing_coeffs(d):
@@ -397,44 +411,43 @@ class TestBlockedStatistics:
         monkeypatch.setattr(mn, "BLOCK_BYTES", request.param)
         return request.param
 
-    @pytest.mark.parametrize("lags,T", [
-        ([1, 2, 4, 8, 16, 32], None),
-        ([32, 1, 8, 4, 2, 16], None),
-        ([4, 1, 32, 1, 4, 2], 0.25),
-    ], ids=["sorted", "unsorted", "repeated-T-cut"])
+    @pytest.mark.parametrize("lags", [
+        [1, 2, 4, 8, 16, 32],
+        [32, 1, 8, 4, 2, 16],
+        [4, 1, 32, 1, 4, 2],
+    ], ids=["sorted", "unsorted", "repeated"])
     @pytest.mark.parametrize("name", ["d1", "d3-frozen"])
-    def test_modulus_matches_one_shot(self, blocked_ensembles, block_bytes, name, lags, T):
+    def test_modulus_matches_one_shot(self, blocked_ensembles, block_bytes, name, lags):
         ens = blocked_ensembles[name]
         deltas = np.array(lags) * ens.dt
-        rep = sde.modulus_report(ens, deltas, T)
-        moments, errs, slope, intercept = _one_shot_modulus(ens, deltas, T)
+        rep = sde.modulus_report(ens, deltas)
+        moments, errs, slope, intercept = _one_shot_modulus(ens, deltas)
         assert np.array_equal(rep.moments, moments)
         assert np.array_equal(rep.stderrs, errs)
         assert (rep.slope, rep.intercept) == (slope, intercept)
 
-    @pytest.mark.parametrize("T", [None, 0.25, 0.0])
     @pytest.mark.parametrize("name", ["d1", "d3-frozen"])
-    def test_sup_moment_matches_one_shot(self, blocked_ensembles, block_bytes, name, T):
+    def test_sup_moment_matches_one_shot(self, blocked_ensembles, block_bytes, name):
         ens = blocked_ensembles[name]
-        n_keep = ens.n_steps + 1 if T is None else int(round(T / ens.dt)) + 1
-        sups = _one_shot_sups(ens.paths[ens.alive(), :n_keep, :])
+        sups = _one_shot_sups(ens.paths[ens.alive()])
         se = float(sups.std(ddof=1) / math.sqrt(sups.size))
-        assert sde.sup_moment(ens, T) == (float(sups.mean()), se)
+        assert sde.sup_moment(ens) == (float(sups.mean()), se)
 
     def test_uniqueness_rows_match_one_shot(self, block_bytes):
         eps_list, x0 = [1e-1, 1e-3, 0.0], np.full(3, 0.5)
         kw = dict(family_tag="prop-6.1", d=3, alpha=0.3, beta=0.2, lam=1.0, n=INF)
         out = sde.uniqueness_perturbation_report(eps_list, x0, 0.1, 0.005, 97, 13, **kw)
         coeffs = sde.build_coefficients("prop-6.1", d=3, alpha=0.3, beta=0.2, lam=1.0, n=INF)
-        base = sde.euler_maruyama(coeffs, x0, 0.0, 0.1, 0.005, 97, 13)
-        for eps, row in zip(eps_list, out["rows"]):
-            shifted = x0.copy()
-            shifted[0] += eps
-            pert = sde.euler_maruyama(coeffs, shifted, 0.0, 0.1, 0.005, 97, 13)
-            alive = base.alive() & pert.alive()
-            diff = _one_shot_sups(base.paths[alive] - pert.paths[alive])
-            assert row == {"eps": eps, "divergence": float(diff.mean()),
-                           "stderr": float(diff.std(ddof=1) / math.sqrt(diff.size))}
+        assert out["rows"] == _one_shot_uniqueness_rows(coeffs, eps_list, x0, 0.1, 0.005, 97, 13)
+
+    def test_uniqueness_rows_with_frozen_paths(self, block_bytes, monkeypatch):
+        # no built-in family freezes, so both ensembles come from the overflowing drift
+        assert 0 < _freezing_ensemble(3, 150, 3).n_frozen < 150
+        monkeypatch.setattr(sde, "build_coefficients", lambda *a, **kw: _freezing_coeffs(3))
+        eps_list, x0 = [1e-1, 1e-3, 0.0], np.zeros(3)
+        out = sde.uniqueness_perturbation_report(eps_list, x0, 0.5, 1.0 / 256, 150, 3)
+        assert out["rows"] == _one_shot_uniqueness_rows(_freezing_coeffs(3), eps_list, x0, 0.5,
+                                                        1.0 / 256, 150, 3)
 
     def test_path_noise_is_one_fresh_stream_per_path(self):
         noise = np.empty((4, 30, 3))
@@ -521,19 +534,9 @@ class TestDegenerateStatistics:
         lambda ens: sde.krylov_functional(_all_frozen(), _ball(), 0.0, 0.5),
         lambda ens: sde.sup_moment(_all_frozen()),
         lambda ens: sde.modulus_report(ens, LAGS[:-1].tolist() + [0.65]),
-        lambda ens: sde.modulus_report(ens, LAGS, T=0.3),
-        lambda ens: sde.sup_moment(ens, T=-1.0),
-        lambda ens: sde.sup_moment(ens, T=0.65),
-        lambda ens: sde.modulus_report(ens, LAGS, T=0.65),
-        lambda ens: sde.sup_moment(ens, T=0.505),
-        lambda ens: sde.modulus_report(ens, LAGS, T=0.505),
-        lambda ens: sde.sup_moment(ens, T=math.nan),
-        lambda ens: sde.sup_moment(ens, T=math.inf),
         lambda ens: sde.modulus_report(ens, [0.01, math.nan, 0.32]),
     ], ids=["modulus-all-frozen", "krylov-all-frozen", "sup-all-frozen",
-            "lag-past-horizon", "T-before-largest-lag", "sup-negative-T", "sup-T-past-end",
-            "modulus-T-past-end", "sup-T-off-grid", "modulus-T-off-grid", "sup-T-nan",
-            "sup-T-inf", "modulus-delta-nan"])
+            "lag-past-horizon", "modulus-delta-nan"])
     def test_rejected(self, stat):
         ens = sde.euler_maruyama(sde.build_coefficients("brownian", d=1), [0.0], 0.0, 0.64,
                                  0.01, 6, 1)
