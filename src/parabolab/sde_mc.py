@@ -217,11 +217,12 @@ def euler_maruyama(
     each chunk's normal draws are written into the path array itself and
     overwritten step by step, so no second path-sized array is held.
     """
-    if dt > 1e-2 + 1e-15:
-        raise SdeParameterError("dt must be <= 1e-2")
-    if n_paths > 10**6:
-        raise SdeParameterError("n_paths capped at 1e6")
-    n_steps = int(round((T - s) / dt))
+    if not 0 < dt <= 1e-2 + 1e-15:
+        raise SdeParameterError("dt must be positive and <= 1e-2")
+    if not (isinstance(n_paths, (int, np.integer)) and 0 <= n_paths <= 10**6):
+        raise SdeParameterError("n_paths must be an integer in 0..1e6")
+    span = (T - s) / dt
+    n_steps = int(round(span)) if math.isfinite(span) else 0
     if n_steps < 1 or abs(s + n_steps * dt - T) > 1e-10:
         raise SdeParameterError("T - s must be a positive multiple of dt")
     d = coeffs.d
@@ -301,6 +302,23 @@ def _sup_sq_norm(P: np.ndarray, sq: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return sums.max(axis=1)
 
 
+def _finite_squares(blocks, axis: int = 0) -> np.ndarray:
+    """The per-block squared norms that ``blocks`` yields, joined along ``axis``.
+
+    ``blocks`` is consumed with overflow and invalid-value warnings off, and a
+    square that is not finite raises :class:`SdeParameterError`: a live path
+    with a coordinate or increment above about 1.3e154 (or a non-finite one
+    in a loaded ensemble) would otherwise turn the statistic into inf or NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.concatenate(list(blocks), axis=axis)
+    if not np.isfinite(sq).all():
+        raise SdeParameterError("a live path's squared norm is not finite: a coordinate or "
+                                "increment is above about 1.3e154, past the float range "
+                                "when squared")
+    return sq
+
+
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     """(mean, stderr) over the paths; the stderr of a single path is 0."""
     se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
@@ -346,11 +364,63 @@ class ModulusReport:
     intercept: float
 
 
+def _lag_best(P: np.ndarray, order: list, diff: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Per lag m in ``order`` (sorted), per path: ``max_(t, j<=m) |P_(t+j) - P_t|^2``.
+
+    One pass per lag j = 1..max(order), a running max over the passes.
+    """
+    best = np.zeros(P.shape[0])
+    out = np.empty((len(order), P.shape[0]))
+    j = 1
+    for i, m in enumerate(order):
+        while j <= m:
+            D = diff[:len(P), :-j]
+            np.subtract(P[:, j:, :], P[:, :-j, :], out=D)
+            np.maximum(best, _sup_sq_norm(D, D, sums[:, :-j]), out=best)
+            j += 1
+        out[i] = best
+    return out
+
+
+def _range_best(P: np.ndarray, order: list, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """:func:`_lag_best` of ``(k, n + 1)`` scalar paths, from ranges of windows of m + 1 points.
+
+    ``hi`` and ``lo`` are pairs of ``(k', n + 1)`` buffers (k' >= k) that
+    the window maxima and minima ping-pong between.  The window ``[t, t+w+s]``
+    is the union of ``[t, t+w]`` and ``[t+s, t+s+w]`` for s <= w + 1, so each
+    doubling pass is one ``np.maximum`` and one ``np.minimum``.
+    """
+    k, n1 = P.shape
+    out = np.empty((len(order), k))
+    cur_hi = cur_lo = P
+    w, free = 0, 0  # window width reached; the buffer of each pair not holding it
+    for i, m in enumerate(order):
+        while w < m:
+            s = min(w + 1, m - w)
+            width = n1 - w - s
+            cur_hi = np.maximum(cur_hi[:, :width], cur_hi[:, s:s + width],
+                                out=hi[free, :k, :width])
+            cur_lo = np.minimum(cur_lo[:, :width], cur_lo[:, s:s + width],
+                                out=lo[free, :k, :width])
+            w, free = w + s, 1 - free
+        out[i] = np.subtract(cur_hi, cur_lo, out=hi[free, :k, :n1 - w]).max(axis=1)
+    return np.square(out, out=out)
+
+
 def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
     """Least-squares slope of ``log E[sup_t sup_(s<=delta) |X_(t+s) - X_t|^(1/2)]`` vs log delta.
 
     Each delta must be a multiple of dt shorter than the ensemble's span, and
     the grid must span at least 1.5 decades with at least 3 values.
+
+    At d = 1 the sup over t and lags j <= m of ``|X_(t+j) - X_t|`` is the
+    largest range (max - min) over windows of m + 1 points, built by window
+    doubling in about log2(max lag) passes per block instead of one pass per
+    lag.  It is bitwise the lag loop's: a rounded difference is odd in its
+    argument and monotone in each operand, so the largest rounded difference
+    is the rounded difference of the window's max and min, and squaring is
+    monotone on r >= 0.  A path whose squared increment overflows raises
+    :class:`SdeParameterError`.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size < 3:
@@ -368,24 +438,13 @@ def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
                                 f"of {ens.n_steps} steps")
     order = sorted(set(lags))
     gathered, diff, sums = _block_scratch(ens)
-
-    def block_best(P):
-        # running max over lags j <= m of the squared increment norm, one row per m
-        best = np.zeros(P.shape[0])
-        out = np.empty((len(order), P.shape[0]))
-        j = 1
-        for i, m in enumerate(order):
-            while j <= m:
-                D = diff[:len(P), :-j]
-                np.subtract(P[:, j:, :], P[:, :-j, :], out=D)
-                np.maximum(best, _sup_sq_norm(D, D, sums[:, :-j]), out=best)
-                j += 1
-            out[i] = best
-        return out
-
-    best = np.concatenate([block_best(P) for P in _live_paths(ens, ens.alive(), gathered)],
-                          axis=1)
-    roots = np.sqrt(np.sqrt(best))
+    live = _live_paths(ens, ens.alive(), gathered)
+    if ens.d == 1:
+        hi, lo = np.empty((2, 2) + sums.shape)
+        blocks = (_range_best(P[..., 0], order, hi, lo) for P in live)
+    else:
+        blocks = (_lag_best(P, order, diff, sums) for P in live)
+    roots = np.sqrt(np.sqrt(_finite_squares(blocks, axis=1)))
     moments, errs = np.array([_mean_stderr(roots[order.index(m)]) for m in lags]).T
     slope, intercept = np.polyfit(np.log(deltas), np.log(moments), 1)
     return ModulusReport(deltas, moments, errs, float(slope), float(intercept))
@@ -394,8 +453,7 @@ def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
 def sup_moment(ens: PathEnsemble) -> tuple[float, float]:
     """(mean, stderr) of ``sup_t |X_t|`` over the non-frozen paths."""
     sq, _, sums = _block_scratch(ens)
-    sup_sq = np.concatenate([_sup_sq_norm(P, sq, sums)
-                             for P in _live_paths(ens, ens.alive(), sq)])
+    sup_sq = _finite_squares(_sup_sq_norm(P, sq, sums) for P in _live_paths(ens, ens.alive(), sq))
     return _mean_stderr(np.sqrt(sup_sq))
 
 
@@ -515,11 +573,10 @@ def uniqueness_perturbation_report(
         shifted[0] += eps
         pert = euler_maruyama(coeffs, shifted, 0.0, T, dt, n_paths, seed)
         alive = base.alive() & pert.alive()
-        sq = []
-        for B, Q in zip(_live_paths(base, alive, diff), _live_paths(pert, alive, other)):
-            D = np.subtract(B, Q, out=diff[:len(B)])
-            sq.append(_sup_sq_norm(D, D, sums))
-        divergence, stderr = _mean_stderr(np.sqrt(np.concatenate(sq)))
+        sq = _finite_squares(
+            _sup_sq_norm(np.subtract(B, Q, out=diff[:len(B)]), diff, sums)
+            for B, Q in zip(_live_paths(base, alive, diff), _live_paths(pert, alive, other)))
+        divergence, stderr = _mean_stderr(np.sqrt(sq))
         rows.append({"eps": eps, "divergence": divergence, "stderr": stderr})
     eps_arr = [r["eps"] for r in rows]
     div_arr = [r["divergence"] for r in rows]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -236,6 +237,13 @@ class TestEulerMaruyama:
         with pytest.raises(sde.SdeParameterError):
             sde.euler_maruyama(c, [0.0], 0.0, 1.0, 0.1, 10, 1)
 
+    @pytest.mark.parametrize("dt, n_paths", [(0.0, 10), (math.nan, 10), (0.01, -1), (0.01, 2.5)],
+                             ids=["dt-zero", "dt-nan", "n-paths-negative", "n-paths-fraction"])
+    def test_rejected(self, dt, n_paths):
+        c = sde.build_coefficients("brownian", d=1)
+        with pytest.raises(sde.SdeParameterError):
+            sde.euler_maruyama(c, [0.0], 0.0, 1.0, dt, n_paths, 1)
+
 
 class TestKrylov:
     @pytest.fixture(scope="class")
@@ -397,9 +405,9 @@ def _freezing_ensemble(d, n_paths, seed):
 def blocked_ensembles():
     brownian = sde.euler_maruyama(sde.build_coefficients("brownian", d=1), [0.0], 0.0, 0.5,
                                   1.0 / 256, 211, 8)
-    frozen = _freezing_ensemble(3, 150, 3)
-    assert 0 < frozen.n_frozen < frozen.n_paths
-    return {"d1": brownian, "d3-frozen": frozen}
+    frozen = {d: _freezing_ensemble(d, n, 3) for d, n in [(1, 300), (3, 150)]}
+    assert all(0 < ens.n_frozen < ens.n_paths for ens in frozen.values())
+    return {"d1": brownian, "d1-frozen": frozen[1], "d3-frozen": frozen[3]}
 
 
 class TestBlockedStatistics:
@@ -415,8 +423,9 @@ class TestBlockedStatistics:
         [1, 2, 4, 8, 16, 32],
         [32, 1, 8, 4, 2, 16],
         [4, 1, 32, 1, 4, 2],
-    ], ids=["sorted", "unsorted", "repeated"])
-    @pytest.mark.parametrize("name", ["d1", "d3-frozen"])
+        [3, 1, 7, 128, 7, 100],
+    ], ids=["sorted", "unsorted", "repeated", "full-horizon"])
+    @pytest.mark.parametrize("name", ["d1", "d1-frozen", "d3-frozen"])
     def test_modulus_matches_one_shot(self, blocked_ensembles, block_bytes, name, lags):
         ens = blocked_ensembles[name]
         deltas = np.array(lags) * ens.dt
@@ -426,7 +435,7 @@ class TestBlockedStatistics:
         assert np.array_equal(rep.stderrs, errs)
         assert (rep.slope, rep.intercept) == (slope, intercept)
 
-    @pytest.mark.parametrize("name", ["d1", "d3-frozen"])
+    @pytest.mark.parametrize("name", ["d1", "d1-frozen", "d3-frozen"])
     def test_sup_moment_matches_one_shot(self, blocked_ensembles, block_bytes, name):
         ens = blocked_ensembles[name]
         sups = _one_shot_sups(ens.paths[ens.alive()])
@@ -523,6 +532,24 @@ def _ball():
     return mn.from_callable(lambda t, X: np.ones(X.shape[:-1]), (0, 1), 10, [(-1, 1)], (4,))
 
 
+def _past_square_range(d):
+    """A live path whose last state is finite but squares past the float range.
+
+    The overflowing drift of ``_freezing_coeffs`` leaves such a path when it
+    jumps on the last step (to about 1e276) without turning non-finite.
+    """
+    ens = sde.euler_maruyama(sde.build_coefficients("brownian", d=d), np.zeros(d), 0.0, 0.64,
+                             0.01, 6, 1)
+    ens.paths[3, -1, 0] = 1e200
+    return ens
+
+
+def _uniqueness_past_square_range():
+    # one step of the overflowing drift from 0.85 ends near 1e293, still finite and live
+    with mock.patch.object(sde, "build_coefficients", lambda *a, **kw: _freezing_coeffs(1)):
+        return sde.uniqueness_perturbation_report([1e-3, 0.0], [0.85], 0.01, 0.01, 6, 1)
+
+
 LAGS = np.array([1, 2, 4, 8, 16, 32]) * 0.01
 
 
@@ -535,8 +562,14 @@ class TestDegenerateStatistics:
         lambda ens: sde.sup_moment(_all_frozen()),
         lambda ens: sde.modulus_report(ens, LAGS[:-1].tolist() + [0.65]),
         lambda ens: sde.modulus_report(ens, [0.01, math.nan, 0.32]),
+        lambda ens: sde.sup_moment(_past_square_range(2)),
+        lambda ens: sde.modulus_report(_past_square_range(1), LAGS),
+        lambda ens: sde.modulus_report(_past_square_range(2), LAGS),
+        lambda ens: _uniqueness_past_square_range(),
     ], ids=["modulus-all-frozen", "krylov-all-frozen", "sup-all-frozen",
-            "lag-past-horizon", "modulus-delta-nan"])
+            "lag-past-horizon", "modulus-delta-nan", "sup-past-square-range",
+            "modulus-d1-past-square-range", "modulus-d2-past-square-range",
+            "uniqueness-past-square-range"])
     def test_rejected(self, stat):
         ens = sde.euler_maruyama(sde.build_coefficients("brownian", d=1), [0.0], 0.0, 0.64,
                                  0.01, 6, 1)
