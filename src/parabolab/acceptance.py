@@ -94,14 +94,7 @@ def criterion_03_variational_oracle() -> tuple[bool, str]:
     """Oracle <= explicit on 100 random instances; canonical value; gap-sweep slope."""
     rng = np.random.default_rng(303)
     for k in range(100):
-        n = int(rng.integers(1, 4))
-        samples = np.stack([
-            np.interp(np.linspace(0, 1, 65), np.linspace(0, 1, 5), rng.uniform(0.0, 2.0, 5))
-            for _ in range(n)
-        ])
-        gap = float(rng.uniform(0.25, 1.0))
-        prob = vr.VariationalProblem(0.0, gap, rng.uniform(1.0, 3.0, n),
-                                     rng.uniform(1.0, 3.0, n), rng.uniform(0.5, 2.0, n), samples)
+        prob = vr._random_problem(rng, int(rng.integers(1, 4)))
         val, _ = vr.brute_force_infimum(prob, knot_count=33)
         exp_val = vr.functional_value(prob, vr.explicit_cutoff(prob).resampled(33))
         if not val <= exp_val + 1e-9 * (1.0 + abs(exp_val)):

@@ -35,7 +35,7 @@ from . import sde_mc as sde
 from . import variational as vr
 from .embeddings import ExponentConfig, check_Re01, check_Re1, in_I_d_p0
 from .errors import InputError, NumericalError
-from .mixed_norms import INF, GridFunction, MixedNormSpec
+from .mixed_norms import INF, MAX_STEPS, GridFunction, MixedNormSpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -56,7 +56,6 @@ class ExperimentConfig:
 
 
 FINITE_MAX = sys.float_info.max  # as an upper bound: admits every finite float, rejects inf
-MAX_STEPS = 10**7  # time steps per run; each step holds one grid or ensemble slice
 
 
 def _n_steps(T: float, dt: float) -> int:
@@ -265,18 +264,11 @@ def run_variational(config: ExperimentConfig, outdir: Path) -> dict:
     rng = np.random.default_rng(config.seed)
     rows = []
     for k in range(p["n_instances"]):
-        n = p["n_components"]
-        samples = np.stack([
-            np.interp(np.linspace(0, 1, 65), np.linspace(0, 1, 5), rng.uniform(0, 2, 5))
-            for _ in range(n)
-        ])
-        gap = float(rng.uniform(0.25, 1.0))
-        prob = vr.VariationalProblem(0.0, gap, rng.uniform(1, 3, n), rng.uniform(1, 3, n),
-                                     rng.uniform(0.5, 2, n), samples)
+        prob = vr._random_problem(rng, p["n_components"])
         oracle = vr.oracle_infimum(prob, p["knot_count"])
         explicit = vr.functional_value(prob, vr.explicit_cutoff(prob).resampled(p["knot_count"]))
         expo, rhs, c_fit = vr.sa3_bound_rhs(prob)
-        rows.append({"instance": k, "gap": gap, "oracle": oracle.value, "explicit": explicit,
+        rows.append({"instance": k, "gap": prob.delta, "oracle": oracle.value, "explicit": explicit,
                      "converged": oracle.converged, "fw_gap": oracle.fw_gap,
                      "exponent": expo, "rhs_value": rhs, "c_fit": c_fit,
                      "bounded": bool(oracle.value <= c_fit * rhs)})

@@ -194,10 +194,18 @@ def recursion_simulate(params: RecursionParams) -> RecursionResult:
 
 
 def pad_run_backward(u: GridFunction, t_lo: float) -> GridFunction:
-    """Extend a solver run by zero samples back to time ``t_lo`` (vanishing past)."""
-    n_extra = int(math.ceil((u.t0 - t_lo) / u.dt - 1e-12))
-    if n_extra <= 0:
+    """Extend a solver run by zero samples back to time ``t_lo`` (vanishing past).
+
+    At most ``mn.MAX_STEPS`` rows are added; a ``t_lo`` further back, or NaN,
+    raises :class:`PreconditionError` before anything is allocated.
+    """
+    steps = (u.t0 - t_lo) / u.dt - 1e-12
+    if not steps <= mn.MAX_STEPS:
+        raise PreconditionError(f"t_lo = {t_lo:g} lies more than MAX_STEPS = {mn.MAX_STEPS} "
+                                "steps before the run")
+    if steps <= 0:
         return u
+    n_extra = math.ceil(steps)
     vals = np.concatenate([np.zeros((n_extra,) + u.nx), u.values], axis=0)
     return GridFunction._owning(u.t0 - n_extra * u.dt, u.dt, u.x0, u.dx, vals, u.boundary)
 

@@ -80,6 +80,19 @@ _BOUNDARY_TAGS = ("zero-extension", "periodic")
 # one working block: about 0.5 MB of FFT input slices, streamed gradient or forcing
 # rows, or ensemble paths (``sde_mc``); the FFT kernel is transformed once per window sweep
 BLOCK_BYTES = 1 << 19
+MAX_STEPS = 10**7  # time steps per run; each step holds one grid or ensemble slice
+
+
+def _whole_steps(span: float, dt: float, error: type[Exception]) -> int:
+    """``round(span / dt)``, a whole number of steps in 1..``MAX_STEPS``; else raise ``error``.
+
+    The quotient must lie within 1e-8 of that whole number; ``dt <= 0``, NaN
+    and inf fail the range check.
+    """
+    q = span / dt if dt > 0 else math.nan
+    if not (1 - 1e-8 <= q <= MAX_STEPS + 1e-8 and abs(q - round(q)) <= 1e-8):
+        raise error(f"{span:g} / {dt:g} is not a whole number of steps in 1..{MAX_STEPS}")
+    return int(round(q))
 
 
 def _check_exponent(e: float, name: str = "exponent") -> float:
@@ -266,13 +279,15 @@ def cell_centers(x0, dx, nx) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def _cell_index(f: GridFunction, X: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Per axis, the index of the cell of ``f`` holding each point of ``X``, and the inside mask.
+def _cell_index(f: GridFunction, t: float, X: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Index into ``f.values`` of the cell holding ``(t, x)`` per ``x`` in ``X``; the inside mask.
 
-    ``X`` has shape ``(..., d)``; the index is ``floor((x - x0) / dx)`` clipped
-    into the grid, and the mask is true where no axis needed the clip.
+    ``X`` has shape ``(..., d)``; per axis, time first, the index is
+    ``floor((x - x0) / dx)`` clipped into the grid, and the mask is true where
+    no axis needed the clip.
     """
-    idx, inside = [], np.ones(X.shape[:-1], dtype=bool)
+    it = math.floor((t - f.t0) / f.dt)
+    idx, inside = [min(max(it, 0), f.nt - 1)], np.full(X.shape[:-1], 0 <= it < f.nt)
     for k in range(f.d):
         ik = np.floor((X[..., k] - f.x0[k]) / f.dx[k]).astype(int)
         inside &= (ik >= 0) & (ik < f.nx[k])
@@ -386,7 +401,7 @@ def _axis_gradient(values: np.ndarray, axis: int, h: float, periodic: bool,
                    out: np.ndarray) -> None:
     """Derivative along ``axis`` into ``out``: central, edges wrapped or one-sided second order."""
     if values.shape[axis] < 3:
-        raise GradientError("need at least 3 samples per spatial axis for the gradient")
+        raise GradientError("need at least 3 samples per axis for the difference stencil")
     v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
     np.subtract(v[2:], v[:-2], out=o[1:-1])
     if periodic:

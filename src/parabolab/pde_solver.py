@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -208,12 +207,8 @@ def tabulated_diagonal_field(diag_entries: list[GridFunction], forcing=None) -> 
     """Diagonal field read off stored grids (nearest-cell lookup, edge clamped)."""
     d = len(diag_entries)
 
-    def lookup(g: GridFunction, t, X):
-        it = int(np.clip(math.floor((t - g.t0) / g.dt), 0, g.nt - 1))
-        return g.values[(it,) + mn._cell_index(g, X)[0]]
-
     def a_diag(t, X):
-        return np.stack([lookup(g, t, X) for g in diag_entries], axis=-1)
+        return np.stack([g.values[mn._cell_index(g, t, X)[0]] for g in diag_entries], axis=-1)
 
     return CoefficientField("tabulated", d, None, a_diag, forcing=forcing)
 
@@ -293,11 +288,9 @@ def ellipticity_profiles(field: CoefficientField, x0, dx, nx) -> EllipticityProf
 
 def discrete_divergence(b_vals: np.ndarray, dx) -> np.ndarray:
     """Centered discrete divergence of a sampled vector field (one-sided at edges)."""
-    d = b_vals.shape[-1]
-    out = np.zeros(b_vals.shape[:-1])
-    for k in range(d):
-        comp = b_vals[..., k]
-        g = np.gradient(comp, dx[k], axis=k, edge_order=2)
+    out, g = np.zeros(b_vals.shape[:-1]), np.empty(b_vals.shape[:-1])
+    for k in range(b_vals.shape[-1]):
+        mn._axis_gradient(b_vals[..., k], k, dx[k], False, g)
         out += g
     return out
 
@@ -382,11 +375,11 @@ class SolverConfig:
     T: float
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.T > 0):
-            raise SolverConfigError("dt and T must be positive")
-        steps = self.T / self.dt
-        if abs(steps - round(steps)) > 1e-8:
-            raise SolverConfigError("T must be an integer number of steps")
+        _ = self.n_steps  # rejects a T that is not a whole number of steps
+
+    @property
+    def n_steps(self) -> int:
+        return mn._whole_steps(self.T, self.dt, SolverConfigError)
 
 
 def _neighbor(nx, axis: int, shift: int, periodic: bool):
@@ -508,7 +501,7 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
     x0, dx, nx = u0.x0, u0.dx, u0.nx
     periodic = u0.boundary == "periodic"
     nbrs = [{s: _neighbor(nx, k, s, periodic) for s in (1, -1)} for k in range(d)]
-    n_steps = int(round(cfg.T / cfg.dt))
+    n_steps = cfg.n_steps
     X = mn.cell_centers(x0, dx, nx)
 
     has_drift = field.b1 is not None or field.b2 is not None
@@ -559,10 +552,6 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
 # ---------------------------------------------------------------------------
 
 
-def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    return np.gradient(values, dt, axis=0, edge_order=2)
-
-
 def weak_residual(u: GridFunction, field: CoefficientField, test_bank) -> float:
     """Max over the bank of the integrated-by-parts identity residual.
 
@@ -601,7 +590,8 @@ def weak_residual(u: GridFunction, field: CoefficientField, test_bank) -> float:
             raise TestBankError("test function touches the domain boundary")
         # each pairing's product is written over a derivative of phi and summed;
         # the time derivative is dropped before the gradient is made
-        dphi_t = _time_derivative(phi.values, u.dt)
+        dphi_t = np.empty_like(phi.values)
+        mn._axis_gradient(phi.values, 0, u.dt, False, dphi_t)
         u_t = np.multiply(u.values, dphi_t, out=dphi_t).sum() * meas
         drift = force = 0.0
         if bgrad is not None:
@@ -620,12 +610,11 @@ def weak_residual(u: GridFunction, field: CoefficientField, test_bank) -> float:
 def steklov_mean(u: GridFunction, h: float) -> GridFunction:
     """Forward time average ``(1/h) int_0^h u(t + s) ds`` by the trapezoid rule.
 
-    ``h`` must be a positive multiple of dt; samples beyond the grid enter as
-    zero (zero extension).  Commutes with spatial shifts by construction.
+    ``h`` must be a whole number of steps dt (``mn._whole_steps``); samples
+    beyond the grid enter as zero (zero extension).  Commutes with spatial
+    shifts by construction.
     """
-    m = int(round(h / u.dt))
-    if m < 1 or abs(m * u.dt - h) > 1e-10 * u.dt:
-        raise SolverConfigError("h must be a positive multiple of dt (h >= dt)")
+    m = mn._whole_steps(h, u.dt, SolverConfigError)
     weights = np.full(m + 1, u.dt / h)
     weights[0] *= 0.5
     weights[-1] *= 0.5

@@ -221,10 +221,7 @@ def euler_maruyama(
         raise SdeParameterError("dt must be positive and <= 1e-2")
     if not (isinstance(n_paths, (int, np.integer)) and 0 <= n_paths <= 10**6):
         raise SdeParameterError("n_paths must be an integer in 0..1e6")
-    span = (T - s) / dt
-    n_steps = int(round(span)) if math.isfinite(span) else 0
-    if n_steps < 1 or abs(s + n_steps * dt - T) > 1e-10:
-        raise SdeParameterError("T - s must be a positive multiple of dt")
+    n_steps = mn._whole_steps(T - s, dt, SdeParameterError)
     d = coeffs.d
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
     paths = np.empty((n_paths, n_steps + 1, d))
@@ -325,15 +322,6 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     return float(vals.mean()), se
 
 
-def _grid_lookup(f: GridFunction, t: float, X: np.ndarray) -> np.ndarray:
-    """Piecewise-constant cell lookup of f at (t, X); zero outside the grid."""
-    it = math.floor((t - f.t0) / f.dt)
-    if it < 0 or it >= f.nt:
-        return np.zeros(X.shape[0])
-    idx, inside = mn._cell_index(f, X)
-    return np.where(inside, f.values[(it,) + idx], 0.0)
-
-
 def krylov_functional(ens: PathEnsemble, f: GridFunction, t0: float, t1: float
                       ) -> tuple[float, float]:
     """Path average of the occupation integral ``int_t0^t1 f(s, X_s) ds``.
@@ -351,7 +339,8 @@ def krylov_functional(ens: PathEnsemble, f: GridFunction, t0: float, t1: float
         raise SdeParameterError("[t0, t1] does not meet the ensemble time grid")
     acc = np.zeros(ens.n_paths)
     for k in k_idx:
-        acc += _grid_lookup(f, times[k], ens.paths[:, k, :]) * ens.dt
+        idx, inside = mn._cell_index(f, times[k], ens.paths[:, k, :])
+        acc += np.where(inside, f.values[idx], 0.0) * ens.dt
     return _mean_stderr(acc[alive])
 
 
@@ -410,7 +399,8 @@ def _range_best(P: np.ndarray, order: list, hi: np.ndarray, lo: np.ndarray) -> n
 def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
     """Least-squares slope of ``log E[sup_t sup_(s<=delta) |X_(t+s) - X_t|^(1/2)]`` vs log delta.
 
-    Each delta must be a multiple of dt shorter than the ensemble's span, and
+    Each delta must be a whole number of steps dt (``mn._whole_steps``) within
+    the ensemble's span, and
     the grid must span at least 1.5 decades with at least 3 values.
 
     At d = 1 the sup over t and lags j <= m of ``|X_(t+j) - X_t|`` is the
@@ -425,12 +415,7 @@ def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size < 3:
         raise SdeParameterError("need at least 3 delta values for the fit")
-    lags = []
-    for delta in deltas:
-        m = int(round(delta / ens.dt)) if math.isfinite(delta) else 0
-        if m < 1 or abs(m * ens.dt - delta) > 1e-10:
-            raise SdeParameterError(f"delta={delta} is not a multiple of dt={ens.dt}")
-        lags.append(m)
+    lags = [mn._whole_steps(delta, ens.dt, SdeParameterError) for delta in deltas]
     if math.log10(deltas.max() / deltas.min()) < 1.5 - 1e-9:
         raise SdeParameterError("delta grid must span at least 1.5 decades")
     if max(lags) > ens.n_steps:

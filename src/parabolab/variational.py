@@ -218,6 +218,17 @@ def explicit_cutoff(prob: VariationalProblem, n_knots: int = 129) -> CutoffProfi
     return CutoffProfile(prob.tau, prob.delta, np.minimum.accumulate(vals))
 
 
+def _random_problem(rng: np.random.Generator, n: int) -> VariationalProblem:
+    """An ``n``-component instance on [0, gap] from ``rng``: densities, gap, alphas, ps, betas."""
+    samples = np.stack([
+        np.interp(np.linspace(0, 1, 65), np.linspace(0, 1, 5), rng.uniform(0.0, 2.0, 5))
+        for _ in range(n)
+    ])
+    gap = float(rng.uniform(0.25, 1.0))
+    return VariationalProblem(0.0, gap, rng.uniform(1.0, 3.0, n), rng.uniform(1.0, 3.0, n),
+                              rng.uniform(0.5, 2.0, n), samples)
+
+
 def random_feasible_profiles(tau, delta, n_knots, count, seed) -> list[CutoffProfile]:
     rng = np.random.default_rng(seed)
     out = []

@@ -182,6 +182,23 @@ def padded_heat_run():
     return dg.pad_run_backward(u, -4.1), field
 
 
+# t_lo far back (1e10 rows, 298 GiB, at -1e9), infinitely far back, or NaN
+@pytest.mark.parametrize("t_lo", [-1e9, -1e300, -math.inf, math.nan])
+def test_pad_past_the_step_cap_rejected(t_lo):
+    u = mn.from_callable(lambda t, X: np.ones(X.shape[:-1]), (0, 1), 10, [(0, 1)], (4,))
+    with pytest.raises(PreconditionError, match="MAX_STEPS"):
+        dg.pad_run_backward(u, t_lo)
+
+
+def test_pad_lengths():
+    u = mn.from_callable(lambda t, X: np.ones(X.shape[:-1]), (0, 1), 10, [(0, 1)], (4,))
+    for t_lo in (0.0, 0.5, math.inf):
+        assert dg.pad_run_backward(u, t_lo) is u
+    assert dg.pad_run_backward(u, -0.25).nt == 13
+    with pytest.raises(PreconditionError):
+        dg.pad_run_backward(u, -(mn.MAX_STEPS + 1) * 0.1)
+
+
 @pytest.fixture(scope="module")
 def exp_cfg():
     return ExponentConfig(d=1, p0=INF, p4=4.0, q4=INF)

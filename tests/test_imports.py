@@ -110,6 +110,53 @@ def test_scipy_detector_sees_module_level_and_stats_imports():
                                      ["scipy.stats"])
 
 
+def np_gradient_calls(source):
+    """Line numbers of calls to ``np.gradient`` or ``numpy.gradient``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "gradient" and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in {"np", "numpy"})
+
+
+def max_steps_assignments(source):
+    """Line numbers that assign ``MAX_STEPS``, as a name or an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                   else [])
+        for target in targets:
+            for leaf in ast.walk(target):
+                if getattr(leaf, "id", getattr(leaf, "attr", None)) == "MAX_STEPS":
+                    lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_grid_rules_live_in_mixed_norms(path):
+    # one difference stencil (mixed_norms._axis_gradient) and one step cap
+    source = path.read_text()
+    assert np_gradient_calls(source) == []
+    assert len(max_steps_assignments(source)) == (path.stem == "mixed_norms")
+
+
+def test_grid_rule_detectors_see_gradients_and_cap_assignments():
+    source = ("import numpy as np\n"
+              "import numpy\n"
+              "from . import mixed_norms as mn\n"
+              "from .mixed_norms import MAX_STEPS\n"
+              "MAX_STEPS = 10\n"
+              "mn.MAX_STEPS = 5\n"
+              "a, MAX_STEPS = 1, 2\n"
+              "MAX_STEPS: int = 3\n"
+              "def f(u):\n"
+              "    MAX_STEPS += 1\n"
+              "    g = np.gradient(u, 0.1)\n"
+              "    return numpy.gradient(g) + mn.gradient(u) + MAX_STEPS\n")
+    assert np_gradient_calls(source) == [11, 12]
+    assert max_steps_assignments(source) == [5, 6, 7, 8, 10]
+
+
 def _scipy_after(statement):
     """The scipy modules a fresh interpreter holds after it runs ``statement``."""
     code = (f"import sys; sys.path.insert(0, {SRC!r})\n{statement}\n"

@@ -701,3 +701,28 @@ def test_v_norm_memory_is_a_few_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * u.values.nbytes
+
+
+# NaN, both infinities, zeros, negatives and subnormals are all drawn
+ANY_FLOAT = st.floats(allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_FLOAT, ANY_FLOAT, st.integers(-2, mn.MAX_STEPS + 2), st.booleans())
+def test_whole_steps_returns_a_whole_count_or_raises(span, dt, n, on_grid):
+    if on_grid:  # a span of n steps, so the accepting branch is drawn too
+        span = n * dt
+    try:
+        steps = mn._whole_steps(span, dt, mn.GridError)
+    except mn.GridError:
+        return
+    assert type(steps) is int and 1 <= steps <= mn.MAX_STEPS
+    assert abs(span / dt - steps) <= 1e-8
+
+
+def test_whole_steps_at_and_past_the_cap():
+    assert mn._whole_steps(float(mn.MAX_STEPS), 1.0, mn.GridError) == mn.MAX_STEPS
+    assert mn._whole_steps(mn.MAX_STEPS * 0.01, 0.01, mn.GridError) == mn.MAX_STEPS
+    for span, dt in [(mn.MAX_STEPS + 1.0, 1.0), ((mn.MAX_STEPS + 1) * 0.01, 0.01)]:
+        with pytest.raises(mn.GridError, match="whole number of steps"):
+            mn._whole_steps(span, dt, mn.GridError)

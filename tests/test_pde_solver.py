@@ -128,6 +128,26 @@ class TestHypotheses:
         div = pde.discrete_divergence(field.b2(0.0, X), (0.25, 0.25))
         assert np.abs(div).max() == 0.0
 
+    def test_divergence_matches_np_gradient(self):
+        # np.gradient stays the reference: bitwise in the interior, round-off at the edges
+        X = mn.cell_centers((-2.0, -1.0, 0.5), (0.25, 0.2, 0.3), (12, 10, 9))
+        b = np.stack([np.sin(X[..., 0]) * np.cos(X[..., 1]), X[..., 0] * X[..., 1] ** 2,
+                      np.exp(X[..., 2]) * X[..., 1]], axis=-1)
+        dx = (0.25, 0.2, 0.3)
+        ref = np.zeros(b.shape[:-1])
+        for k in range(3):
+            ref += np.gradient(b[..., k], dx[k], axis=k, edge_order=2)
+        div = pde.discrete_divergence(b, dx)
+        core = (slice(1, -1),) * 3
+        assert np.array_equal(div[core], ref[core])
+        assert np.abs(div - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_grid_below_the_stencil_rejected(self):
+        # 2 x 2 cells cannot hold the 3-point divergence stencil
+        cfg = ExponentConfig(d=2, p0=2.4, p1=INF)
+        with pytest.raises(mn.GradientError):
+            pde.check_hypotheses(pde.rotation_drift_field(), cfg, (-0.5, -0.5), (0.5, 0.5), (2, 2))
+
     def test_degenerate_lambda_reported_not_raised(self):
         # diagonal-power with raw n = inf vanishes on the axes
         field = pde.diagonal_power_field(2, 0.5, R=1.0, n=INF)
@@ -217,6 +237,20 @@ class TestSolve:
         with pytest.raises(pde.SolverConfigError):
             pde.solve(field, u0, pde.SolverConfig(dt=0.01, T=0.1))
 
+    # step counts past MAX_STEPS: T / dt overflows to inf, or 1e300 output rows
+    @pytest.mark.parametrize("dt, T", [(1e-10, 1e308), (1e-300, 1.0)],
+                             ids=["T-1e308", "dt-1e-300"])
+    def test_step_count_past_the_cap_rejected(self, dt, T):
+        u0 = pde.spatial_initial_condition(lambda X: np.zeros(X.shape[:-1]),
+                                           [(0, 1)], (16,), "periodic")
+        with pytest.raises(pde.SolverConfigError):
+            pde.solve(pde.identity_field(1), u0, pde.SolverConfig(dt=dt, T=T))
+
+    def test_step_cap(self):
+        assert pde.SolverConfig(dt=1.0, T=float(mn.MAX_STEPS)).n_steps == mn.MAX_STEPS
+        with pytest.raises(pde.SolverConfigError):
+            pde.SolverConfig(dt=1.0, T=mn.MAX_STEPS + 1.0)
+
     def test_anisotropic_constant_matrix_mode(self):
         A = np.array([[1.0, 0.3], [0.3, 0.7]])
         field = pde.CoefficientField(
@@ -290,10 +324,12 @@ class TestSteklov:
         exact = (np.cos(tc) - np.cos(tc + h)) / h
         assert np.abs(s.values[keep, 0] - exact[keep]).max() < 5e-5
 
-    def test_h_below_dt_rejected(self):
+    # h below dt, then 1e10 and 1e301 steps, past MAX_STEPS
+    @pytest.mark.parametrize("h", [0.01, 1e9, 1e300], ids=["below-dt", "1e9", "1e300"])
+    def test_h_rejected(self, h):
         u = mn.from_callable(lambda t, X: np.ones(X.shape[:-1]), (0, 1), 10, [(0, 1)], (4,))
         with pytest.raises(pde.SolverConfigError):
-            pde.steklov_mean(u, 0.01)
+            pde.steklov_mean(u, h)
 
 
 class TestMaxPrinciple:

@@ -237,12 +237,23 @@ class TestEulerMaruyama:
         with pytest.raises(sde.SdeParameterError):
             sde.euler_maruyama(c, [0.0], 0.0, 1.0, 0.1, 10, 1)
 
-    @pytest.mark.parametrize("dt, n_paths", [(0.0, 10), (math.nan, 10), (0.01, -1), (0.01, 2.5)],
-                             ids=["dt-zero", "dt-nan", "n-paths-negative", "n-paths-fraction"])
+    # dt 1e-300 and 1e-12 ask for 1e300 and 1e12 steps, past MAX_STEPS: a path array past
+    # numpy's dimension limit or of 7 TiB
+    @pytest.mark.parametrize("dt, n_paths", [(0.0, 10), (math.nan, 10), (0.01, -1), (0.01, 2.5),
+                                             (1e-300, 1), (1e-12, 1)],
+                             ids=["dt-zero", "dt-nan", "n-paths-negative", "n-paths-fraction",
+                                  "dt-1e-300", "dt-1e-12"])
     def test_rejected(self, dt, n_paths):
         c = sde.build_coefficients("brownian", d=1)
         with pytest.raises(sde.SdeParameterError):
             sde.euler_maruyama(c, [0.0], 0.0, 1.0, dt, n_paths, 1)
+
+    def test_step_cap(self):
+        c = sde.build_coefficients("brownian", d=1)
+        ens = sde.euler_maruyama(c, [0.0], 0.0, mn.MAX_STEPS * 0.01, 0.01, 0, 1)
+        assert ens.n_steps == mn.MAX_STEPS
+        with pytest.raises(sde.SdeParameterError):
+            sde.euler_maruyama(c, [0.0], 0.0, (mn.MAX_STEPS + 1) * 0.01, 0.01, 0, 1)
 
 
 class TestKrylov:
