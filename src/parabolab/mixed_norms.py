@@ -95,6 +95,17 @@ def _whole_steps(span: float, dt: float, error: type[Exception]) -> int:
     return int(round(q))
 
 
+def _count(n, lo: int, hi: float, error: type[Exception]) -> int:
+    """``n`` as an ``int`` when it is an integer (not a bool) in ``lo..hi``; else raise ``error``.
+
+    Callers check a count here before anything is sized by it.
+    """
+    whole = isinstance(n, (int, np.integer)) and not isinstance(n, (bool, np.bool_))
+    if not (whole and lo <= n <= hi):
+        raise error(f"expected an integer count in {lo}..{hi}, got {n!r}")
+    return int(n)
+
+
 def _check_exponent(e: float, name: str = "exponent") -> float:
     e = float(e)
     if math.isnan(e) or e < 1.0:
@@ -298,7 +309,7 @@ def _cell_index(f: GridFunction, t: float, X: np.ndarray) -> tuple[tuple, np.nda
 def _box_cells(box, nx) -> tuple[tuple, tuple, tuple]:
     """``(x0, dx, nx)`` of ``nx`` equal cells per axis of ``box``, a list of (lo, hi) pairs."""
     box = [(float(lo), float(hi)) for lo, hi in box]
-    nx = tuple(int(n) for n in np.atleast_1d(nx))
+    nx = tuple(_count(n, 1, math.inf, GridError) for n in np.atleast_1d(nx))
     if len(nx) != len(box):
         raise GridError("box and nx must have the same number of axes")
     x0 = tuple(lo for lo, _ in box)
@@ -312,7 +323,8 @@ def from_callable(fn: Callable, t_span, nt: int, box, nx, boundary="zero-extensi
     ``box`` is a sequence of (lo, hi) pairs, one per spatial axis.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    dt = (t1 - t0) / int(nt)
+    nt = _count(nt, 1, math.inf, GridError)
+    dt = (t1 - t0) / nt
     x0, dx, nx = _box_cells(box, nx)
     ts = t0 + (np.arange(nt) + 0.5) * dt
     vals = _sample_rows(fn, ts, cell_centers(x0, dx, nx), np.empty((nt,) + nx))

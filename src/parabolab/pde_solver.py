@@ -1,20 +1,20 @@
 """Conservative finite-difference solver for div-form parabolic equations.
 
-Solves ``du/dt = div(a grad u) + b . grad u + f`` with possibly degenerate
-symmetric PSD ``a``.  The spatial operator is the conservative flux-difference
-form with arithmetically face-averaged diagonal coefficients (zero flux where
-``a`` vanishes, no regularization) and centered cross-differences for the
-off-diagonal entries; drift is first-order upwind per component sign, applied
-explicitly under a CFL guard; diffusion is implicit (unconditionally stable
-under degeneracy).
+Solves ``du/dt = div(a grad u) + b . grad u + f`` with a possibly degenerate
+diagonal ``a = diag(a_11, ..., a_dd)``, ``a_kk >= 0`` (every family of the
+paper's Section 6 is diagonal).  The spatial operator is the conservative
+flux-difference form with arithmetically face-averaged coefficients (zero flux
+where ``a`` vanishes, no regularization); drift is first-order upwind per
+component sign, applied explicitly under a CFL guard; diffusion is implicit
+(unconditionally stable under degeneracy).
 
 Boundary handling: ``periodic`` wraps; ``zero-extension`` imposes the
 homogeneous value at the box walls through odd-mirror ghost cells, which keeps
 the wall condition second order (a literal outside-cell zero would move the
 effective boundary by dx/2).
 
-Comparison/positivity structure holds for diagonal ``a`` (M-matrix plus
-upwinding); off-diagonal support exists but is excluded from those guarantees.
+Comparison/positivity structure holds for every field the solver accepts:
+``I - dt L`` is an M-matrix and the drift is upwinded.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ __all__ = [
 
 
 class CoefficientError(InputError):
-    """Coefficient field violates symmetry/PSD requirements at a sample."""
+    """Coefficient field has a negative diagonal entry at a sample."""
 
 
 class SolverConfigError(InputError):
@@ -80,15 +80,15 @@ class TestBankError(InputError):
 class CoefficientField:
     """Evaluators for the equation data.
 
-    ``a(t, X) -> (..., d, d)`` symmetric PSD; optional fast path ``a_diag``
-    for diagonal fields.  ``b1``/``b2`` map ``(t, X) -> (..., d)``; ``forcing``
-    maps ``(t, X) -> (...)``.
+    ``a_diag(t, X) -> (..., d)`` holds the diagonal entries ``a_kk >= 0`` of
+    ``a``; there are no cross terms, so the solver's M-matrix
+    comparison/positivity structure holds for every field.  ``b1``/``b2`` map
+    ``(t, X) -> (..., d)``; ``forcing`` maps ``(t, X) -> (...)``.
     """
 
     name: str
     d: int
-    a: Callable
-    a_diag: Callable | None = None
+    a_diag: Callable
     b1: Callable | None = None
     b2: Callable | None = None
     forcing: Callable | None = None
@@ -102,23 +102,12 @@ class CoefficientField:
         return out
 
     def a_matrix(self, t, X):
-        if self.a is not None:
-            return self.a(t, X)
+        """``a`` as the ``(..., d, d)`` diagonal matrix built from ``a_diag``."""
         diag = self.a_diag(t, X)
         out = np.zeros(diag.shape + (self.d,))
         for k in range(self.d):
             out[..., k, k] = diag[..., k]
         return out
-
-    def a_diagonal(self, t, X):
-        if self.a_diag is not None:
-            return self.a_diag(t, X)
-        A = self.a(t, X)
-        return np.stack([A[..., k, k] for k in range(self.d)], axis=-1)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.a_diag is not None and self.a is None
 
     def with_forcing(self, forcing) -> "CoefficientField":
         return dataclasses.replace(self, forcing=forcing)
@@ -133,7 +122,7 @@ def identity_field(d: int, forcing=None) -> CoefficientField:
     def a_diag(t, X):
         return np.ones(X.shape[:-1] + (d,))
 
-    return CoefficientField("identity", d, None, a_diag, forcing=forcing)
+    return CoefficientField("identity", d, a_diag, forcing=forcing)
 
 
 def diagonal_power_field(d: int, alpha: float, R: float = 1.0, n: float = INF,
@@ -144,7 +133,7 @@ def diagonal_power_field(d: int, alpha: float, R: float = 1.0, n: float = INF,
     def a_diag(t, X):
         return fam.f_n(X**2)
 
-    return CoefficientField("diagonal-power", d, None, a_diag, forcing=forcing)
+    return CoefficientField("diagonal-power", d, a_diag, forcing=forcing)
 
 
 def _example_61_alpha_max(d: int) -> float:
@@ -167,7 +156,7 @@ def example_61_field(d: int = 3, alpha: float = 0.3, R: float = 2.0, n: float = 
         scalar = fam.f_n((X**2).sum(axis=-1))
         return np.repeat(scalar[..., None], d, axis=-1)
 
-    return CoefficientField("example-6.1", d, None, a_diag, forcing=forcing)
+    return CoefficientField("example-6.1", d, a_diag, forcing=forcing)
 
 
 def example_62_field(alpha: float = 0.2, R: float = 1.0, n: float = INF,
@@ -180,7 +169,7 @@ def example_62_field(alpha: float = 0.2, R: float = 1.0, n: float = INF,
     def a_diag(t, X):
         return np.stack([fam.f_n(X[..., 1] ** 2), fam.f_n(X[..., 0] ** 2)], axis=-1)
 
-    return CoefficientField("example-6.2", 2, None, a_diag, forcing=forcing)
+    return CoefficientField("example-6.2", 2, a_diag, forcing=forcing)
 
 
 def rotation_drift_field(pure: bool = True, forcing=None) -> CoefficientField:
@@ -199,7 +188,7 @@ def rotation_drift_field(pure: bool = True, forcing=None) -> CoefficientField:
         chi = np.exp(-((r2 / 3.0**2) ** 4))
         return rot * chi[..., None]
 
-    return CoefficientField("rotation-drift", 2, None, identity_field(2).a_diag, b2=b2,
+    return CoefficientField("rotation-drift", 2, identity_field(2).a_diag, b2=b2,
                             forcing=forcing)
 
 
@@ -210,7 +199,7 @@ def tabulated_diagonal_field(diag_entries: list[GridFunction], forcing=None) -> 
     def a_diag(t, X):
         return np.stack([g.values[mn._cell_index(g, t, X)[0]] for g in diag_entries], axis=-1)
 
-    return CoefficientField("tabulated", d, None, a_diag, forcing=forcing)
+    return CoefficientField("tabulated", d, a_diag, forcing=forcing)
 
 
 # each builder takes the named parameters; rotation-drift runs on periodic boxes
@@ -262,21 +251,18 @@ def ellipticity_profiles(field: CoefficientField, x0, dx, nx) -> EllipticityProf
     """Pointwise smallest directional ellipticity and largest distortion quotient at t = 0.
 
     ``lam(x) = lambda_min(a(0,x))``, ``mu(x)`` the distortion quotient
-    ``max |a xi|^2 / (xi . a xi)`` over unit ``xi``; for symmetric PSD ``a`` the
-    latter equals the largest eigenvalue (``tests/test_pde_solver.py`` keeps the
-    xi-grid maximization as its reference).
+    ``max |a xi|^2 / (xi . a xi)`` over unit ``xi``; for diagonal PSD ``a``
+    they are the smallest and the largest entry ``a_kk`` (``tests/test_pde_solver.py``
+    keeps the xi-grid maximization as its reference).
     """
     x0 = tuple(np.atleast_1d(x0).astype(float))
     dx = tuple(np.atleast_1d(dx).astype(float))
     nx = tuple(int(n) for n in np.atleast_1d(nx))
     X = mn.cell_centers(x0, dx, nx)
-    A = field.a_matrix(0.0, X)
-    if not np.allclose(A, np.swapaxes(A, -1, -2), atol=1e-12):
-        raise CoefficientError("a(t=0.0) is not symmetric")
-    evals = np.linalg.eigvalsh(A)
+    evals = np.sort(field.a_diag(0.0, X), axis=-1)
     scale = np.abs(evals).max()
     if evals.min() < -1e-12 * max(scale, 1.0):
-        loc = np.unravel_index(np.argmin(evals.min(axis=-1)), nx)
+        loc = np.unravel_index(np.argmin(evals[..., 0]), nx)
         raise CoefficientError(f"a not PSD at t=0.0, x={X[loc]}")
     return EllipticityProfile(evals[..., 0], np.maximum(0.0, evals[..., -1]))
 
@@ -419,9 +405,9 @@ def _assemble_diffusion(field: CoefficientField, t: float, x0, dx, nx, nbrs):
         axes = [x0[a] + (np.arange(-pads[a], nx[a] + pads[a]) + 0.5) * dx[a] for a in range(d)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    # diagonal part, axis by axis: each face has conductance g = mean of a_kk / dx^2
+    # axis by axis: each face has conductance g = mean of a_kk / dx^2
     for k in range(d):
-        akk = field.a_diagonal(t, padded_mesh(k))[..., k]
+        akk = field.a_diag(t, padded_mesh(k))[..., k]
         a_dn, a_mid, a_up = (np.take(akk, np.arange(j, j + nx[k]), axis=k).ravel()
                              for j in range(3))
         walls = []
@@ -441,24 +427,6 @@ def _assemble_diffusion(field: CoefficientField, t: float, x0, dx, nx, nbrs):
     rows.append(idx)
     cols.append(idx)
     data.append(diag)
-
-    # off-diagonal cross terms (centered), only for full-matrix fields
-    if not field.is_diagonal:
-        for i in range(d):
-            A = field.a_matrix(t, padded_mesh(i))
-            for k in range(d):
-                if i == k:
-                    continue
-                for si in (1, -1):
-                    nb_i, s_i = nbrs[i][si]
-                    # a_ik at the neighbour cell; ghost positions evaluated directly
-                    a_sh = np.take(A[..., i, k], np.arange(1 + si, nx[i] + 1 + si), axis=i)
-                    coef = si / (4.0 * dx[i] * dx[k]) * a_sh.ravel()
-                    for sk in (1, -1):
-                        nb_k, s_k = nbrs[k][sk]
-                        rows.append(idx)
-                        cols.append(nb_k[nb_i])
-                        data.append(sk * coef * (s_i * s_k[nb_i]))
 
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
@@ -518,13 +486,10 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
     N = int(np.prod(nx))
     L = _assemble_diffusion(field, 0.0, x0, dx, nx, nbrs)
     M = sparse.identity(N, format="csr") - cfg.dt * L
-    if field.is_diagonal:
-        # M is symmetric and strictly diagonally dominant, so diagonal pivots are
-        # stable and a symmetric fill-reducing ordering about halves the LU fill
-        lu = splinalg.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-    else:
-        lu = splinalg.splu(M.tocsc())
+    # M is symmetric and strictly diagonally dominant, so diagonal pivots are
+    # stable and a symmetric fill-reducing ordering about halves the LU fill
+    lu = splinalg.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
 
     u = np.asarray(u0.values[0], dtype=float).copy()
     out = np.empty((n_steps + 1,) + nx)
@@ -560,22 +525,24 @@ def weak_residual(u: GridFunction, field: CoefficientField, test_bank) -> float:
     pairings are midpoint quadrature.
 
     Working memory beside ``u`` and the bank: the flux ``a grad u`` (d arrays
-    of u's size), ``b . grad u`` and ``f`` when present, and one derivative of
-    the current test function at a time, into which the pairings' products
-    are written before they are summed.  The coefficient samples and
-    ``grad u`` are dropped once the flux exists.
+    of u's size, written over ``grad u``), ``b . grad u`` and ``f`` when
+    present, and one derivative of the current test function at a time, into
+    which the pairings' products are written before they are summed.  The
+    coefficient samples are dropped once the flux exists.
     """
     results = []
     du = mn.spatial_gradient(u)  # (d, nt, *nx)
-    a_vals = u.sample(field.a_matrix)  # (nt, *nx, d, d)
-    flux = np.einsum("t...ij,jt...->it...", a_vals, du)
-    del a_vals
     bgrad = None  # the drift pairing b . grad u, the same for every test function
     if field.b1 is not None or field.b2 is not None:
         b_vals = u.sample(field.b_total)
         bgrad = sum(b_vals[..., i] * du[i] for i in range(u.d))
         del b_vals
-    del du
+    # the flux a_kk d_k u, axis by axis over grad u
+    a_vals = u.sample(field.a_diag)  # (nt, *nx, d)
+    for k in range(u.d):
+        np.multiply(a_vals[..., k], du[k], out=du[k])
+    flux = du
+    del a_vals
     f_vals = None
     if field.forcing is not None:
         f_vals = u.sample(field.forcing)

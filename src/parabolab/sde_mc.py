@@ -219,8 +219,7 @@ def euler_maruyama(
     """
     if not 0 < dt <= 1e-2 + 1e-15:
         raise SdeParameterError("dt must be positive and <= 1e-2")
-    if not (isinstance(n_paths, (int, np.integer)) and 0 <= n_paths <= 10**6):
-        raise SdeParameterError("n_paths must be an integer in 0..1e6")
+    n_paths = mn._count(n_paths, 0, 10**6, SdeParameterError)
     n_steps = mn._whole_steps(T - s, dt, SdeParameterError)
     d = coeffs.d
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
@@ -446,6 +445,8 @@ def sliced_wasserstein1(A: np.ndarray, B: np.ndarray) -> float:
     """Coordinate-wise max of the 1-D empirical W1 distances (sorted-sample mean gap)."""
     if A.shape != B.shape:
         raise SdeParameterError("sliced W1 needs equal sample counts")
+    if len(A) == 0:
+        raise SdeParameterError("sliced W1 needs at least one sample")
     out = 0.0
     for k in range(A.shape[1]):
         out = max(out, float(np.abs(np.sort(A[:, k]) - np.sort(B[:, k])).mean()))

@@ -95,6 +95,7 @@ class CutoffProfile:
         return np.interp(s, self.knots, self.values)
 
     def resampled(self, n_knots: int) -> "CutoffProfile":
+        n_knots = mn._count(n_knots, 2, math.inf, FeasibilityError)
         knots = np.linspace(self.tau, self.delta, n_knots)
         vals = np.interp(knots, self.knots, self.values)
         vals[0], vals[-1] = 1.0, 0.0
@@ -199,6 +200,7 @@ def explicit_cutoff(prob: VariationalProblem, n_knots: int = 129) -> CutoffProfi
     beta_i) and ``theta = 1/min alpha_i``.  Constant data gives exactly the
     linear profile; an all-zero density also falls back to it.
     """
+    n_knots = mn._count(n_knots, 2, math.inf, FeasibilityError)
     knots = np.linspace(prob.tau, prob.delta, n_knots)
     mids = 0.5 * (knots[:-1] + knots[1:])
     h = knots[1] - knots[0]
@@ -230,6 +232,8 @@ def _random_problem(rng: np.random.Generator, n: int) -> VariationalProblem:
 
 
 def random_feasible_profiles(tau, delta, n_knots, count, seed) -> list[CutoffProfile]:
+    n_knots = mn._count(n_knots, 2, math.inf, FeasibilityError)
+    count = mn._count(count, 0, math.inf, FeasibilityError)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -246,7 +250,7 @@ ETA_MIN = 1e-12  # a start whose step size falls below this has stalled
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Oracle value and profile; ``fw_gap`` is the Frank-Wolfe gap at that profile.
+    """Oracle value and profile; ``fw_gap`` is the Frank-Wolfe gap at the winning point.
 
     ``converged`` is ``fw_gap <= GAP_TOL * value``; ``iterations`` counts the
     steps of the batched loop, which runs until its slowest start stops.
@@ -271,12 +275,13 @@ def oracle_infimum(prob: VariationalProblem, knot_count: int = 41) -> OracleResu
     an accepted one grows it by 1.5.  A start stops once its Frank-Wolfe gap
     ``<g, x> - min_k g_k`` is at most ``GAP_TOL * F``, when ``eta`` falls
     below ``ETA_MIN``, or at ``MAX_ITERATIONS``.  The K simplex vertices are
-    evaluated too, and the explicit profile wins whenever it is lower.  When
+    evaluated too, and the explicit profile wins whenever it is lower.  The
+    reported gap is measured at the winning simplex point (a stepped row or a
+    vertex), or at the explicit profile's drops when that profile wins.  When
     every alpha_i >= p_i, F is convex and ``value - fw_gap`` bounds the
     discrete infimum from below; otherwise the gap measures stationarity.
     """
-    if not 2 <= knot_count <= 400:
-        raise FeasibilityError("knot_count must lie in [2, 400]")
+    knot_count = mn._count(knot_count, 2, 400, FeasibilityError)
     knots = np.linspace(prob.tau, prob.delta, knot_count)
     h = knots[1] - knots[0]
     w = _interval_weights(prob, knots)  # (N, K)
@@ -320,8 +325,12 @@ def oracle_infimum(prob: VariationalProblem, knot_count: int = 41) -> OracleResu
         active &= (fw_gap(grad, x) > GAP_TOL * F) & (eta >= ETA_MIN)
 
     candidates = np.vstack([x, np.eye(x.shape[1])])
-    F_all = np.concatenate([F, value_and_gradient(candidates[len(x):])[0]])
-    drops = candidates[int(np.argmin(np.where(np.isfinite(F_all), F_all, np.inf)))]
+    F_vertex, grad_vertex = value_and_gradient(candidates[len(x):])
+    F_all, grad_all = np.concatenate([F, F_vertex]), np.vstack([grad, grad_vertex])
+    best = int(np.argmin(np.where(np.isfinite(F_all), F_all, np.inf)))
+    drops = candidates[best]
+    # the gap at the winning simplex point, where the drops are not yet rounded into a profile
+    gap = float(fw_gap(grad_all[best, None], drops[None])[0])
     # tail sums keep the small drops near the zero end exactly
     vals = np.clip(np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]]), 0.0, 1.0)
     vals[0] = 1.0
@@ -330,8 +339,8 @@ def oracle_infimum(prob: VariationalProblem, knot_count: int = 41) -> OracleResu
     exp_val = functional_value(prob, explicit)
     if not math.isfinite(value) or exp_val < value:
         value, profile = exp_val, explicit
-    x_out = -np.diff(profile.values)[None]
-    gap = float(fw_gap(value_and_gradient(x_out)[1], x_out)[0])
+        x_out = -np.diff(profile.values)[None]
+        gap = float(fw_gap(value_and_gradient(x_out)[1], x_out)[0])
     return OracleResult(value, profile, gap, iterations, bool(gap <= GAP_TOL * value))
 
 

@@ -157,6 +157,32 @@ def test_grid_rule_detectors_see_gradients_and_cap_assignments():
     assert max_steps_assignments(source) == [5, 6, 7, 8, 10]
 
 
+def name_uses(source, name):
+    """Line numbers where ``name`` is read, as a bare name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Name) and node.id == name)
+                  or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_one_factorization_and_one_diffusion_representation():
+    # the solver factorizes at one site and reads the diffusion through a_diag
+    # only; the diagonal matrix a_matrix is left to the acceptance checks
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert sum(len(name_uses(s, "splu")) for s in sources.values()) == 1
+    assert [stem for stem, s in sources.items() if name_uses(s, "a_matrix")] == ["acceptance"]
+
+
+def test_name_use_detector_sees_calls_and_references():
+    source = ("from scipy.sparse.linalg import splu\n"
+              "def a_matrix(t, X):\n"
+              "    return X\n"
+              "lu = splu(M)\n"
+              "u.sample(field.a_matrix)\n"
+              "A = field.a_matrix(0.0, X)\n")
+    assert name_uses(source, "splu") == [4]
+    assert name_uses(source, "a_matrix") == [5, 6]
+
+
 def _scipy_after(statement):
     """The scipy modules a fresh interpreter holds after it runs ``statement``."""
     code = (f"import sys; sys.path.insert(0, {SRC!r})\n{statement}\n"

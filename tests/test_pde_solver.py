@@ -81,8 +81,8 @@ class TestEllipticity:
     def test_diag_4_1_bruteforce(self):
         A = np.diag([4.0, 1.0])
         assert mu_distortion_bruteforce(A, 10000) == pytest.approx(4.0, rel=1e-6)
-        field = pde.CoefficientField("diag", 2,
-                                     a=lambda t, X: np.broadcast_to(A, X.shape[:-1] + (2, 2)).copy())
+        field = pde.CoefficientField(
+            "diag", 2, lambda t, X: np.broadcast_to(np.diag(A), X.shape[:-1] + (2,)).copy())
         prof = pde.ellipticity_profiles(field, (0, 0), (0.5, 0.5), (4, 4))
         assert np.all(prof.lam == pytest.approx(1.0))
         assert np.all(prof.mu == pytest.approx(4.0))
@@ -99,8 +99,7 @@ class TestEllipticity:
         assert np.allclose(prof.mu, want, rtol=1e-13)
 
     def test_non_psd_rejected(self):
-        field = pde.CoefficientField("bad", 1,
-                                     a=lambda t, X: -np.ones(X.shape[:-1] + (1, 1)))
+        field = pde.CoefficientField("bad", 1, lambda t, X: -np.ones(X.shape[:-1] + (1,)))
         with pytest.raises(pde.CoefficientError):
             pde.ellipticity_profiles(field, (0,), (0.5,), (4,))
 
@@ -216,7 +215,7 @@ class TestSolve:
     def test_nonnegativity_and_comparison(self):
         fl = lambda t, X: np.maximum(0.2 - np.abs(X[..., 0] - 0.3), 0.0)
         field = pde.CoefficientField(
-            "drift", 1, a=None, a_diag=lambda t, X: np.ones(X.shape[:-1] + (1,)),
+            "drift", 1, a_diag=lambda t, X: np.ones(X.shape[:-1] + (1,)),
             b2=lambda t, X: 0.5 * np.ones_like(X), forcing=fl)
         u0 = pde.spatial_initial_condition(
             lambda X: np.maximum(0.1 - np.abs(X[..., 0] - 0.5), 0.0), [(0, 1)], (32,),
@@ -230,7 +229,7 @@ class TestSolve:
 
     def test_cfl_guard(self):
         field = pde.CoefficientField(
-            "fast", 1, a=None, a_diag=lambda t, X: np.ones(X.shape[:-1] + (1,)),
+            "fast", 1, a_diag=lambda t, X: np.ones(X.shape[:-1] + (1,)),
             b2=lambda t, X: 100.0 * np.ones_like(X))
         u0 = pde.spatial_initial_condition(lambda X: np.zeros(X.shape[:-1]),
                                            [(0, 1)], (16,), "periodic")
@@ -250,21 +249,6 @@ class TestSolve:
         assert pde.SolverConfig(dt=1.0, T=float(mn.MAX_STEPS)).n_steps == mn.MAX_STEPS
         with pytest.raises(pde.SolverConfigError):
             pde.SolverConfig(dt=1.0, T=mn.MAX_STEPS + 1.0)
-
-    def test_anisotropic_constant_matrix_mode(self):
-        A = np.array([[1.0, 0.3], [0.3, 0.7]])
-        field = pde.CoefficientField(
-            "aniso", 2, a=lambda t, X: np.broadcast_to(A, X.shape[:-1] + (2, 2)).copy())
-        k = np.array([2 * np.pi, 2 * np.pi])
-        u0 = pde.spatial_initial_condition(lambda X: np.sin(X @ k), [(0, 1)] * 2,
-                                           (32, 32), "periodic")
-        dt = 1e-4
-        u = pde.solve(field, u0, pde.SolverConfig(dt=dt, T=0.01))
-        rate = float(k @ A @ k)
-        X = u.meshgrid()
-        exact = math.exp(-rate * 0.01) * np.sin(X @ k)
-        scale = np.abs(exact).max()
-        assert np.abs(u.values[-1] - exact).max() < 0.05 * scale
 
 
 class TestWeakResidual:
@@ -368,10 +352,10 @@ def test_tabulated_field_lookup():
     g = mn.from_callable(lambda t, X: 1.0 + X[..., 0] ** 2, (0, 1), 4, [(-1, 1)], (16,))
     field = pde.tabulated_diagonal_field([g])
     X = mn.cell_centers((-1.0,), (0.125,), (16,))
-    vals = field.a_diagonal(0.5, X)[..., 0]
+    vals = field.a_diag(0.5, X)[..., 0]
     assert vals == pytest.approx(1.0 + X[..., 0] ** 2, abs=1e-12)
     # outside the grid the lookup clamps to the edge cells, in time and space
-    outside = field.a_diagonal(5.0, np.array([[-1.5], [1.5]]))[..., 0]
+    outside = field.a_diag(5.0, np.array([[-1.5], [1.5]]))[..., 0]
     assert outside.tolist() == g.values[-1, [0, -1]].tolist()
 
 
@@ -431,7 +415,7 @@ def _bump(X):
 
 
 class TestLuOrdering:
-    """Diagonal fields factorize with a symmetric ordering; the march does not change."""
+    """Fields factorize with a symmetric ordering; the march does not change."""
 
     @pytest.mark.parametrize("case", ["example-6.2-periodic", "identity-zero-ext",
                                       "diagonal-power-3d"])
@@ -447,24 +431,89 @@ class TestLuOrdering:
             field = pde.diagonal_power_field(3, 0.5, R=1.0, n=4)
             u0 = pde.spatial_initial_condition(_bump, [(-1, 1)] * 3, (8, 9, 10),
                                                "zero-extension")
-        assert field.is_diagonal
         cfg = pde.SolverConfig(dt=0.01, T=0.2)
         ref = _plain_lu_march(field, u0, cfg)
         u = pde.solve(field, u0, cfg)
         assert np.abs(ref).max() > 0
         assert np.abs(u.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("boundary", ["periodic", "zero-extension"])
-    def test_full_matrix_field_is_bitwise_plain_lu(self, boundary):
-        A = np.array([[1.0, 0.3], [0.3, 0.7]])
-        field = pde.CoefficientField(
-            "aniso", 2, a=lambda t, X: np.broadcast_to(A, X.shape[:-1] + (2, 2)).copy(),
-            forcing=lambda t, X: _bump(X))
-        u0 = pde.spatial_initial_condition(_bump, [(-1, 1)] * 2, (18, 14), boundary)
-        cfg = pde.SolverConfig(dt=0.01, T=0.2)
-        assert not field.is_diagonal
-        assert np.array_equal(pde.solve(field, u0, cfg).values,
-                              _plain_lu_march(field, u0, cfg))
+
+def _weak_residual_einsum(u, field, test_bank):
+    """``weak_residual`` with the flux ``einsum`` over the full ``a_matrix`` sample."""
+    du = mn.spatial_gradient(u)
+    flux = np.einsum("t...ij,jt...->it...", u.sample(field.a_matrix), du)
+    bgrad = None
+    if field.b1 is not None or field.b2 is not None:
+        b_vals = u.sample(field.b_total)
+        bgrad = sum(b_vals[..., i] * du[i] for i in range(u.d))
+    f_vals = None if field.forcing is None else u.sample(field.forcing)
+    meas = u.dt * u.cell_volume
+    results = []
+    for phi in test_bank:
+        dphi_t = np.empty_like(phi.values)
+        mn._axis_gradient(phi.values, 0, u.dt, False, dphi_t)
+        u_t = np.multiply(u.values, dphi_t, out=dphi_t).sum() * meas
+        drift = force = 0.0
+        if bgrad is not None:
+            drift = np.multiply(bgrad, phi.values, out=dphi_t).sum() * meas
+        if f_vals is not None:
+            force = np.multiply(f_vals, phi.values, out=dphi_t).sum() * meas
+        dphi = mn.spatial_gradient(phi)
+        diffusion = np.multiply(flux, dphi, out=dphi).sum() * meas
+        results.append(abs(float(-u_t + diffusion - drift - force)))
+    return max(results)
+
+
+def _diagonal_case(case):
+    """A builtin field with a box and grid size that avoid its singular points."""
+    forcing = lambda t, X: np.cos(3 * t) * _bump(X)
+    return {
+        "identity-1": (pde.identity_field(1), (-1.0,), (0.2,), (10,)),
+        "identity-2": (pde.identity_field(2), (-1.0, -1.0), (0.2, 0.25), (10, 8)),
+        "identity-3": (pde.identity_field(3), (-1.0,) * 3, (0.3, 0.25, 0.35), (7, 8, 6)),
+        "diagonal-power": (pde.diagonal_power_field(2, 0.5, R=1.0, n=4),
+                           (-1.5, -1.5), (0.3, 0.25), (10, 12)),
+        "example-6.1": (pde.example_61_field(d=3, alpha=0.3, R=2.0),
+                        (-1.5,) * 3, (0.5,) * 3, (6,) * 3),
+        "example-6.2": (pde.example_62_field(alpha=0.2, R=1.0, n=4, forcing=forcing),
+                        (-2.0, -2.0), (0.4, 0.4), (10, 10)),
+        "rotation-drift": (pde.rotation_drift_field(pure=False, forcing=forcing),
+                           (-2.0, -2.0), (0.4, 0.4), (10, 10)),
+    }[case]
+
+
+class TestDiagonalOnly:
+    """The diagonal formulas equal the former full-matrix ones bit for bit."""
+
+    CASES = ["identity-1", "identity-2", "identity-3", "diagonal-power", "example-6.1",
+             "example-6.2", "rotation-drift"]
+
+    def test_matrix_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            pde.CoefficientField("full", 1, a=lambda t, X: np.ones(X.shape[:-1] + (1, 1)))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_ellipticity_matches_eigvalsh(self, case):
+        field, x0, dx, nx = _diagonal_case(case)
+        prof = pde.ellipticity_profiles(field, x0, dx, nx)
+        evals = np.linalg.eigvalsh(field.a_matrix(0.0, mn.cell_centers(x0, dx, nx)))
+        assert np.array_equal(prof.lam, evals[..., 0])
+        assert np.array_equal(prof.mu, np.maximum(0.0, evals[..., -1]))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_weak_residual_matches_einsum(self, case):
+        field, x0, dx, nx = _diagonal_case(case)
+        rng = np.random.default_rng(len(case))
+        shape = (9,) + nx
+        u = mn.GridFunction(0.0, 0.05, x0, dx, rng.standard_normal(shape))
+        core = (slice(2, -2),) * len(shape)
+        bank = []
+        for _ in range(2):
+            phi = np.zeros(shape)
+            phi[core] = rng.standard_normal(phi[core].shape)
+            bank.append(u.with_values(phi))
+        got = pde.weak_residual(u, field, bank)
+        assert got > 0 and got == _weak_residual_einsum(u, field, bank)
 
 
 def _report_grid(d):

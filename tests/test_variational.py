@@ -152,6 +152,25 @@ class TestOracle:
         assert r.value == pytest.approx(least, rel=1e-12)
         assert np.count_nonzero(np.diff(r.profile.values)) == 1
 
+    def test_one_component_closed_form(self):
+        # one component: F is minimized at x_k proportional to w_k^(-1/(alpha-1)),
+        # which at alpha near 1 leaves every drop but the last far below round-off of 1
+        alpha, p, knot_count = 1.016, 1.071, 33
+        prob = vr.problem_from_callables(0.0, 1.0, [alpha], [p], [1.0], [lambda s: 2.0 - s])
+        knots = np.linspace(0.0, 1.0, knot_count)
+        h = knots[1] - knots[0]
+        log_w = np.log(prob.f_at(0, 0.5 * (knots[:-1] + knots[1:])) ** p * h)
+
+        def log_sum_exp(v):
+            return v.max() + np.log(np.exp(v - v.max()).sum())
+
+        log_x = -log_w / (alpha - 1.0)
+        log_x -= log_sum_exp(log_x)
+        want = np.exp(log_sum_exp(log_w + alpha * (log_x - np.log(h))) / p)
+        r = vr.oracle_infimum(prob, knot_count)
+        assert r.value == pytest.approx(want, rel=1e-12)
+        assert r.converged and r.fw_gap <= vr.GAP_TOL * r.value
+
     def test_zero_density_component_is_finite(self):
         samples = np.stack([np.zeros(33), np.linspace(0.5, 2.0, 33)])
         prob = VariationalProblem(0.0, 0.5, [2.0, 1.5], [1.5, 1.2], [1.0, 1.0], samples)
