@@ -79,10 +79,14 @@ def _positive(lo=0.0, hi=math.inf, integer=False):
     return check
 
 
-def _nonnegative(name, v):
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not v >= 0:
-        raise ValidationError(f"parameter {name} must be a nonnegative number, got {v!r}")
-    return v
+def _nonnegative(hi=math.inf):
+    def check(name, v):
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v <= hi:
+            raise ValidationError(
+                f"parameter {name} must be a nonnegative number <= {hi}, got {v!r}")
+        return v
+
+    return check
 
 
 def _choice(*options):
@@ -386,15 +390,15 @@ EXPERIMENTS = {
     "degiorgi": (run_degiorgi, {
         "nx": (80, _positive(3, 512, integer=True)),
         "dt": (0.02, _positive(0, 1.0)),
-        "level": (0.0, _nonnegative),
+        "level": (0.0, _nonnegative()),
         "p4": (4.0, _positive(1.999)),
     }),
     "sde": (run_sde, {
         "family": ("brownian", _choice(*sde.SDE_FAMILIES)),
         "d": (2, _positive(0, 3, integer=True)),
-        "alpha": (0.0, _positive(-1e-12, 10)),
-        "beta": (0.0, _positive(-1e-12, 10)),
-        "lambda": (0.0, _positive(-1e-12, 100)),
+        "alpha": (0.0, _nonnegative(10)),
+        "beta": (0.0, _nonnegative(10)),
+        "lambda": (0.0, _nonnegative(100)),
         "R": (1.0, _positive(0.999)),
         "n": (1.0, _positive(0.999)),
         "n_paths": (2000, _positive(0, 10**6, integer=True)),

@@ -82,7 +82,8 @@ class CoefficientField:
 
     ``a_diag(t, X) -> (..., d)`` holds the diagonal entries ``a_kk >= 0`` of
     ``a``; there are no cross terms, so the solver's M-matrix
-    comparison/positivity structure holds for every field.  ``b1``/``b2`` map
+    comparison/positivity structure holds for every field, and the package
+    holds no ``(d, d)`` matrix form of ``a``.  ``b1``/``b2`` map
     ``(t, X) -> (..., d)``; ``forcing`` maps ``(t, X) -> (...)``.
     """
 
@@ -99,14 +100,6 @@ class CoefficientField:
             out += self.b1(t, X)
         if self.b2 is not None:
             out += self.b2(t, X)
-        return out
-
-    def a_matrix(self, t, X):
-        """``a`` as the ``(..., d, d)`` diagonal matrix built from ``a_diag``."""
-        diag = self.a_diag(t, X)
-        out = np.zeros(diag.shape + (self.d,))
-        for k in range(self.d):
-            out[..., k, k] = diag[..., k]
         return out
 
     def with_forcing(self, forcing) -> "CoefficientField":
@@ -257,7 +250,7 @@ def ellipticity_profiles(field: CoefficientField, x0, dx, nx) -> EllipticityProf
     """
     x0 = tuple(np.atleast_1d(x0).astype(float))
     dx = tuple(np.atleast_1d(dx).astype(float))
-    nx = tuple(int(n) for n in np.atleast_1d(nx))
+    nx = tuple(mn._count(n, 1, INF, CoefficientError) for n in np.atleast_1d(nx))
     X = mn.cell_centers(x0, dx, nx)
     evals = np.sort(field.a_diag(0.0, X), axis=-1)
     scale = np.abs(evals).max()

@@ -6,7 +6,8 @@ shift; the raw singular field is only simulated with an evaluation floor and is
 documented as a heuristic).  Each path owns an independent counter-based Philox stream keyed
 by ``(seed, path_index)``, so ensembles are bitwise reproducible and the first
 k paths of a run coincide with a k-path run at the same seed; one generator is
-re-keyed per path, so no OS entropy is read per path.  Statistics are
+re-keyed per path, so no OS entropy is read per path.  The ensemble is
+drawn and stepped in one pass, its draws held in the path array.  Statistics are
 fixed-order numpy reductions over blocks of about ``mn.BLOCK_BYTES`` of live
 paths, so they need O(block) extra memory, not copies of the path array.
 """
@@ -44,7 +45,6 @@ __all__ = [
 ]
 
 RAW_FIELD_FLOOR = 1e-12
-CHUNK_PATHS = 20000  # paths stepped together by euler_maruyama
 SCHEME_TAG = "euler-maruyama"  # the only scheme; recorded in every export header
 
 
@@ -213,9 +213,9 @@ def euler_maruyama(
 
     Deterministic given the seed; a path that leaves the finite range is
     frozen at its last finite state and excluded from statistics (the count is
-    carried on the ensemble).  Paths are stepped in chunks of ``CHUNK_PATHS``;
-    each chunk's normal draws are written into the path array itself and
-    overwritten step by step, so no second path-sized array is held.
+    carried on the ensemble).  One pass: every path's normal draws are written
+    into the path array itself, then the whole ensemble is stepped together and
+    each step overwrites its draws, so no second path-sized array is held.
     """
     if not 0 < dt <= 1e-2 + 1e-15:
         raise SdeParameterError("dt must be positive and <= 1e-2")
@@ -227,25 +227,21 @@ def euler_maruyama(
     frozen = np.zeros(n_paths, dtype=bool)
     sqrt2dt = math.sqrt(2.0 * dt)
 
-    for lo in range(0, n_paths, CHUNK_PATHS):
-        hi = min(lo + CHUNK_PATHS, n_paths)
-        # the draws go where the path will be: step k reads slot k + 1, then writes X there
-        _path_noise(seed, lo, paths[lo:hi, 1:])
-        X = np.tile(x0, (hi - lo, 1))
-        paths[lo:hi, 0] = X
-        fz = np.zeros(hi - lo, dtype=bool)
-        for k in range(n_steps):
-            t = s + k * dt
-            step = sqrt2dt * (coeffs.sigma_diag(t, X) * paths[lo:hi, k + 1])
-            if coeffs.b is not None:
-                step = step + dt * coeffs.b(t, X)
-            Xn = X + step
-            fz |= ~np.isfinite(Xn).all(axis=1)
-            if fz.any():
-                Xn[fz] = X[fz]
-            X = Xn
-            paths[lo:hi, k + 1] = X
-        frozen[lo:hi] = fz
+    # the draws go where the path will be: step k reads slot k + 1, then writes X there
+    _path_noise(seed, 0, paths[:, 1:])
+    X = np.tile(x0, (n_paths, 1))
+    paths[:, 0] = X
+    for k in range(n_steps):
+        t = s + k * dt
+        step = sqrt2dt * (coeffs.sigma_diag(t, X) * paths[:, k + 1])
+        if coeffs.b is not None:
+            step = step + dt * coeffs.b(t, X)
+        Xn = X + step
+        frozen |= ~np.isfinite(Xn).all(axis=1)
+        if frozen.any():
+            Xn[frozen] = X[frozen]
+        X = Xn
+        paths[:, k + 1] = X
     return PathEnsemble(paths, s, dt, seed, coeffs.family_tag, dict(coeffs.params), frozen)
 
 

@@ -356,6 +356,8 @@ def sa3_exponent(alphas, ps, betas) -> float:
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    if not len(alphas) == len(ps) == len(betas) > 0:
+        raise FeasibilityError("sa3_exponent needs one alpha, p and beta per component")
     return float(((alphas - 1) / ps).max() + 1.0 / betas.min())
 
 

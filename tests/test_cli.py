@@ -150,6 +150,18 @@ class TestConfigValidation:
         assert not (out / "report.json").exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "lambda"])
+    def test_sde_small_negative_parameter_is_validation(self, tmp_path, capsys, name):
+        # the sde schema admits [0, hi] for these, so -1e-13 exits 2 at load time
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "sde", "parameters": {name: -1e-13}}))
+        out = tmp_path / "o"
+        assert cli.main(["sde", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "validation" and "nonnegative" in err["message"]
+        assert not (out / "report.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("level,want", [(0.0, 0.0), (-0.0, 0.0), (0.5, 0.5), ("inf", INF)])
     def test_degiorgi_schema_admits_nonnegative_levels(self, tmp_path, level, want):
         cfg = tmp_path / "c.json"

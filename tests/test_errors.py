@@ -285,6 +285,14 @@ BAD_COUNTS = {
                                    0.01, True, 1), sde.SdeParameterError),
     "sliced_w1-empty": (lambda: sde.sliced_wasserstein1(np.empty((0, 2)), np.empty((0, 2))),
                         sde.SdeParameterError),
+    "ellipticity-nx-0": (lambda: pde.ellipticity_profiles(pde.identity_field(1), (0,), (0.5,),
+                                                          (0,)), pde.CoefficientError),
+    "ellipticity-nx-fraction": (lambda: pde.ellipticity_profiles(
+        pde.identity_field(1), (0,), (0.5,), (2.5,)), pde.CoefficientError),
+    "ellipticity-nx-bool": (lambda: pde.ellipticity_profiles(
+        pde.identity_field(1), (0,), (0.5,), (True,)), pde.CoefficientError),
+    "sa3_exponent-empty": (lambda: vr.sa3_exponent([], [], []), vr.FeasibilityError),
+    "sa3_exponent-lengths": (lambda: vr.sa3_exponent([2.0], [], [1.0]), vr.FeasibilityError),
 }
 
 

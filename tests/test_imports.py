@@ -165,11 +165,11 @@ def name_uses(source, name):
 
 
 def test_one_factorization_and_one_diffusion_representation():
-    # the solver factorizes at one site and reads the diffusion through a_diag
-    # only; the diagonal matrix a_matrix is left to the acceptance checks
+    # the solver factorizes at one site, and the package reads the diffusion
+    # through a_diag only: no module builds or reads a matrix form a_matrix
     sources = {p.stem: p.read_text() for p in MODULES}
     assert sum(len(name_uses(s, "splu")) for s in sources.values()) == 1
-    assert [stem for stem, s in sources.items() if name_uses(s, "a_matrix")] == ["acceptance"]
+    assert [stem for stem, s in sources.items() if name_uses(s, "a_matrix")] == []
 
 
 def test_name_use_detector_sees_calls_and_references():

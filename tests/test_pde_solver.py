@@ -12,6 +12,8 @@ from parabolab import pde_solver as pde
 from parabolab.embeddings import B1_MUST_VANISH, ExponentConfig
 from parabolab.mixed_norms import INF
 
+from conftest import a_matrix
+
 
 def heat_solution_run(nx, T_target=0.2, dt_scale=0.4, boundary="zero-extension"):
     """Separation-of-variables fixture: u = exp(-pi^2 t) sin(pi x) on [0, 1]."""
@@ -441,7 +443,7 @@ class TestLuOrdering:
 def _weak_residual_einsum(u, field, test_bank):
     """``weak_residual`` with the flux ``einsum`` over the full ``a_matrix`` sample."""
     du = mn.spatial_gradient(u)
-    flux = np.einsum("t...ij,jt...->it...", u.sample(field.a_matrix), du)
+    flux = np.einsum("t...ij,jt...->it...", u.sample(lambda t, X: a_matrix(field, t, X)), du)
     bgrad = None
     if field.b1 is not None or field.b2 is not None:
         b_vals = u.sample(field.b_total)
@@ -496,7 +498,7 @@ class TestDiagonalOnly:
     def test_ellipticity_matches_eigvalsh(self, case):
         field, x0, dx, nx = _diagonal_case(case)
         prof = pde.ellipticity_profiles(field, x0, dx, nx)
-        evals = np.linalg.eigvalsh(field.a_matrix(0.0, mn.cell_centers(x0, dx, nx)))
+        evals = np.linalg.eigvalsh(a_matrix(field, 0.0, mn.cell_centers(x0, dx, nx)))
         assert np.array_equal(prof.lam, evals[..., 0])
         assert np.array_equal(prof.mu, np.maximum(0.0, evals[..., -1]))
 

@@ -14,6 +14,8 @@ from parabolab import pde_solver as pde
 from parabolab import sde_mc as sde
 from parabolab.mixed_norms import INF
 
+from conftest import a_matrix
+
 
 class TestCutoffFamily:
     @pytest.mark.parametrize("R", [1.0, 2.0, 3.0, 5.0])
@@ -108,7 +110,7 @@ class TestSigmaIsTheSolverField:
     def _check(sigma, half, full, X):
         s = sigma(0.0, X)
         assert np.array_equal(s, half.a_diag(0.0, X))
-        assert np.allclose(s[..., :, None] ** 2 * np.eye(X.shape[-1]), full.a_matrix(0.0, X),
+        assert np.allclose(s[..., :, None] ** 2 * np.eye(X.shape[-1]), a_matrix(full, 0.0, X),
                            rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -204,13 +206,13 @@ class TestEulerMaruyama:
         small = sde.euler_maruyama(c, [0.0, 0.0], 0.0, 0.3, 0.01, 11, 7)
         assert np.array_equal(small.paths, big.paths[:11])
 
-    def test_chunking_invariant(self, monkeypatch):
+    def test_chunking_invariant(self):
+        # the one-pass ensemble equals one stepped in chunks of 7 paths
         c = sde.build_coefficients("brownian", d=1)
-        monkeypatch.setattr(sde, "CHUNK_PATHS", 7)
         a = sde.euler_maruyama(c, [0.0], 0.0, 0.2, 0.01, 100, 3)
-        monkeypatch.setattr(sde, "CHUNK_PATHS", 100)
-        b = sde.euler_maruyama(c, [0.0], 0.0, 0.2, 0.01, 100, 3)
-        assert np.array_equal(a.paths, b.paths)
+        paths, frozen = _separate_noise_em(c, [0.0], 0.0, 0.2, 0.01, 100, 3, chunk=7)
+        assert np.array_equal(a.paths, paths)
+        assert np.array_equal(a.frozen, frozen)
 
     def test_initial_condition_exact(self):
         c = sde.build_coefficients("brownian", d=3)
@@ -522,9 +524,8 @@ class TestInPlaceStepping:
         assert np.array_equal(ens.paths, paths)
         assert np.array_equal(ens.frozen, frozen)
 
-    def test_uneven_chunks(self, monkeypatch):
+    def test_uneven_chunks(self):
         c = sde.build_coefficients("prop-6.1", d=3, alpha=0.3, beta=0.2, lam=1.0, n=4)
-        monkeypatch.setattr(sde, "CHUNK_PATHS", 16)
         ens = sde.euler_maruyama(c, [0.2, -0.1, 0.4], 0.0, 0.2, 0.01, 61, 17)
         paths, frozen = _separate_noise_em(c, [0.2, -0.1, 0.4], 0.0, 0.2, 0.01, 61, 17,
                                            chunk=16)
