@@ -500,6 +500,12 @@ def _block_rows(row_size: int) -> int:
     return max(1, BLOCK_BYTES // (row_size * 8))
 
 
+def _blocks(n: int, row_size: int):
+    """Consecutive slices of ``range(n)``, ``_block_rows(row_size)`` rows each (the last fewer)."""
+    step = _block_rows(row_size)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
                        cellvol: float, st_x: Sequence[int], kernel_hats: dict | None = None
                        ) -> np.ndarray:
@@ -541,14 +547,13 @@ def _space_ball_reduce(arr: np.ndarray, p: float, kernel: np.ndarray, o_mins,
     if axes and key not in hats:
         hats[key] = fft.rfftn(rev, fshape, axes=axes)
     out = np.empty((len(arr),) + tuple(len(range(0, n, s)) for n, s in zip(arr.shape[1:], st_x)))
-    step = _block_rows(arr[0].size)
-    for lo in range(0, len(arr), step):
-        block = np.abs(arr[lo:lo + step]) ** p
+    for rows in _blocks(len(arr), arr[0].size):
+        block = np.abs(arr[rows]) ** p
         if axes:
             conv = fft.irfftn(fft.rfftn(block, fshape, axes=axes) * hats[key], fshape, axes=axes)
         else:
             conv = block * rev
-        out[lo:lo + step] = np.maximum(conv[full][tuple(sub)], 0.0) * cellvol
+        out[rows] = np.maximum(conv[full][tuple(sub)], 0.0) * cellvol
     return out
 
 
@@ -688,7 +693,7 @@ def localized_spatial_norm(values: np.ndarray, dx: Sequence[float], p: float) ->
     st_x = [max(1, int(round(0.25 / h))) for h in dx]
     a = np.abs(values)[None]
     if math.isinf(p):
-        R = _space_ball_reduce(np.where(np.isfinite(a), a, np.inf), INF, kernel, o_mins, 1.0, st_x)
+        R = _space_ball_reduce(a, INF, kernel, o_mins, 1.0, st_x)
     else:
         finite = np.where(np.isfinite(a), a, 0.0)
         R = _space_ball_reduce(finite, p, kernel, o_mins, float(np.prod(dx)), st_x) ** (1.0 / p)
@@ -711,13 +716,11 @@ def _sampled_localized_norm(f: GridFunction, fn: Callable, spec: MixedNormSpec,
     ``localized_norm(f.with_values(f.sample(fn)), spec, lattice_step)`` bit for bit.
     """
     ts, X = f.t_centers(), f.meshgrid()
-    step = _block_rows(f.values[0].size)
-    buf = np.empty((step,) + f.nx)
+    buf = np.empty((_block_rows(f.values[0].size),) + f.nx)
 
     def blocks():
-        for lo in range(0, f.nt, step):
-            rows = ts[lo:lo + step]
-            block = _sample_rows(fn, rows, X, buf[:len(rows)])
+        for rows in _blocks(f.nt, f.values[0].size):
+            block = _sample_rows(fn, ts[rows], X, buf[:rows.stop - rows.start])
             _require_finite(block)
             yield block
 
@@ -774,9 +777,8 @@ def v_norm(u: GridFunction, kappa: float, lattice_step: float = 0.25) -> float:
     part1 = localized_norm(u, MixedNormSpec(2.0, INF, "time-outer"), lattice_step)
 
     def gradient_blocks():
-        step = _block_rows(u.values[0].size)
-        for lo in range(0, u.nt, step):
-            g = _gradient_norm(u.values[lo:lo + step], u.dx, u.boundary == "periodic")
+        for rows in _blocks(u.nt, u.values[0].size):
+            g = _gradient_norm(u.values[rows], u.dx, u.boundary == "periodic")
             _require_finite(g)
             yield g
 

@@ -613,8 +613,8 @@ def max_principle_report(u: GridFunction, field: CoefficientField, cfg: Exponent
     """
     lo, hi = mn._time_rows(u, 0.0, T)
     uT = u if hi - lo == u.nt else mn.restrict_time(u, 0.0, T)
-    step = mn._block_rows(uT.values[0].size)
-    u_inf = max(float(np.abs(uT.values[i:i + step]).max()) for i in range(0, uT.nt, step))
+    u_inf = max(float(np.abs(uT.values[rows]).max())
+                for rows in mn._blocks(uT.nt, uT.values[0].size))
     vn = mn.v_norm(uT, cfg.kappa, lattice_step)
     if field.forcing is None:
         return MaxPrincipleReport(u_inf, vn, 0.0, None)

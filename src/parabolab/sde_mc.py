@@ -8,8 +8,9 @@ by ``(seed, path_index)``, so ensembles are bitwise reproducible and the first
 k paths of a run coincide with a k-path run at the same seed; one generator is
 re-keyed per path, so no OS entropy is read per path.  The ensemble is
 drawn and stepped in one pass, its draws held in the path array.  Statistics are
-fixed-order numpy reductions over blocks of about ``mn.BLOCK_BYTES`` of live
-paths, so they need O(block) extra memory, not copies of the path array.
+fixed-order numpy reductions of each path on its own row, over contiguous views
+of about ``mn.BLOCK_BYTES`` of paths, so they need O(block) extra memory, not
+copies of the path array; frozen paths are reduced too and dropped afterwards.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def euler_maruyama(
     _path_noise(seed, 0, paths[:, 1:])
     X = np.tile(x0, (n_paths, 1))
     paths[:, 0] = X
-    for k in range(n_steps):
+    for k in range(n_steps if n_paths else 0):  # an empty ensemble takes no steps
         t = s + k * dt
         step = sqrt2dt * (coeffs.sigma_diag(t, X) * paths[:, k + 1])
         if coeffs.b is not None:
@@ -250,43 +251,37 @@ def euler_maruyama(
 # ---------------------------------------------------------------------------
 
 
-def _block_scratch(ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two ``(rows, n_steps + 1, d)`` path buffers and a ``(rows, n_steps + 1)`` sum buffer.
+def _row_blocks(ens: PathEnsemble):
+    """Slices of consecutive paths, about ``mn.BLOCK_BYTES`` each; ``ens.paths[rows]`` is a view."""
+    return mn._blocks(ens.n_paths, (ens.n_steps + 1) * ens.d)
 
-    ``rows`` paths fill about ``mn.BLOCK_BYTES``.  A block that size is above
-    the allocator's mmap threshold, so a fresh temporary per lag or block
-    would be a fresh mapping faulted in page by page; the statistics fill
-    these through ``out=`` instead.
+
+def _block_scratch(ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """A ``(rows, n_steps + 1, d)`` path buffer and a ``(rows, n_steps + 1)`` sum buffer.
+
+    ``rows`` is the block length of :func:`_row_blocks`.  A block that size
+    is above the allocator's mmap threshold, so a fresh temporary per lag or
+    block would be a fresh mapping faulted in page by page; the statistics
+    fill these through ``out=`` instead.
     """
-    shape = (min(mn._block_rows(ens.paths[0].size), ens.n_paths), ens.n_steps + 1, ens.d)
-    return np.empty(shape), np.empty(shape), np.empty(shape[:2])
+    rows = min(mn._block_rows((ens.n_steps + 1) * ens.d), ens.n_paths)
+    return np.empty((rows, ens.n_steps + 1, ens.d)), np.empty((rows, ens.n_steps + 1))
 
 
-def _live_paths(ens: PathEnsemble, alive: np.ndarray, buf: np.ndarray):
-    """The paths ``alive`` selects, in order, in blocks of at most ``len(buf)`` paths.
-
-    A block of consecutive paths is a view of ``ens.paths``; any other is
-    gathered into ``buf`` by one ``np.take`` (``mode="clip"`` keeps numpy from
-    buffering ``out``; the rows are valid indices by construction).  A
-    statistic over no live path is an error.
-    """
-    rows = np.flatnonzero(alive)
-    if rows.size == 0:
+def _live(alive: np.ndarray) -> np.ndarray:
+    """The mask ``alive`` of the paths a statistic keeps; a statistic over none is an error."""
+    if not alive.any():
         raise SdeParameterError("no live paths left in the ensemble")
-    for lo in range(0, rows.size, len(buf)):
-        r = rows[lo:lo + len(buf)]
-        if r[-1] - r[0] == r.size - 1:
-            yield ens.paths[r[0]:r[-1] + 1]
-        else:
-            yield np.take(ens.paths, r, axis=0, out=buf[:r.size], mode="clip")
+    return alive
 
 
 def _sup_sq_norm(P: np.ndarray, sq: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """Per path, ``max_t |P_t|^2``, through the scratch buffers ``sq`` and ``sums``.
 
-    ``P`` is squared into the first ``len(P)`` rows of ``sq`` (``P`` itself may
-    serve) and summed over the last axis into those of ``sums``; the square
-    root commutes with the max bitwise.
+    ``P`` is a block of whole paths, frozen or not, each reduced on its own row:
+    squared into the first ``len(P)`` rows of ``sq`` (``P`` itself may serve),
+    summed over the last axis into those of ``sums``; the square root commutes
+    with the max bitwise.
     """
     sq, sums = sq[:len(P)], sums[:len(P)]
     np.square(P, out=sq)
@@ -294,16 +289,20 @@ def _sup_sq_norm(P: np.ndarray, sq: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return sums.max(axis=1)
 
 
-def _finite_squares(blocks, axis: int = 0) -> np.ndarray:
-    """The per-block squared norms that ``blocks`` yields, joined along ``axis``.
+def _finite_squares(blocks, alive: np.ndarray) -> np.ndarray:
+    """The squared norms of the paths ``alive`` selects, from blocks over every path.
 
-    ``blocks`` is consumed with overflow and invalid-value warnings off, and a
-    square that is not finite raises :class:`SdeParameterError`: a live path
-    with a coordinate or increment above about 1.3e154 (or a non-finite one
-    in a loaded ensemble) would otherwise turn the statistic into inf or NaN.
+    ``blocks`` yields per-path values in path order, paths on the last axis;
+    they are joined and the frozen paths dropped afterwards, as in
+    :func:`krylov_functional`.  Frozen paths may hold anything, so ``blocks``
+    is consumed with overflow and invalid-value warnings off; a live square
+    that is not finite raises :class:`SdeParameterError`: a coordinate or
+    increment above about 1.3e154 (or a non-finite one in a loaded ensemble)
+    would otherwise turn the statistic into inf or NaN.
     """
+    _live(alive)
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.concatenate(list(blocks), axis=axis)
+        sq = np.concatenate(list(blocks), axis=-1)[..., alive]
     if not np.isfinite(sq).all():
         raise SdeParameterError("a live path's squared norm is not finite: a coordinate or "
                                 "increment is above about 1.3e154, past the float range "
@@ -326,9 +325,7 @@ def krylov_functional(ens: PathEnsemble, f: GridFunction, t0: float, t1: float
     over the non-frozen paths.
     """
     times = ens.times()
-    alive = ens.alive()
-    if not alive.any():
-        raise SdeParameterError("no live paths left in the ensemble")
+    alive = _live(ens.alive())
     k_idx = np.nonzero((times >= t0 - 1e-12) & (times < t1 - 1e-12))[0]
     if k_idx.size == 0:
         raise SdeParameterError("[t0, t1] does not meet the ensemble time grid")
@@ -417,14 +414,13 @@ def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
         raise SdeParameterError(f"delta={deltas.max()} does not fit in the horizon "
                                 f"of {ens.n_steps} steps")
     order = sorted(set(lags))
-    gathered, diff, sums = _block_scratch(ens)
-    live = _live_paths(ens, ens.alive(), gathered)
+    diff, sums = _block_scratch(ens)
     if ens.d == 1:
         hi, lo = np.empty((2, 2) + sums.shape)
-        blocks = (_range_best(P[..., 0], order, hi, lo) for P in live)
+        blocks = (_range_best(ens.paths[rows, :, 0], order, hi, lo) for rows in _row_blocks(ens))
     else:
-        blocks = (_lag_best(P, order, diff, sums) for P in live)
-    roots = np.sqrt(np.sqrt(_finite_squares(blocks, axis=1)))
+        blocks = (_lag_best(ens.paths[rows], order, diff, sums) for rows in _row_blocks(ens))
+    roots = np.sqrt(np.sqrt(_finite_squares(blocks, ens.alive())))
     moments, errs = np.array([_mean_stderr(roots[order.index(m)]) for m in lags]).T
     slope, intercept = np.polyfit(np.log(deltas), np.log(moments), 1)
     return ModulusReport(deltas, moments, errs, float(slope), float(intercept))
@@ -432,8 +428,9 @@ def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
 
 def sup_moment(ens: PathEnsemble) -> tuple[float, float]:
     """(mean, stderr) of ``sup_t |X_t|`` over the non-frozen paths."""
-    sq, _, sums = _block_scratch(ens)
-    sup_sq = _finite_squares(_sup_sq_norm(P, sq, sums) for P in _live_paths(ens, ens.alive(), sq))
+    sq, sums = _block_scratch(ens)
+    sup_sq = _finite_squares((_sup_sq_norm(ens.paths[rows], sq, sums) for rows in _row_blocks(ens)),
+                             ens.alive())
     return _mean_stderr(np.sqrt(sup_sq))
 
 
@@ -548,16 +545,15 @@ def uniqueness_perturbation_report(
     coeffs = build_coefficients(family_tag, **family_params)
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (coeffs.d,))
     base = euler_maruyama(coeffs, x0, 0.0, T, dt, n_paths, seed)
-    diff, other, sums = _block_scratch(base)
+    diff, sums = _block_scratch(base)
     rows = []
     for eps in eps_list:
         shifted = x0.copy()
         shifted[0] += eps
         pert = euler_maruyama(coeffs, shifted, 0.0, T, dt, n_paths, seed)
-        alive = base.alive() & pert.alive()
-        sq = _finite_squares(
-            _sup_sq_norm(np.subtract(B, Q, out=diff[:len(B)]), diff, sums)
-            for B, Q in zip(_live_paths(base, alive, diff), _live_paths(pert, alive, other)))
+        pairs = ((base.paths[r], pert.paths[r]) for r in _row_blocks(base))
+        sq = _finite_squares((_sup_sq_norm(np.subtract(B, Q, out=diff[:len(B)]), diff, sums)
+                              for B, Q in pairs), base.alive() & pert.alive())
         divergence, stderr = _mean_stderr(np.sqrt(sq))
         rows.append({"eps": eps, "divergence": divergence, "stderr": stderr})
     eps_arr = [r["eps"] for r in rows]

@@ -183,6 +183,39 @@ def test_name_use_detector_sees_calls_and_references():
     assert name_uses(source, "a_matrix") == [5, 6]
 
 
+def block_row_walkers(source):
+    """Names of the functions that read ``_block_rows`` or ``BLOCK_BYTES`` and call ``range``."""
+    walkers = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            body = ast.unparse(node)
+            if (name_uses(body, "_block_rows") or name_uses(body, "BLOCK_BYTES")) \
+                    and name_uses(body, "range"):
+                walkers.append(node.name)
+    return sorted(walkers)
+
+
+def test_one_block_walker():
+    # mixed_norms._blocks turns BLOCK_BYTES into row ranges; every other reader
+    # of _block_rows only sizes a buffer with it
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert {stem: block_row_walkers(s) for stem, s in sources.items()
+            if block_row_walkers(s)} == {"mixed_norms": ["_blocks"]}
+    assert [stem for stem, s in sources.items() if name_uses(s, "BLOCK_BYTES")] == ["mixed_norms"]
+
+
+def test_block_walker_detector_sees_row_ranges():
+    source = ("def _blocks(n, row_size):\n"
+              "    step = _block_rows(row_size)\n"
+              "    return (slice(lo, lo + step) for lo in range(0, n, step))\n"
+              "def scratch(n):\n"
+              "    return np.empty((mn._block_rows(n), n))\n"
+              "def walk(u):\n"
+              "    for lo in range(0, len(u), mn.BLOCK_BYTES // 8):\n"
+              "        yield u[lo]\n")
+    assert block_row_walkers(source) == ["_blocks", "walk"]
+
+
 def _scipy_after(statement):
     """The scipy modules a fresh interpreter holds after it runs ``statement``."""
     code = (f"import sys; sys.path.insert(0, {SRC!r})\n{statement}\n"

@@ -257,6 +257,22 @@ class TestEulerMaruyama:
         with pytest.raises(sde.SdeParameterError):
             sde.euler_maruyama(c, [0.0], 0.0, (mn.MAX_STEPS + 1) * 0.01, 0.01, 0, 1)
 
+    def test_empty_ensemble_takes_no_steps(self):
+        calls = {"sigma_diag": 0, "b": 0}
+
+        def counting(name, value):
+            def coefficient(t, X):
+                calls[name] += 1
+                return np.full(X.shape, value)
+            return coefficient
+
+        c = sde.SdeCoefficients(2, "custom", {}, counting("sigma_diag", 1.0), counting("b", 0.5))
+        ens = sde.euler_maruyama(c, [0.0, 1.0], 0.0, 1.0, 0.01, 0, 1)
+        assert ens.paths.shape == (0, 101, 2) and ens.n_steps == 100
+        assert calls == {"sigma_diag": 0, "b": 0}
+        sde.euler_maruyama(c, [0.0, 1.0], 0.0, 1.0, 0.01, 1, 1)
+        assert calls == {"sigma_diag": 100, "b": 100}
+
 
 class TestKrylov:
     @pytest.fixture(scope="class")
@@ -480,6 +496,53 @@ class TestBlockedStatistics:
             assert np.array_equal(noise[i], gen.standard_normal((30, 3)))
 
 
+# frozen rows: the first path, a run in the middle and the last; "mixed" gives each row
+# its own bad value, from t = 0.3 on
+FROZEN_ROWS = [0, 5, 6, 7, 39]
+BAD_FILLS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "past-square-range": 1e200,
+             "mixed": np.array([math.nan, math.inf, -math.inf, 1e200, -1e300])}
+
+
+class TestNonFiniteFrozenRows:
+    """Whatever a frozen path holds, the statistics equal those of the live paths alone."""
+
+    @pytest.fixture(params=[mn.BLOCK_BYTES, 64], ids=["default", "row"])
+    def block_bytes(self, request, monkeypatch):
+        monkeypatch.setattr(mn, "BLOCK_BYTES", request.param)
+
+    @staticmethod
+    def _ensembles(d, fill, tmp_path, exported):
+        ens = sde.euler_maruyama(sde.build_coefficients("brownian", d=d), np.zeros(d), 0.0, 0.64,
+                                 0.01, 40, 9)
+        live = sde.PathEnsemble(np.delete(ens.paths, FROZEN_ROWS, axis=0), ens.t0, ens.dt,
+                                ens.seed, ens.family_tag, ens.params, np.zeros(35, dtype=bool))
+        if isinstance(fill, np.ndarray):
+            ens.paths[FROZEN_ROWS, 30:] = fill[:, None, None]
+        else:
+            ens.paths[FROZEN_ROWS] = fill
+        ens.frozen[FROZEN_ROWS] = True
+        if exported:
+            sde.export_ensemble(ens, tmp_path / "ens")
+            ens = sde.load_ensemble(tmp_path / "ens")
+        return ens, live
+
+    @pytest.mark.parametrize("exported", [False, True], ids=["direct", "exported"])
+    @pytest.mark.parametrize("fill", BAD_FILLS.values(), ids=BAD_FILLS.keys())
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_statistics_equal_the_live_paths_alone(self, block_bytes, d, fill, exported,
+                                                   tmp_path):
+        ens, live = self._ensembles(d, fill, tmp_path, exported)
+        assert ens.n_frozen == len(FROZEN_ROWS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sup, rep = sde.sup_moment(ens), sde.modulus_report(ens, LAGS)
+        assert sup == sde.sup_moment(live)
+        want = sde.modulus_report(live, LAGS)
+        assert np.array_equal(rep.moments, want.moments)
+        assert np.array_equal(rep.stderrs, want.stderrs)
+        assert (rep.slope, rep.intercept) == (want.slope, want.intercept)
+
+
 def _separate_noise_em(coeffs, x0, s, T, dt, n_paths, seed, chunk=20000):
     """Euler-Maruyama with each chunk's noise drawn into its own array first."""
     n_steps, d = int(round((T - s) / dt)), coeffs.d
@@ -540,6 +603,11 @@ def _all_frozen():
     return ens
 
 
+def _no_paths(d):
+    return sde.euler_maruyama(sde.build_coefficients("brownian", d=d), np.zeros(d), 0.0, 0.64,
+                              0.01, 0, 1)
+
+
 def _ball():
     return mn.from_callable(lambda t, X: np.ones(X.shape[:-1]), (0, 1), 10, [(-1, 1)], (4,))
 
@@ -572,13 +640,17 @@ class TestDegenerateStatistics:
         lambda ens: sde.modulus_report(_all_frozen(), LAGS),
         lambda ens: sde.krylov_functional(_all_frozen(), _ball(), 0.0, 0.5),
         lambda ens: sde.sup_moment(_all_frozen()),
+        lambda ens: sde.sup_moment(_no_paths(2)),
+        lambda ens: sde.modulus_report(_no_paths(1), LAGS),
+        lambda ens: sde.modulus_report(_no_paths(2), LAGS),
         lambda ens: sde.modulus_report(ens, LAGS[:-1].tolist() + [0.65]),
         lambda ens: sde.modulus_report(ens, [0.01, math.nan, 0.32]),
         lambda ens: sde.sup_moment(_past_square_range(2)),
         lambda ens: sde.modulus_report(_past_square_range(1), LAGS),
         lambda ens: sde.modulus_report(_past_square_range(2), LAGS),
         lambda ens: _uniqueness_past_square_range(),
-    ], ids=["modulus-all-frozen", "krylov-all-frozen", "sup-all-frozen",
+    ], ids=["modulus-all-frozen", "krylov-all-frozen", "sup-all-frozen", "sup-no-paths",
+            "modulus-d1-no-paths", "modulus-d2-no-paths",
             "lag-past-horizon", "modulus-delta-nan", "sup-past-square-range",
             "modulus-d1-past-square-range", "modulus-d2-past-square-range",
             "uniqueness-past-square-range"])
