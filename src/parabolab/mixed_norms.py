@@ -294,15 +294,18 @@ def _cell_index(f: GridFunction, t: float, X: np.ndarray) -> tuple[tuple, np.nda
     """Index into ``f.values`` of the cell holding ``(t, x)`` per ``x`` in ``X``; the inside mask.
 
     ``X`` has shape ``(..., d)``; per axis, time first, the index is
-    ``floor((x - x0) / dx)`` clipped into the grid, and the mask is true where
-    no axis needed the clip.
+    ``floor((x - x0) / dx)`` clamped into the grid while still a float, then
+    cast, and the mask is true where no axis needed the clamp.  Every input
+    has a cell: +inf and a quotient past the float range go to the last cell,
+    -inf to the first, NaN to an edge, and all of these lie outside the mask.
     """
-    it = math.floor((t - f.t0) / f.dt)
-    idx, inside = [min(max(it, 0), f.nt - 1)], np.full(X.shape[:-1], 0 <= it < f.nt)
-    for k in range(f.d):
-        ik = np.floor((X[..., k] - f.x0[k]) / f.dx[k]).astype(int)
-        inside &= (ik >= 0) & (ik < f.nx[k])
-        idx.append(np.clip(ik, 0, f.nx[k] - 1))
+    idx, inside = [], np.ones(X.shape[:-1], dtype=bool)
+    axes = zip([t, *np.moveaxis(X, -1, 0)], (f.t0, *f.x0), (f.dt, *f.dx), (f.nt, *f.nx))
+    with np.errstate(over="ignore"):
+        for c, lo, h, n in axes:
+            q = np.floor((c - lo) / h)
+            inside &= (q >= 0) & (q < n)  # false for NaN
+            idx.append(np.fmax(np.fmin(q, n - 1), 0).astype(int))
     return tuple(idx), inside
 
 
@@ -622,11 +625,9 @@ def _window_norms(f: GridFunction, blocks: Iterable[np.ndarray], spec: MixedNorm
         for a in parts:
             if run is not None:
                 a[0] += run
-            for i in range(1, len(a)):
-                a[i] += a[i - 1]
-            for k in range(start + 1, start + len(a) + 1):
-                if k in edges:  # the sum of the first k rows
-                    prefix[k] = a[k - start - 1].copy()
+            np.cumsum(a, axis=0, out=a)
+            for k in edges.intersection(range(start + 1, start + len(a) + 1)):
+                prefix[k] = a[k - start - 1].copy()  # the sum of the first k rows
             start, run = start + len(a), a[-1]
         prefix[0] = np.zeros(run.shape)
         out = np.empty((len(rows),) + run.shape)

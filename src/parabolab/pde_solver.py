@@ -383,39 +383,36 @@ def _assemble_diffusion(field: CoefficientField, t: float, x0, dx, nx, nbrs):
     """Sparse conservative discretization of ``div(a grad .)`` (no dt factor).
 
     ``nbrs[k][s]`` is the ``_neighbor`` map one step ``s`` (+1 or -1) along axis k.
+    Each face has conductance g = mean of a_kk over its two cells / dx_k^2; ``a``
+    is read once on ``mn.cell_centers``, plus, past each zero wall, on the
+    one-cell ghost layer that ``mn.cell_centers`` builds in the wall cells' order.
     """
     from scipy import sparse
 
-    d = len(nx)
     N = int(np.prod(nx))
     idx = np.arange(N)
     rows, cols, data = [], [], []
     diag = np.zeros(N)
-
-    # cell centers plus one ghost layer on each side of ``axis``
-    def padded_mesh(axis):
-        pads = [int(a == axis) for a in range(d)]
-        axes = [x0[a] + (np.arange(-pads[a], nx[a] + pads[a]) + 0.5) * dx[a] for a in range(d)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-    # axis by axis: each face has conductance g = mean of a_kk / dx^2
-    for k in range(d):
-        akk = field.a_diag(t, padded_mesh(k))[..., k]
-        a_dn, a_mid, a_up = (np.take(akk, np.arange(j, j + nx[k]), axis=k).ravel()
-                             for j in range(3))
+    a = field.a_diag(t, mn.cell_centers(x0, dx, nx)).reshape(N, len(nx))
+    for k in range(len(nx)):
+        akk = a[:, k]
         walls = []
-        for s, a_ghost in ((1, a_up), (-1, a_dn)):
+        for s in (1, -1):
             nb, sign = nbrs[k][s]
             inner = sign > 0
-            g = 0.5 * (a_mid + np.where(inner, a_mid[nb], a_ghost)) / dx[k] ** 2
+            g = 0.5 * (akk + akk[nb]) / dx[k] ** 2
             rows.append(idx[inner])
             cols.append(nb[inner])
             data.append(g[inner])
             diag[inner] -= g[inner]
-            walls.append((~inner, g))
+            if not inner.all():  # a zero wall: read a_kk on the ghost layer past it
+                lo, n = list(x0), list(nx)
+                lo[k], n[k] = (x0[k] + nx[k] * dx[k] if s > 0 else x0[k] - dx[k]), 1
+                a_ghost = field.a_diag(t, mn.cell_centers(lo, dx, n))[..., k].ravel()
+                walls.append((~inner, 0.5 * (akk[~inner] + a_ghost) / dx[k] ** 2))
         # a wall face pairs the cell with its odd-mirror ghost: -2g on the diagonal
         for wall, g in walls:
-            diag[wall] -= 2.0 * g[wall]
+            diag[wall] -= 2.0 * g
 
     rows.append(idx)
     cols.append(idx)

@@ -201,6 +201,17 @@ def _path_noise(seed: int, start: int, out: np.ndarray) -> None:
         gen.standard_normal(out=out[i])
 
 
+def _start_point(x0, d: int) -> np.ndarray:
+    """``x0`` as a length-``d`` vector; a scalar is repeated, anything else raises."""
+    try:
+        x0 = np.asarray(x0, dtype=float)
+    except (TypeError, ValueError) as exc:  # not real numbers, or a ragged list
+        raise SdeParameterError(f"x0 must be a real scalar or vector: {exc}") from None
+    if x0.ndim and x0.shape != (d,):
+        raise SdeParameterError(f"x0 must be a scalar or have length d = {d}, got {x0.shape}")
+    return np.broadcast_to(x0, (d,))
+
+
 def euler_maruyama(
     coeffs: SdeCoefficients,
     x0,
@@ -223,7 +234,7 @@ def euler_maruyama(
     n_paths = mn._count(n_paths, 0, 10**6, SdeParameterError)
     n_steps = mn._whole_steps(T - s, dt, SdeParameterError)
     d = coeffs.d
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
+    x0 = _start_point(x0, d)
     paths = np.empty((n_paths, n_steps + 1, d))
     frozen = np.zeros(n_paths, dtype=bool)
     sqrt2dt = math.sqrt(2.0 * dt)
@@ -543,18 +554,19 @@ def uniqueness_perturbation_report(
     """
     eps_list = [float(e) for e in eps_list]
     coeffs = build_coefficients(family_tag, **family_params)
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (coeffs.d,))
+    x0 = _start_point(x0, coeffs.d)
     base = euler_maruyama(coeffs, x0, 0.0, T, dt, n_paths, seed)
-    diff, sums = _block_scratch(base)
     rows = []
     for eps in eps_list:
         shifted = x0.copy()
         shifted[0] += eps
         pert = euler_maruyama(coeffs, shifted, 0.0, T, dt, n_paths, seed)
-        pairs = ((base.paths[r], pert.paths[r]) for r in _row_blocks(base))
-        sq = _finite_squares((_sup_sq_norm(np.subtract(B, Q, out=diff[:len(B)]), diff, sums)
-                              for B, Q in pairs), base.alive() & pert.alive())
-        divergence, stderr = _mean_stderr(np.sqrt(sq))
+        # the difference paths overwrite pert's, frozen if either run froze; a live
+        # difference that overflows is rejected by sup_moment
+        with np.errstate(over="ignore"):
+            np.subtract(base.paths, pert.paths, out=pert.paths)
+        pert.frozen |= base.frozen
+        divergence, stderr = sup_moment(pert)
         rows.append({"eps": eps, "divergence": divergence, "stderr": stderr})
     eps_arr = [r["eps"] for r in rows]
     div_arr = [r["divergence"] for r in rows]

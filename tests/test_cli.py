@@ -90,28 +90,30 @@ class TestConfigValidation:
         assert err["error"] == "validation" and f"parameter {name} " in err["message"]
         assert "Traceback" not in capsys.readouterr().err
 
+    # T / dt above the cap, or not whole: the run is rejected, not stepped to a
+    # rounded horizon
     @pytest.mark.parametrize("kind, params", [
         ("pde", {"T": 1e300}),
         ("sde", {"T": 1e300}),
         ("pde", {"T": 1e308, "dt": 0.001}),
         ("degiorgi", {"dt": 1e-300}),
-    ], ids=["pde-T", "sde-T", "pde-T-over-dt-overflows", "degiorgi-dt"])
+        ("pde", {"T": 0.5, "dt": 0.03}),
+        ("sde", {"T": 0.5, "dt": 0.003}),
+        ("degiorgi", {"dt": 0.015}),
+    ], ids=["pde-T", "sde-T", "pde-T-over-dt-overflows", "degiorgi-dt", "pde-not-whole",
+            "sde-not-whole", "degiorgi-not-whole"])
     def test_step_count_capped(self, tmp_path, capsys, monkeypatch, kind, params):
-        # the cap must reject these before anything is allocated
+        # the library's whole-step rule must reject these before anything is allocated
         monkeypatch.setattr(pde, "solve", lambda *a, **k: pytest.fail("solve was called"))
-        monkeypatch.setattr(sde, "euler_maruyama",
-                            lambda *a, **k: pytest.fail("euler_maruyama was called"))
+        monkeypatch.setattr(sde, "_path_noise", lambda *a, **k: pytest.fail("paths were drawn"))
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
         assert cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = json.loads((tmp_path / "o" / "error.json").read_text())
-        assert err["error"] == "validation" and "MAX_STEPS" in err["message"]
+        assert err["error"] == "validation"
+        assert f"is not a whole number of steps in 1..{mn.MAX_STEPS}" in err["message"]
+        assert not (tmp_path / "o" / "report.json").exists()
         assert "Traceback" not in capsys.readouterr().err
-
-    def test_step_cap_boundary(self):
-        assert cli._n_steps(cli.MAX_STEPS / 2, 0.5) == cli.MAX_STEPS
-        with pytest.raises(cli.ValidationError):
-            cli._n_steps(cli.MAX_STEPS + 1.0, 1.0)
 
     @pytest.mark.parametrize("kind", ["norms", "variational", "sde"])
     @pytest.mark.parametrize("flag, config_seed", [

@@ -157,6 +157,40 @@ def test_grid_rule_detectors_see_gradients_and_cap_assignments():
     assert max_steps_assignments(source) == [5, 6, 7, 8, 10]
 
 
+def cell_center_offsets(source):
+    """Line numbers of ``np.arange(...) + 0.5``, in either order: cell centres built by hand."""
+    def is_arange(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "arange" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in {"np", "numpy"})
+
+    def is_half(node):
+        return isinstance(node, ast.Constant) and node.value == 0.5
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                  and ((is_arange(node.left) and is_half(node.right))
+                       or (is_half(node.left) and is_arange(node.right))))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_cell_centers_live_in_mixed_norms(path):
+    # only mixed_norms builds cell-centre coordinates; the solver's mesh and ghost
+    # layers come from mn.cell_centers
+    assert bool(cell_center_offsets(path.read_text())) == (path.stem == "mixed_norms")
+
+
+def test_cell_center_detector_sees_both_orders():
+    source = ("import numpy as np\n"
+              "import numpy\n"
+              "a = x0 + (np.arange(n) + 0.5) * dx\n"
+              "b = (0.5 + numpy.arange(-1, n + 1)) * dx\n"
+              "c = np.arange(n) + 1.5\n"
+              "d = np.linspace(0, 1, n) + 0.5\n"
+              "e = mn.cell_centers(x0, dx, nx)\n")
+    assert cell_center_offsets(source) == [3, 4]
+
+
 def name_uses(source, name):
     """Line numbers where ``name`` is read, as a bare name or as an attribute."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,18 @@ def test_tabulated_field_lookup():
     assert outside.tolist() == g.values[-1, [0, -1]].tolist()
 
 
+def test_tabulated_field_lookup_far_outside():
+    # the quotient is clamped while still a float: +inf and 1e300 read the last cell,
+    # -inf and -1e300 the first, with no cast warning
+    g = mn.from_callable(lambda t, X: 1.0 + X[..., 0] ** 2, (0, 1), 4, [(-1, 1)], (16,))
+    field = pde.tabulated_diagonal_field([g])
+    X = np.array([[math.inf], [1e300], [-math.inf], [-1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = field.a_diag(0.5, X)[..., 0]
+    assert vals.tolist() == g.values[2, [-1, -1, 0, 0]].tolist()
+
+
 def test_build_field_catalog():
     assert "example-6.1" in pde.PDE_FIXTURES
     with pytest.raises(pde.CoefficientError):
@@ -390,6 +403,50 @@ class TestNeighborRule:
         u = np.arange(1.0, 6.0)
         drift = pde._upwind_drift(u, np.full((5, 1), -1.0), (0.5,), nbrs)
         assert np.array_equal(drift, -np.array([1.0, 1.0, 1.0, 1.0, -10.0]) / 0.5)
+
+    @pytest.mark.parametrize("field", [pde.diagonal_power_field(3, 0.5, R=1.0, n=4),
+                                       pde.example_61_field(3, 0.3, 2.0, 4)],
+                             ids=["diagonal-power", "example-6.1"])
+    def test_zero_wall_faces_with_varying_coefficient(self, field):
+        # each wall face's conductance is the mean of a_kk at the wall cell and at the
+        # ghost centre of the box grown by one cell past that wall, over dx_k^2
+        x0, dx, nx = (-1.0, -0.7, -0.4), (0.45, 0.32, 0.5), (4, 5, 3)
+        nbrs = [{s: pde._neighbor(nx, k, s, False) for s in (1, -1)} for k in range(3)]
+        L = pde._assemble_diffusion(field, 0.0, x0, dx, nx, nbrs)
+        assert (L != L.T).nnz == 0
+        a = field.a_diag(0.0, mn.cell_centers(x0, dx, nx))
+        want = np.zeros(nx)  # a row sum of L: -2g per wall face of the cell
+        for k in range(3):
+            for s in (1, -1):
+                grown_x0, grown_nx = list(x0), list(nx)
+                grown_x0[k] -= dx[k] * (s < 0)
+                grown_nx[k] += 1
+                edge = [slice(None)] * 3
+                edge[k] = slice(-1, None) if s > 0 else slice(0, 1)
+                ghost = mn.cell_centers(grown_x0, dx, grown_nx)[tuple(edge)]
+                cell = a[tuple(edge)][..., k]
+                a_ghost = field.a_diag(0.0, ghost)[..., k]
+                assert (a_ghost != cell).all()  # the ghost's own coefficient is read
+                want[tuple(edge)] -= 2.0 * 0.5 * (cell + a_ghost) / dx[k] ** 2
+        # interior rows sum to zero up to the round-off of their diagonal
+        np.testing.assert_allclose(np.asarray(L.sum(axis=1)).ravel(), want.ravel(),
+                                   rtol=1e-12, atol=1e-12 * abs(L.diagonal()).max())
+
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "zero-extension"])
+    def test_coefficient_read_on_the_mesh_and_each_wall_layer(self, periodic):
+        shapes = []
+
+        def a_diag(t, X):
+            shapes.append(X.shape)
+            return np.ones(X.shape)
+
+        nx = (4, 5, 3)
+        nbrs = [{s: pde._neighbor(nx, k, s, periodic) for s in (1, -1)} for k in range(3)]
+        pde._assemble_diffusion(pde.CoefficientField("count", 3, a_diag), 0.0,
+                                (0.0,) * 3, (0.5,) * 3, nx, nbrs)
+        walls = [] if periodic else [(1, 5, 3, 3), (1, 5, 3, 3), (4, 1, 3, 3), (4, 1, 3, 3),
+                                     (4, 5, 1, 3), (4, 5, 1, 3)]
+        assert shapes == [(4, 5, 3, 3)] + walls
 
 
 def _plain_lu_march(field, u0, cfg):

@@ -273,6 +273,24 @@ class TestEulerMaruyama:
         sde.euler_maruyama(c, [0.0, 1.0], 0.0, 1.0, 0.01, 1, 1)
         assert calls == {"sigma_diag": 100, "b": 100}
 
+    # a length-1 x0 at d > 1 is rejected too, where it used to broadcast
+    @pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], np.zeros((2, 2)), [0.0], "a",
+                                    [[0.0, 1.0], [0.0]], 1j],
+                             ids=["length-3", "2-d", "length-1", "string", "ragged", "complex"])
+    def test_start_point_checked(self, x0):
+        c = sde.build_coefficients("brownian", d=2)
+        with pytest.raises(sde.SdeParameterError, match="x0 must be a"):
+            sde.euler_maruyama(c, x0, 0.0, 0.1, 0.01, 4, 1)
+        with pytest.raises(sde.SdeParameterError, match="x0 must be a"):
+            sde.uniqueness_perturbation_report([0.1, 0.01, 0.0], x0, 0.1, 0.01, 4, 1,
+                                               family_tag="brownian", d=2)
+
+    def test_scalar_start_point_is_repeated(self):
+        c = sde.build_coefficients("brownian", d=2)
+        ens = sde.euler_maruyama(c, 0.5, 0.0, 0.1, 0.01, 4, 1)
+        assert np.array_equal(ens.paths, sde.euler_maruyama(c, [0.5, 0.5], 0.0, 0.1, 0.01, 4,
+                                                            1).paths)
+
 
 class TestKrylov:
     @pytest.fixture(scope="class")
@@ -541,6 +559,21 @@ class TestNonFiniteFrozenRows:
         assert np.array_equal(rep.moments, want.moments)
         assert np.array_equal(rep.stderrs, want.stderrs)
         assert (rep.slope, rep.intercept) == (want.slope, want.intercept)
+
+    # the cell lookup clamps each quotient while it is a float: no cast of NaN, inf or a
+    # value past the int range
+    @pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf, 1e300, -1e300,
+                                      np.array([math.nan, math.inf, -math.inf, 1e300, -1e300])],
+                             ids=["nan", "inf", "-inf", "1e300", "-1e300", "mixed"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_krylov_equals_the_live_paths_alone(self, d, fill, tmp_path):
+        ens, live = self._ensembles(d, fill, tmp_path, False)
+        f = mn.from_callable(lambda t, X: 1.0 + t + (X**2).sum(axis=-1), (0.0, 0.64), 16,
+                             [(-0.5, 0.5)] * d, (8,) * d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sde.krylov_functional(ens, f, 0.0, 0.64)
+        assert got == sde.krylov_functional(live, f, 0.0, 0.64)
 
 
 def _separate_noise_em(coeffs, x0, s, T, dt, n_paths, seed, chunk=20000):
