@@ -266,6 +266,7 @@ def run_variational(config: ExperimentConfig, outdir: Path) -> dict:
         expo, rhs, c_fit = vr.sa3_bound_rhs(prob)
         rows.append({"instance": k, "gap": prob.delta, "oracle": oracle.value, "explicit": explicit,
                      "converged": oracle.converged, "fw_gap": oracle.fw_gap,
+                     "lower": oracle.lower, "iterations": oracle.iterations,
                      "exponent": expo, "rhs_value": rhs, "c_fit": c_fit,
                      "bounded": bool(oracle.value <= c_fit * rhs)})
         if k == 0:

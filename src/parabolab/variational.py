@@ -41,7 +41,6 @@ __all__ = [
     "sa3_bound_report",
     "sa3_gap_sweep",
     "calibrate_sa3_constant",
-    "step1_bound",
     "radial_embedding_infimum",
     "iteration_lemma_constant",
     "iteration_lemma_check",
@@ -253,7 +252,9 @@ class OracleResult:
     """Oracle value and profile; ``fw_gap`` is the Frank-Wolfe gap at the winning point.
 
     ``converged`` is ``fw_gap <= GAP_TOL * value``; ``iterations`` counts the
-    steps of the batched loop, which runs until its slowest start stops.
+    loop steps in which any of the problem's starts was still active.
+    ``lower`` is ``value - fw_gap`` when every alpha_i >= p_i (F is convex, so
+    the gap bounds the discrete infimum from below), else None.
     """
 
     value: float
@@ -261,6 +262,118 @@ class OracleResult:
     fw_gap: float
     iterations: int
     converged: bool
+    lower: float | None
+
+
+def _value_and_gradient(h, w, alphas, ps, m):
+    """The map from rows ``x`` of simplex points to F and its gradient there.
+
+    The rows come in ``len(h)`` contiguous blocks of ``m``, block j belonging
+    to a problem with interval length ``h[j]`` and weights ``w[j]`` (N, K).
+    The matvec runs once per block, so every row gets the bits of a solve of
+    its own problem; every other operation is elementwise or along the last
+    axis.
+    """
+    h_rows = np.repeat(h, m)[:, None]
+    blocks = [slice(j * m, (j + 1) * m) for j in range(len(h))]
+    terms = [(a, p, a / h_rows, w[:, i], np.repeat(w[:, i], m, axis=0))
+             for i, (a, p) in enumerate(zip(alphas, ps))]
+
+    def value_and_gradient(x):
+        F, grad, s = np.zeros(x.shape[0]), np.zeros_like(x), x / h_rows
+        for a, p, a_h, wi, wi_rows in terms:
+            sa = s**a
+            T = sa @ wi[0] if len(wi) == 1 else np.concatenate(
+                [sa[b] @ wij for b, wij in zip(blocks, wi)])
+            F += T ** (1.0 / p)
+            pos = T > 0  # a component with T_i = 0 adds nothing to the gradient
+            coef = np.where(pos, np.where(pos, T, 1.0) ** (1.0 / p - 1.0) / p, 0.0)
+            grad += coef[:, None] * a_h * s ** (a - 1.0) * wi_rows
+        return F, grad
+
+    return value_and_gradient
+
+
+def _fw_gap(grad, x):
+    return np.einsum("sk,sk->s", grad, x) - grad.min(axis=1)
+
+
+def _oracle(probs: list[VariationalProblem], knot_count: int) -> list[OracleResult]:
+    """:func:`oracle_infimum` of every problem, all stepped in one loop.
+
+    The problems must share ``alphas`` and ``ps``.  Each result is bit for bit
+    the one the problem gets alone; its ``iterations`` counts the loop steps
+    in which any of its starts was active.
+    """
+    knot_count = mn._count(knot_count, 2, 400, FeasibilityError)
+    if not probs:
+        raise FeasibilityError("a batched oracle run needs at least one problem")
+    alphas, ps = probs[0].alphas, probs[0].ps
+    if any(q.alphas.tobytes() != alphas.tobytes() or q.ps.tobytes() != ps.tobytes()
+           for q in probs):
+        raise FeasibilityError("a batched oracle run needs one alphas and ps for every problem")
+    knots = [np.linspace(q.tau, q.delta, knot_count) for q in probs]
+    h = np.array([k[1] - k[0] for k in knots])
+    w = np.stack([_interval_weights(q, k) for q, k in zip(probs, knots)])  # (P, N, K)
+    explicit = [explicit_cutoff(q).resampled(knot_count) for q in probs]
+    # the random starts do not depend on [tau, delta]: one draw serves every problem
+    randoms = [s.values for s in random_feasible_profiles(0.0, 1.0, knot_count, 20, 20250809)]
+    linear = np.linspace(1.0, 0.0, knot_count)
+    x = -np.diff(np.stack([v for e in explicit for v in (*randoms, e.values, linear)]), axis=1)
+    # stepping log(x) is the same update without underflow to 0/0
+    logx = np.log(np.maximum(x, np.finfo(float).tiny))
+    m = x.shape[0] // len(probs)  # starts per problem
+    value_and_gradient = _value_and_gradient(h, w, alphas, ps, m)
+    F, grad = value_and_gradient(x)
+    eta = np.ones(x.shape[0])
+    active = _fw_gap(grad, x) > GAP_TOL * F
+    # a start, once stopped, stays stopped: its count of active steps is its last step
+    steps_active = np.zeros(x.shape[0], dtype=int)
+    step = 0
+    while active.any() and step < MAX_ITERATIONS:
+        step += 1
+        steps_active += active
+        g_min = grad.min(axis=1, keepdims=True)
+        g_span = grad.max(axis=1, keepdims=True) - g_min
+        trial = logx - eta[:, None] * (grad - g_min) / np.where(g_span > 0, g_span, 1.0)
+        trial -= trial.max(axis=1, keepdims=True)
+        x_trial = np.exp(trial)
+        x_trial /= x_trial.sum(axis=1, keepdims=True)
+        F_trial, grad_trial = value_and_gradient(x_trial)
+        accept = active & (F_trial <= F)
+        logx[accept], x[accept] = trial[accept], x_trial[accept]
+        F[accept], grad[accept] = F_trial[accept], grad_trial[accept]
+        eta = np.where(accept, 1.5 * eta, np.where(active, 0.5 * eta, eta))
+        active &= (_fw_gap(grad, x) > GAP_TOL * F) & (eta >= ETA_MIN)
+
+    convex = bool(np.all(alphas >= ps))
+    iterations = steps_active.reshape(len(probs), m).max(axis=1)
+    results = []
+    for j, (prob, exp_prof) in enumerate(zip(probs, explicit)):
+        rows = slice(j * m, (j + 1) * m)
+        at_vertices = _value_and_gradient(h[j:j + 1], w[j:j + 1], alphas, ps, knot_count - 1)
+        candidates = np.vstack([x[rows], np.eye(knot_count - 1)])
+        F_vertex, grad_vertex = at_vertices(candidates[m:])
+        F_all, grad_all = np.concatenate([F[rows], F_vertex]), np.vstack([grad[rows], grad_vertex])
+        best = int(np.argmin(np.where(np.isfinite(F_all), F_all, np.inf)))
+        drops = candidates[best]
+        # the gap at the winning simplex point, where the drops are not yet rounded into a profile
+        gap = float(_fw_gap(grad_all[best, None], drops[None])[0])
+        # tail sums keep the small drops near the zero end exactly
+        vals = np.clip(np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]]), 0.0, 1.0)
+        vals[0] = 1.0
+        profile = CutoffProfile(prob.tau, prob.delta, np.minimum.accumulate(vals))
+        value = functional_value(prob, profile)
+        exp_val = functional_value(prob, exp_prof)
+        if not math.isfinite(value) or exp_val < value:
+            value, profile = exp_val, exp_prof
+            x_out = -np.diff(profile.values)[None]
+            at_point = _value_and_gradient(h[j:j + 1], w[j:j + 1], alphas, ps, 1)
+            gap = float(_fw_gap(at_point(x_out)[1], x_out)[0])
+        results.append(OracleResult(value, profile, gap, int(iterations[j]),
+                                    bool(gap <= GAP_TOL * value),
+                                    value - gap if convex else None))
+    return results
 
 
 def oracle_infimum(prob: VariationalProblem, knot_count: int = 41) -> OracleResult:
@@ -278,70 +391,12 @@ def oracle_infimum(prob: VariationalProblem, knot_count: int = 41) -> OracleResu
     evaluated too, and the explicit profile wins whenever it is lower.  The
     reported gap is measured at the winning simplex point (a stepped row or a
     vertex), or at the explicit profile's drops when that profile wins.  When
-    every alpha_i >= p_i, F is convex and ``value - fw_gap`` bounds the
-    discrete infimum from below; otherwise the gap measures stationarity.
+    every alpha_i >= p_i, F is convex and ``lower = value - fw_gap`` bounds
+    the discrete infimum from below; otherwise the gap measures stationarity
+    and ``lower`` is None.  This is the one-problem batch of the loop that
+    also serves :func:`calibrate_sa3_constant` and :func:`sa3_gap_sweep`.
     """
-    knot_count = mn._count(knot_count, 2, 400, FeasibilityError)
-    knots = np.linspace(prob.tau, prob.delta, knot_count)
-    h = knots[1] - knots[0]
-    w = _interval_weights(prob, knots)  # (N, K)
-
-    def value_and_gradient(x):  # rows of x are points of the simplex
-        F, grad, s = np.zeros(x.shape[0]), np.zeros_like(x), x / h
-        for a, p, wi in zip(prob.alphas, prob.ps, w):
-            T = s**a @ wi
-            F += T ** (1.0 / p)
-            pos = T > 0  # a component with T_i = 0 adds nothing to the gradient
-            coef = np.where(pos, np.where(pos, T, 1.0) ** (1.0 / p - 1.0) / p, 0.0)
-            grad += coef[:, None] * (a / h) * s ** (a - 1.0) * wi
-        return F, grad
-
-    def fw_gap(grad, x):
-        return np.einsum("sk,sk->s", grad, x) - grad.min(axis=1)
-
-    explicit = explicit_cutoff(prob).resampled(knot_count)
-    starts = random_feasible_profiles(prob.tau, prob.delta, knot_count, 20, 20250809)
-    starts += [explicit, linear_profile(prob.tau, prob.delta, knot_count)]
-    x = -np.diff(np.stack([s.values for s in starts]), axis=1)
-    # stepping log(x) is the same update without underflow to 0/0
-    logx = np.log(np.maximum(x, np.finfo(float).tiny))
-    F, grad = value_and_gradient(x)
-    eta = np.ones(x.shape[0])
-    active = fw_gap(grad, x) > GAP_TOL * F
-    iterations = 0
-    while active.any() and iterations < MAX_ITERATIONS:
-        iterations += 1
-        g_min = grad.min(axis=1, keepdims=True)
-        g_span = grad.max(axis=1, keepdims=True) - g_min
-        trial = logx - eta[:, None] * (grad - g_min) / np.where(g_span > 0, g_span, 1.0)
-        trial -= trial.max(axis=1, keepdims=True)
-        x_trial = np.exp(trial)
-        x_trial /= x_trial.sum(axis=1, keepdims=True)
-        F_trial, grad_trial = value_and_gradient(x_trial)
-        accept = active & (F_trial <= F)
-        logx[accept], x[accept] = trial[accept], x_trial[accept]
-        F[accept], grad[accept] = F_trial[accept], grad_trial[accept]
-        eta = np.where(accept, 1.5 * eta, np.where(active, 0.5 * eta, eta))
-        active &= (fw_gap(grad, x) > GAP_TOL * F) & (eta >= ETA_MIN)
-
-    candidates = np.vstack([x, np.eye(x.shape[1])])
-    F_vertex, grad_vertex = value_and_gradient(candidates[len(x):])
-    F_all, grad_all = np.concatenate([F, F_vertex]), np.vstack([grad, grad_vertex])
-    best = int(np.argmin(np.where(np.isfinite(F_all), F_all, np.inf)))
-    drops = candidates[best]
-    # the gap at the winning simplex point, where the drops are not yet rounded into a profile
-    gap = float(fw_gap(grad_all[best, None], drops[None])[0])
-    # tail sums keep the small drops near the zero end exactly
-    vals = np.clip(np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]]), 0.0, 1.0)
-    vals[0] = 1.0
-    profile = CutoffProfile(prob.tau, prob.delta, np.minimum.accumulate(vals))
-    value = functional_value(prob, profile)
-    exp_val = functional_value(prob, explicit)
-    if not math.isfinite(value) or exp_val < value:
-        value, profile = exp_val, explicit
-        x_out = -np.diff(profile.values)[None]
-        gap = float(fw_gap(value_and_gradient(x_out)[1], x_out)[0])
-    return OracleResult(value, profile, gap, iterations, bool(gap <= GAP_TOL * value))
+    return _oracle([prob], knot_count)[0]
 
 
 def brute_force_infimum(prob: VariationalProblem,
@@ -380,7 +435,9 @@ def calibrate_sa3_constant(alphas, ps, betas) -> dict:
     """Empirical constant for the variational upper bound, per exponent signature.
 
     Max of lhs / ((gap)^(-exponent) * data term) over a frozen family of
-    densities and gaps, times the recorded margin.  Cached.
+    densities and gaps, times the recorded margin.  The family's eight
+    problems share the signature, so one batched oracle run solves them all.
+    Cached.
     """
     key = (tuple(np.atleast_1d(alphas)), tuple(np.atleast_1d(ps)), tuple(np.atleast_1d(betas)))
     if key in _SA3_CACHE:
@@ -388,7 +445,7 @@ def calibrate_sa3_constant(alphas, ps, betas) -> dict:
     rng = np.random.default_rng(SA3_SEED)
     n = np.atleast_1d(alphas).size
     expo = sa3_exponent(alphas, ps, betas)
-    raw = 0.0
+    probs = []
     for gap in (1.0, 0.25):
         for _ in range(4):
             m = 33
@@ -396,11 +453,12 @@ def calibrate_sa3_constant(alphas, ps, betas) -> dict:
             samples = np.stack([
                 np.interp(np.linspace(0, 1, m), np.linspace(0, 1, 5), base[i]) for i in range(n)
             ])
-            prob = VariationalProblem(0.0, gap, alphas, ps, betas, samples)
-            lhs, _ = brute_force_infimum(prob, SA3_KNOTS)
-            denom = gap ** (-expo) * _data_term(prob)
-            if denom > 0:
-                raw = max(raw, lhs / denom)
+            probs.append(VariationalProblem(0.0, gap, alphas, ps, betas, samples))
+    raw = 0.0
+    for prob, r in zip(probs, _oracle(probs, SA3_KNOTS)):
+        denom = prob.gap ** (-expo) * _data_term(prob)
+        if denom > 0:
+            raw = max(raw, r.value / denom)
     result = {"raw_max": raw, "margin": SA3_MARGIN, "c_fit": SA3_MARGIN * max(raw, 1e-9)}
     _SA3_CACHE[key] = result
     return result
@@ -430,14 +488,12 @@ def sa3_gap_sweep(alphas, ps, betas, f_fns, gaps) -> dict:
 
     The raw bound's right side carries the data term's own gap power, so the
     predicted power ``-sa3_exponent`` is read off ``log(lhs / data)`` vs
-    ``log(gap)``; it is tight when all beta_i coincide.
+    ``log(gap)``; it is tight when all beta_i coincide.  The gaps share one
+    signature and are solved in one batched oracle run at 41 knots.
     """
-    lhs_list, data_list = [], []
-    for gap in gaps:
-        prob = problem_from_callables(0.0, gap, alphas, ps, betas, f_fns)
-        lhs, _ = brute_force_infimum(prob)
-        lhs_list.append(lhs)
-        data_list.append(_data_term(prob))
+    probs = [problem_from_callables(0.0, gap, alphas, ps, betas, f_fns) for gap in gaps]
+    lhs_list = [r.value for r in _oracle(probs, 41)]
+    data_list = [_data_term(prob) for prob in probs]
     logg = np.log(np.asarray(gaps))
     ratio = np.log(np.asarray(lhs_list) / np.asarray(data_list))
     slope = float(np.polyfit(logg, ratio, 1)[0])
@@ -448,26 +504,6 @@ def sa3_gap_sweep(alphas, ps, betas, f_fns, gaps) -> dict:
         "slope": slope,
         "predicted": -sa3_exponent(alphas, ps, betas),
     }
-
-
-def step1_bound(prob: VariationalProblem, beta: float) -> float:
-    """Closed-form upper bound for the common-density form of the functional.
-
-    Valid for problems with p_i = 1 and all components sharing one density f:
-    ``sum_i 2^(theta alpha_i / beta) gap^(1 - alpha_i - 1/beta) (int f^beta)^(1/beta)``.
-    """
-    if np.any(prob.ps != 1.0):
-        raise FeasibilityError("the closed-form bound applies to the p_i = 1 form")
-    grid = prob.sample_grid()
-    f = prob.f_samples[0]
-    if not np.allclose(prob.f_samples, f[None]):
-        raise FeasibilityError("the closed-form bound needs a common density")
-    integral = np.trapezoid(f**beta, grid) ** (1.0 / beta)
-    theta = prob.theta
-    gap = prob.gap
-    return float(
-        sum(2 ** (theta * a / beta) * gap ** (1.0 - a - 1.0 / beta) for a in prob.alphas) * integral
-    )
 
 
 # ---------------------------------------------------------------------------

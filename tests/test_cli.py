@@ -232,6 +232,26 @@ class TestExperiments:
             assert row["oracle"] <= row["explicit"] * (1 + 1e-12)
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
+    def test_variational_rows_carry_lower_and_iterations(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "variational", "parameters": {
+            "n_components": 1, "n_instances": 6, "knot_count": 17}, "seed": 3}))
+        out = tmp_path / "v"
+        assert cli.main(["variational", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["instances"]
+        rng = np.random.default_rng(3)
+        convex = [bool(np.all(p.alphas >= p.ps))
+                  for p in (vr._random_problem(rng, 1) for _ in rows)]
+        assert True in convex and False in convex
+        for row, is_convex in zip(rows, convex):
+            assert isinstance(row["iterations"], int) and row["iterations"] >= 0
+            if is_convex:
+                assert row["lower"] == row["oracle"] - row["fw_gap"] <= row["oracle"]
+            else:
+                assert row["lower"] is None
+        first = vr.oracle_infimum(vr._random_problem(np.random.default_rng(3), 1), 17)
+        assert (rows[0]["iterations"], rows[0]["lower"]) == (first.iterations, first.lower)
+
     def test_variational_solves_each_problem_once(self, tmp_path, monkeypatch):
         solved, instances = [], []
         oracle = vr.oracle_infimum

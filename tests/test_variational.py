@@ -127,19 +127,27 @@ def _random_problem(rng, convex=False):
 
 class TestOracle:
     def test_convex_instances_bounded_from_both_sides(self):
-        # alpha_i >= p_i makes F convex, so value - fw_gap is a lower bound on
-        # the discrete infimum: below the explicit value and every feasible one
+        # alpha_i >= p_i makes F convex, so lower = value - fw_gap bounds the
+        # discrete infimum from below: below the explicit value and every feasible one
         rng = np.random.default_rng(606)
         suite = vr.random_feasible_profiles(0.0, 1.0, 33, 100, 7)
         for _ in range(8):
             prob = _random_problem(rng, convex=True)
             r = vr.oracle_infimum(prob, 33)
             assert r.converged and r.fw_gap <= vr.GAP_TOL * r.value
-            lower = r.value - r.fw_gap
-            assert lower <= vr.functional_value(prob, vr.explicit_cutoff(prob).resampled(33))
+            assert r.lower == r.value - r.fw_gap and r.lower <= r.value
+            assert r.lower <= vr.functional_value(prob, vr.explicit_cutoff(prob).resampled(33))
             for prof in suite:
                 moved = CutoffProfile(prob.tau, prob.delta, prof.values)
-                assert lower <= vr.functional_value(prob, moved)
+                assert r.lower <= vr.functional_value(prob, moved)
+
+    def test_no_lower_bound_without_convexity(self):
+        rng = np.random.default_rng(608)
+        probs = [_random_problem(rng) for _ in range(8)]
+        nonconvex = [prob for prob in probs if np.any(prob.alphas < prob.ps)]
+        assert nonconvex
+        for prob in nonconvex:
+            assert vr.oracle_infimum(prob, 25).lower is None
 
     def test_linear_case_takes_a_vertex(self):
         # alpha = p = 1: F is linear in the interval drops, so the infimum puts
@@ -194,6 +202,95 @@ class TestOracle:
         assert value == r.value and np.array_equal(profile.values, r.profile.values)
 
 
+def _calibration_style(n):
+    """Eight problems of one n-component signature, drawn as calibrate_sa3_constant draws them."""
+    sig = np.random.default_rng(n)
+    alphas, ps, betas = sig.uniform(1, 3, n), sig.uniform(1, 3, n), sig.uniform(0.5, 2, n)
+    rng = np.random.default_rng(vr.SA3_SEED)
+    probs = []
+    for gap in (1.0, 0.25):
+        for _ in range(4):
+            base = rng.uniform(0.0, 2.0, size=(n, 5))
+            samples = np.stack([np.interp(np.linspace(0, 1, 33), np.linspace(0, 1, 5), b)
+                                for b in base])
+            probs.append(VariationalProblem(0.0, gap, alphas, ps, betas, samples))
+    return probs
+
+
+def _bits(r):
+    lower = None if r.lower is None else r.lower.hex()
+    return (r.value.hex(), r.fw_gap.hex(), r.profile.values.tobytes(), r.iterations,
+            r.converged, lower)
+
+
+class TestBatchedOracle:
+    # None of criterion 03's seed-303 instances takes the explicit-profile
+    # fallback at the default cap; under a cap of one step some problems do
+    @pytest.mark.parametrize("cap", [None, 70, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_problem_bitwise_as_alone(self, monkeypatch, n, cap):
+        if cap is not None:
+            monkeypatch.setattr(vr, "MAX_ITERATIONS", cap)
+        probs = _calibration_style(n)
+        batch = vr._oracle(probs, vr.SA3_KNOTS)
+        assert len(batch) == len(probs)
+        for prob, r in zip(probs, batch):
+            assert _bits(r) == _bits(vr.oracle_infimum(prob, vr.SA3_KNOTS))
+        if cap == 70:  # some problems stop on their gap, the others at the cap
+            assert len({r.iterations for r in batch}) > 1
+            assert max(r.iterations for r in batch) == cap
+
+    def test_explicit_fallback_inside_a_batch(self, monkeypatch):
+        monkeypatch.setattr(vr, "MAX_ITERATIONS", 1)
+        probs = _calibration_style(3)
+        batch = vr._oracle(probs, vr.SA3_KNOTS)
+        explicit = vr.explicit_cutoff(probs[4]).resampled(vr.SA3_KNOTS)
+        assert np.array_equal(batch[4].profile.values, explicit.values)
+        assert _bits(batch[4]) == _bits(vr.oracle_infimum(probs[4], vr.SA3_KNOTS))
+
+    def test_mixed_signatures_rejected(self):
+        one, other = _calibration_style(2)[0], _calibration_style(2)[1]
+        shifted = VariationalProblem(other.tau, other.delta, other.alphas + 0.5, other.ps,
+                                     other.betas, other.f_samples)
+        with pytest.raises(vr.FeasibilityError):
+            vr._oracle([one, shifted], 25)
+        with pytest.raises(vr.FeasibilityError):
+            vr._oracle([one, _calibration_style(1)[0]], 25)
+        with pytest.raises(vr.FeasibilityError):
+            vr._oracle([], 25)
+
+    def test_one_batch_per_calibration(self, monkeypatch):
+        calls = {"_oracle": 0, "oracle_infimum": 0, "brute_force_infimum": 0}
+
+        def counting(name):
+            fn = getattr(vr, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(vr, name, counting(name))
+        monkeypatch.setattr(vr, "_SA3_CACHE", {})
+        first = vr.calibrate_sa3_constant([2.0, 1.2], [1.5, 1.0], [1.0, 0.7])
+        assert calls == {"_oracle": 1, "oracle_infimum": 0, "brute_force_infimum": 0}
+        assert vr.calibrate_sa3_constant([2.0, 1.2], [1.5, 1.0], [1.0, 0.7]) is first
+        assert calls["_oracle"] == 1
+
+
+class TestPinnedValues:
+    # taken before the calibration and the gap sweep ran batched
+    def test_calibration_raw_max(self):
+        assert vr.calibrate_sa3_constant(1, 1, 1)["raw_max"].hex() == "0x1.63e30187185d0p-1"
+        assert (vr.calibrate_sa3_constant(2, 1.5, 1)["raw_max"].hex()
+                == "0x1.e6ca3a93d703bp-1")
+
+    def test_criterion_03_sweep_slope(self):
+        sweep = vr.sa3_gap_sweep([2.0], [1.0], [1.0], [np.ones_like], [1.0, 0.5, 0.25, 0.125])
+        assert sweep["slope"].hex() == "-0x1.0000000000000p+1"
+
+
 class TestSa3Bound:
     def test_exponent_formula_and_symmetry(self, rng):
         assert vr.sa3_exponent([1, 2], [1, 2], [1, 1]) == pytest.approx(1.5)
@@ -240,6 +337,20 @@ class TestSa3Bound:
             assert lhs <= c_fit * rhs
 
 
+def step1_bound(prob: VariationalProblem, beta: float) -> float:
+    """Closed-form upper bound for the common-density form of the functional.
+
+    Valid for problems with p_i = 1 and all components sharing one density f:
+    ``sum_i 2^(theta alpha_i / beta) gap^(1 - alpha_i - 1/beta) (int f^beta)^(1/beta)``.
+    """
+    assert np.all(prob.ps == 1.0), "the closed-form bound applies to the p_i = 1 form"
+    f = prob.f_samples[0]
+    assert np.allclose(prob.f_samples, f[None]), "the closed-form bound needs a common density"
+    integral = np.trapezoid(f**beta, prob.sample_grid()) ** (1.0 / beta)
+    return float(sum(2 ** (prob.theta * a / beta) * prob.gap ** (1.0 - a - 1.0 / beta)
+                     for a in prob.alphas) * integral)
+
+
 class TestStep1Bound:
     def test_explicit_below_closed_form(self, rng):
         # common density, p_i = 1: the explicit profile obeys the closed-form bound
@@ -251,7 +362,7 @@ class TestStep1Bound:
                                              [fn, fn])
             beta = 0.5
             val = vr.functional_value(prob, vr.explicit_cutoff(prob))
-            assert val <= vr.step1_bound(prob, beta) * (1 + 1e-9)
+            assert val <= step1_bound(prob, beta) * (1 + 1e-9)
 
 
 class TestRadialEmbedding:
