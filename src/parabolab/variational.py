@@ -282,9 +282,9 @@ def _value_and_gradient(h, w, alphas, ps, m):
     def value_and_gradient(x):
         F, grad, s = np.zeros(x.shape[0]), np.zeros_like(x), x / h_rows
         for a, p, a_h, wi, wi_rows in terms:
-            sa = s**a
-            T = sa @ wi[0] if len(wi) == 1 else np.concatenate(
-                [sa[b] @ wij for b, wij in zip(blocks, wi)])
+            sa, T = s**a, np.empty(x.shape[0])
+            for b, wij in zip(blocks, wi):
+                np.matmul(sa[b], wij, out=T[b])
             F += T ** (1.0 / p)
             pos = T > 0  # a component with T_i = 0 adds nothing to the gradient
             coef = np.where(pos, np.where(pos, T, 1.0) ** (1.0 / p - 1.0) / p, 0.0)
@@ -298,7 +298,7 @@ def _fw_gap(grad, x):
     return np.einsum("sk,sk->s", grad, x) - grad.min(axis=1)
 
 
-def _oracle(probs: list[VariationalProblem], knot_count: int) -> list[OracleResult]:
+def _oracle(probs: list[VariationalProblem], knot_count: int = 41) -> list[OracleResult]:
     """:func:`oracle_infimum` of every problem, all stepped in one loop.
 
     The problems must share ``alphas`` and ``ps``.  Each result is bit for bit
@@ -489,10 +489,10 @@ def sa3_gap_sweep(alphas, ps, betas, f_fns, gaps) -> dict:
     The raw bound's right side carries the data term's own gap power, so the
     predicted power ``-sa3_exponent`` is read off ``log(lhs / data)`` vs
     ``log(gap)``; it is tight when all beta_i coincide.  The gaps share one
-    signature and are solved in one batched oracle run at 41 knots.
+    signature and are solved in one batched oracle run at its default knot count.
     """
     probs = [problem_from_callables(0.0, gap, alphas, ps, betas, f_fns) for gap in gaps]
-    lhs_list = [r.value for r in _oracle(probs, 41)]
+    lhs_list = [r.value for r in _oracle(probs)]
     data_list = [_data_term(prob) for prob in probs]
     logg = np.log(np.asarray(gaps))
     ratio = np.log(np.asarray(lhs_list) / np.asarray(data_list))

@@ -280,11 +280,15 @@ class TestBatchedOracle:
 
 
 class TestPinnedValues:
-    # taken before the calibration and the gap sweep ran batched
+    # Taken before the calibration and the gap sweep ran batched, with numpy
+    # 2.4.6 on OpenBLAS 0.3.31 (Haswell kernels).  raw_max goes through BLAS
+    # matvecs whose summation order another BLAS build may change, so it is
+    # compared to a few ulps; the slope is exactly -2.
     def test_calibration_raw_max(self):
-        assert vr.calibrate_sa3_constant(1, 1, 1)["raw_max"].hex() == "0x1.63e30187185d0p-1"
-        assert (vr.calibrate_sa3_constant(2, 1.5, 1)["raw_max"].hex()
-                == "0x1.e6ca3a93d703bp-1")
+        for sig, pinned in [((1, 1, 1), "0x1.63e30187185d0p-1"),
+                            ((2, 1.5, 1), "0x1.e6ca3a93d703bp-1")]:
+            raw_max = vr.calibrate_sa3_constant(*sig)["raw_max"]
+            assert math.isclose(raw_max, float.fromhex(pinned), rel_tol=1e-15), sig
 
     def test_criterion_03_sweep_slope(self):
         sweep = vr.sa3_gap_sweep([2.0], [1.0], [1.0], [np.ones_like], [1.0, 0.5, 0.25, 0.125])
