@@ -36,7 +36,8 @@ print(f"  normalized log-log slope = {sweep['slope']:.4f}, "
       f"predicted = {sweep['predicted']}")
 
 print("\n== upper-bound report with its calibrated constant ==")
-lhs, expo, rhs, c_fit = vr.sa3_bound_report(prob)
+expo, rhs, c_fit = vr.sa3_bound_rhs(prob)
+lhs = oracle.value
 print(f"  lhs = {lhs:.4f}, exponent = {expo}, rhs = {rhs:.4f}, C_fit = {c_fit:.3f}; "
       f"lhs <= C_fit * rhs: {lhs <= c_fit * rhs}")
 

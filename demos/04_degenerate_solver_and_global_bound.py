@@ -39,7 +39,7 @@ print(f"  forcing norm    = {mp.f_norm:.5f}")
 print(f"  ratio           = {mp.ratio:.5f}")
 print(f"  max |grad u|    = {mn.gradient_sup(u):.4f}  (recorded, never asserted)")
 
-field3 = field.with_forcing(lambda t, X: 3.0 * forcing(t, X))
+field3 = pde.example_62_field(alpha=0.2, R=1.0, n=4, forcing=lambda t, X: 3.0 * forcing(t, X))
 u3 = pde.solve(field3, u0, pde.SolverConfig(dt=0.01, T=1.0))
 mp3 = pde.max_principle_report(u3, field3, cfg, 1.0, lattice_step=0.5)
 print(f"\n  forcing tripled: ratio = {mp3.ratio:.5f} "

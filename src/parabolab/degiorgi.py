@@ -88,11 +88,8 @@ def level_truncate(u: GridFunction, kappa: float) -> GridFunction:
     return u._with_owned(np.maximum(u.values - kappa, 0.0))
 
 
-def level_energy(u: GridFunction, kappa: float, cyl: Cylinder, r: float, s: float,
-                 kappa_exp: float | None = None) -> float:
+def level_energy(u: GridFunction, kappa: float, cyl: Cylinder, r: float, s: float) -> float:
     """Windowed mixed norm of the truncation: ``||1_cyl (u - kappa)^+||`` (space r, time s)."""
-    if kappa_exp is not None and not in_script_I(r, s, kappa_exp, u.d):
-        raise PreconditionError(f"(r, s) = ({r}, {s}) outside the admissible window set")
     w = level_truncate(u, kappa)
     return mn.cylinder_norm(w, MixedNormSpec(r, s, "time-outer"), cyl)
 
@@ -101,18 +98,14 @@ def lk1_check(u: GridFunction, kappa0: float, kappa1: float, cyl: Cylinder,
               r: float, s: float) -> tuple[float, float]:
     """Both sides of the level-set measure bound; lhs <= rhs holds exactly.
 
-    lhs is the windowed norm of the indicator of ``{(u - kappa1)^+ != 0}``,
-    rhs the windowed norm of ``(u - kappa0)^+`` divided by ``kappa1 - kappa0``.
+    lhs is the windowed norm of the indicator of ``{u > kappa1}``, rhs the
+    :func:`level_energy` at ``kappa0`` divided by ``kappa1 - kappa0``.
     """
     if not 0 < kappa0 < kappa1:
         raise PreconditionError("need 0 < kappa0 < kappa1")
-    spec = MixedNormSpec(r, s, "time-outer")
-    w1 = level_truncate(u, kappa1)
-    w0 = level_truncate(u, kappa0)
-    ind = u._with_owned((w1.values > 0).astype(float))
-    lhs = mn.cylinder_norm(ind, spec, cyl)
-    rhs = mn.cylinder_norm(w0, spec, cyl) / (kappa1 - kappa0)
-    return lhs, rhs
+    ind = u._with_owned((u.values > kappa1).astype(float))
+    lhs = mn.cylinder_norm(ind, MixedNormSpec(r, s, "time-outer"), cyl)
+    return lhs, level_energy(u, kappa0, cyl, r, s) / (kappa1 - kappa0)
 
 
 # ---------------------------------------------------------------------------

@@ -190,13 +190,13 @@ class PathEnsemble:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
 
-def _path_noise(seed: int, start: int, out: np.ndarray) -> None:
-    """Fill ``out[i]`` with the Philox stream keyed (seed, start + i); path-major draws."""
-    bitgen = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+def _path_noise(seed: int, out: np.ndarray) -> None:
+    """Fill ``out[i]`` with the Philox stream keyed (seed, i); path-major draws."""
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # counter zero, buffer empty: a fresh generator's state
     for i in range(len(out)):
-        state["state"]["key"] = np.array([seed, start + i], dtype=np.uint64)
+        state["state"]["key"] = np.array([seed, i], dtype=np.uint64)
         bitgen.state = state
         gen.standard_normal(out=out[i])
 
@@ -240,7 +240,7 @@ def euler_maruyama(
     sqrt2dt = math.sqrt(2.0 * dt)
 
     # the draws go where the path will be: step k reads slot k + 1, then writes X there
-    _path_noise(seed, 0, paths[:, 1:])
+    _path_noise(seed, paths[:, 1:])
     X = np.tile(x0, (n_paths, 1))
     paths[:, 0] = X
     for k in range(n_steps if n_paths else 0):  # an empty ensemble takes no steps

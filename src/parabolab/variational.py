@@ -401,7 +401,7 @@ def oracle_infimum(prob: VariationalProblem, knot_count: int = 41) -> OracleResu
 
 def brute_force_infimum(prob: VariationalProblem,
                         knot_count: int = 41) -> tuple[float, CutoffProfile]:
-    """``(value, profile)`` of :func:`oracle_infimum`."""
+    """``(value, profile)`` of :func:`oracle_infimum`; kept only for the benchmark workloads."""
     r = oracle_infimum(prob, knot_count)
     return r.value, r.profile
 
@@ -424,8 +424,6 @@ def _data_term(prob: VariationalProblem) -> float:
     return total
 
 
-_SA3_CACHE: dict = {}
-
 SA3_MARGIN = 1.5
 SA3_KNOTS = 25  # knot count of the calibration solves
 SA3_SEED = 20250809  # seed of the calibration densities
@@ -437,11 +435,7 @@ def calibrate_sa3_constant(alphas, ps, betas) -> dict:
     Max of lhs / ((gap)^(-exponent) * data term) over a frozen family of
     densities and gaps, times the recorded margin.  The family's eight
     problems share the signature, so one batched oracle run solves them all.
-    Cached.
     """
-    key = (tuple(np.atleast_1d(alphas)), tuple(np.atleast_1d(ps)), tuple(np.atleast_1d(betas)))
-    if key in _SA3_CACHE:
-        return _SA3_CACHE[key]
     rng = np.random.default_rng(SA3_SEED)
     n = np.atleast_1d(alphas).size
     expo = sa3_exponent(alphas, ps, betas)
@@ -459,9 +453,7 @@ def calibrate_sa3_constant(alphas, ps, betas) -> dict:
         denom = prob.gap ** (-expo) * _data_term(prob)
         if denom > 0:
             raw = max(raw, r.value / denom)
-    result = {"raw_max": raw, "margin": SA3_MARGIN, "c_fit": SA3_MARGIN * max(raw, 1e-9)}
-    _SA3_CACHE[key] = result
-    return result
+    return {"raw_max": raw, "margin": SA3_MARGIN, "c_fit": SA3_MARGIN * max(raw, 1e-9)}
 
 
 def sa3_bound_rhs(prob: VariationalProblem) -> tuple[float, float, float]:
@@ -478,9 +470,11 @@ def sa3_bound_rhs(prob: VariationalProblem) -> tuple[float, float, float]:
 
 def sa3_bound_report(prob: VariationalProblem,
                      knot_count: int = 41) -> tuple[float, float, float, float]:
-    """(lhs, rhs_exponent, rhs_value, C_fit): the oracle infimum and :func:`sa3_bound_rhs`."""
-    lhs, _ = brute_force_infimum(prob, knot_count)
-    return (lhs, *sa3_bound_rhs(prob))
+    """(lhs, rhs_exponent, rhs_value, C_fit): the oracle infimum and :func:`sa3_bound_rhs`.
+
+    Kept only for the benchmark workloads; the package calls the two parts.
+    """
+    return (oracle_infimum(prob, knot_count).value, *sa3_bound_rhs(prob))
 
 
 def sa3_gap_sweep(alphas, ps, betas, f_fns, gaps) -> dict:
@@ -559,7 +553,7 @@ def radial_embedding_infimum(
     G = knots * (Fvals**p).mean(axis=1) * 2 * math.pi
 
     prob = VariationalProblem(tau, delta, [alpha * p], [p], [kappa], (G ** (1.0 / p))[None])
-    J, _ = brute_force_infimum(prob, len(knots))
+    J = oracle_infimum(prob, len(knots)).value
 
     X = w.meshgrid()
     ball = ((X**2).sum(axis=-1) <= delta**2 * (1 + 1e-12)).astype(float)

@@ -252,6 +252,14 @@ class TestExperiments:
         first = vr.oracle_infimum(vr._random_problem(np.random.default_rng(3), 1), 17)
         assert (rows[0]["iterations"], rows[0]["lower"]) == (first.iterations, first.lower)
 
+    # the schema's knot bound is the library's: 2 knots solve, 1 exits 2 at load time
+    @pytest.mark.parametrize("knots, rc", [(2, 0), (1, 2)])
+    def test_variational_knot_count_bound(self, tmp_path, knots, rc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "variational", "parameters": {
+            "n_components": 1, "n_instances": 1, "knot_count": knots}}))
+        assert cli.main(["variational", "--config", str(cfg), "--out", str(tmp_path / "v")]) == rc
+
     def test_variational_solves_each_problem_once(self, tmp_path, monkeypatch):
         solved, instances = [], []
         oracle = vr.oracle_infimum
@@ -260,19 +268,19 @@ class TestExperiments:
         def counting(prob, knots=41):
             arrays = (prob.alphas, prob.ps, prob.betas, prob.f_samples)
             solved.append((prob.tau, prob.delta, knots) + tuple(a.tobytes() for a in arrays))
-            if knots == knot_count:  # the calibration solves use vr.SA3_KNOTS
-                instances.append(prob)
+            instances.append(prob)
             return oracle(prob, knots)
 
         monkeypatch.setattr(vr, "oracle_infimum", counting)
         out = tmp_path / "v"
         assert cli.main(["variational", "--out", str(out), "--seed", "42"]) == 0
         assert solved and len(set(solved)) == len(solved)
-        # each row holds what the full bound report gives for its instance
+        # each row holds the oracle value and the bound's right side for its instance
         rows = json.loads((out / "report.json").read_text())["instances"]
         assert len(rows) == len(instances)
         for row, prob in zip(rows, instances):
-            lhs, expo, rhs, c_fit = vr.sa3_bound_report(prob, knot_count)
+            lhs = oracle(prob, knot_count).value
+            expo, rhs, c_fit = vr.sa3_bound_rhs(prob)
             assert (row["gap"], row["oracle"], row["exponent"], row["rhs_value"],
                     row["c_fit"]) == (prob.gap, lhs, expo, rhs, c_fit)
             assert row["bounded"] is (lhs <= c_fit * rhs)

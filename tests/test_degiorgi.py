@@ -93,13 +93,6 @@ class TestLevelEnergy:
                 for r in (0.9, 0.7, 0.5)]
         assert vals[0] >= vals[1] >= vals[2]
 
-    def test_window_set_guard(self):
-        u = mn.from_callable(lambda t, X: np.ones(X.shape[:-1]), (-1, 1), 8,
-                             [(-1, 1)], (8,))
-        with pytest.raises(PreconditionError):
-            dg.level_energy(u, 0.0, Cylinder(0.5, (0.0, (0.0,))), 64.0, 64.0,
-                            kappa_exp=2.0)
-
 
 class TestLk1:
     def test_all_below_upper_level(self):
@@ -264,7 +257,7 @@ class TestLocalMaxDiagnostic:
         u, field = padded_heat_run
         lhs, rhs, ratio = dg.local_max_diagnostic(u, field, exp_cfg, 2.0)
         u3 = u.with_values(3 * u.values)
-        field3 = field.with_forcing(lambda t, X: 3 * np.exp(-(X[..., 0] ** 2) / 0.18))
+        field3 = pde.identity_field(1, forcing=lambda t, X: 3 * np.exp(-(X[..., 0] ** 2) / 0.18))
         _, _, ratio3 = dg.local_max_diagnostic(u3, field3, exp_cfg, 2.0)
         assert ratio3 == pytest.approx(ratio, rel=1e-10)
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -726,3 +727,26 @@ def test_whole_steps_at_and_past_the_cap():
     for span, dt in [(mn.MAX_STEPS + 1.0, 1.0), ((mn.MAX_STEPS + 1) * 0.01, 0.01)]:
         with pytest.raises(mn.GridError, match="whole number of steps"):
             mn._whole_steps(span, dt, mn.GridError)
+
+
+def test_cell_index_lookup():
+    g = mn.from_callable(lambda t, X: 1.0 + X[..., 0] ** 2, (0, 1), 4, [(-1, 1)], (16,))
+    X = mn.cell_centers((-1.0,), (0.125,), (16,))
+    (ti, xi), inside = mn._cell_index(g, 0.6, X)
+    assert ti == 2 and xi.tolist() == list(range(16)) and inside.all()
+    # outside the grid the lookup clamps to the edge cells, in time and space
+    (ti, xi), inside = mn._cell_index(g, 5.0, np.array([[-1.5], [1.5]]))
+    assert ti == 3 and xi.tolist() == [0, 15] and not inside.any()
+
+
+# the quotient is clamped while still a float: +inf and 1e300 read the last cell,
+# -inf and -1e300 the first, with no cast warning, in time and in space
+@pytest.mark.parametrize("far, edge", [(math.inf, -1), (1e300, -1), (-math.inf, 0), (-1e300, 0)])
+def test_cell_index_far_outside(far, edge):
+    g = mn.from_callable(lambda t, X: 1.0 + X[..., 0] ** 2, (0, 1), 4, [(-1, 1)], (16,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (ti, xi), t_inside = mn._cell_index(g, far, np.array([[0.1]]))
+        (tj, xj), x_inside = mn._cell_index(g, 0.6, np.array([[far]]))
+    assert (ti, xi.tolist(), t_inside.tolist()) == (range(4)[edge], [8], [False])
+    assert (tj, xj.tolist(), x_inside.tolist()) == (2, [range(16)[edge]], [False])
