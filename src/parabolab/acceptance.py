@@ -332,8 +332,9 @@ def criterion_10_identities() -> tuple[bool, str]:
 def criterion_11_approximation() -> tuple[bool, str]:
     """Cauchy distances nonincreasing in n; sup moment free of a growth trend.
 
-    The start sits in the flat region of the truncation so the moment
-    transient across the pinned n-list is below Monte Carlo resolution.
+    The start sits in the flat region of the truncation: the moment transient across the
+    pinned n-list is below ``growth_slope_stderr``, which treats the coupled sup moments as
+    independent, but a paired stderr (per-path regression) resolves it at about 29 stderrs.
     """
     rep = sde.approximation_cauchy_report("example-6.1", [1, 2, 4, 8, 16],
                                           [1.8, 0.0, 0.0], 0.3, 0.005, 20000, 99,

@@ -113,7 +113,10 @@ def load_config(path, kind: str, seed, out) -> ExperimentConfig:
     """Read and validate a config file; CLI flags override seed/output_dir."""
     raw = {}
     if path is not None:
-        raw = json.loads(Path(path).read_text())
+        try:
+            raw = json.loads(Path(path).read_text())
+        except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, bad JSON
+            raise ValidationError(f"config file {path} cannot be read as JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ValidationError("config must be a JSON object")
     unknown = set(raw) - {"kind", "parameters", "seed", "output_dir"}
@@ -326,7 +329,7 @@ def run_sde(config: ExperimentConfig, outdir: Path) -> dict:
     sde.export_ensemble(ens, outdir / "ensemble")
     return {"sup_moment": sup, "sup_stderr": sup_se,
             "occupation_estimate": kry, "occupation_stderr": kry_se,
-            "n_frozen": ens.n_frozen}
+            "n_frozen": ens.n_frozen, "floor_hits": coeffs.floor_hits}
 
 
 def run_acceptance(config: ExperimentConfig, outdir: Path) -> dict:
@@ -458,7 +461,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         config = load_config(args.config, args.command, args.seed, args.out)
-    except (InputError, json.JSONDecodeError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.out is not None:  # a rejected config has no hash
             _write_error(Path(args.out), args.command, None, "validation", str(exc))

@@ -6,8 +6,8 @@ shift; the raw singular field is only simulated with an evaluation floor and is
 documented as a heuristic).  Each path owns an independent counter-based Philox stream keyed
 by ``(seed, path_index)``, so ensembles are bitwise reproducible and the first
 k paths of a run coincide with a k-path run at the same seed; one generator is
-re-keyed per path, so no OS entropy is read per path.  The ensemble is
-drawn and stepped in one pass, its draws held in the path array.  Statistics are
+re-keyed per path, so no OS entropy is read per path.  One draw, held in the path
+array, serves an ensemble or all the coupled ensembles of a report.  Statistics are
 fixed-order numpy reductions of each path on its own row, over contiguous views
 of about ``mn.BLOCK_BYTES`` of paths, so they need O(block) extra memory, not
 copies of the path array; frozen paths are reduced too and dropped afterwards.
@@ -212,6 +212,42 @@ def _start_point(x0, d: int) -> np.ndarray:
     return np.broadcast_to(x0, (d,))
 
 
+def _coupled_ensembles(members, s: float, T: float, dt: float, n_paths: int, seed: int):
+    """One :class:`PathEnsemble` per ``(coeffs, x0)`` member (all of one ``d``), from one draw.
+
+    All is checked before the draw.  Each member but the last steps a copy of the draws, so
+    each is bitwise its lone :func:`euler_maruyama` ensemble, freed when its caller drops it.
+    """
+    if not 0 < dt <= 1e-2 + 1e-15:
+        raise SdeParameterError("dt must be positive and <= 1e-2")
+    n_paths = mn._count(n_paths, 0, 10**6, SdeParameterError)
+    n_steps = mn._whole_steps(T - s, dt, SdeParameterError)
+    members = [(coeffs, _start_point(x0, coeffs.d)) for coeffs, x0 in members]
+    sqrt2dt = math.sqrt(2.0 * dt)
+
+    # the draws go where a path will be: step k reads slot k + 1, then writes X there
+    draws = np.empty((n_paths, n_steps + 1, members[0][0].d))
+    _path_noise(seed, draws[:, 1:])
+    for i, (coeffs, x0) in enumerate(members):
+        paths = draws if i == len(members) - 1 else draws.copy()
+        frozen = np.zeros(n_paths, dtype=bool)
+        X = np.tile(x0, (n_paths, 1))
+        paths[:, 0] = X
+        for k in range(n_steps if n_paths else 0):  # an empty ensemble takes no steps
+            t = s + k * dt
+            step = sqrt2dt * (coeffs.sigma_diag(t, X) * paths[:, k + 1])
+            if coeffs.b is not None:
+                step = step + dt * coeffs.b(t, X)
+            Xn = X + step
+            frozen |= ~np.isfinite(Xn).all(axis=1)
+            if frozen.any():
+                Xn[frozen] = X[frozen]
+            X = Xn
+            paths[:, k + 1] = X
+        yield PathEnsemble(paths, s, dt, seed, coeffs.family_tag, dict(coeffs.params), frozen)
+        del paths
+
+
 def euler_maruyama(
     coeffs: SdeCoefficients,
     x0,
@@ -229,32 +265,7 @@ def euler_maruyama(
     into the path array itself, then the whole ensemble is stepped together and
     each step overwrites its draws, so no second path-sized array is held.
     """
-    if not 0 < dt <= 1e-2 + 1e-15:
-        raise SdeParameterError("dt must be positive and <= 1e-2")
-    n_paths = mn._count(n_paths, 0, 10**6, SdeParameterError)
-    n_steps = mn._whole_steps(T - s, dt, SdeParameterError)
-    d = coeffs.d
-    x0 = _start_point(x0, d)
-    paths = np.empty((n_paths, n_steps + 1, d))
-    frozen = np.zeros(n_paths, dtype=bool)
-    sqrt2dt = math.sqrt(2.0 * dt)
-
-    # the draws go where the path will be: step k reads slot k + 1, then writes X there
-    _path_noise(seed, paths[:, 1:])
-    X = np.tile(x0, (n_paths, 1))
-    paths[:, 0] = X
-    for k in range(n_steps if n_paths else 0):  # an empty ensemble takes no steps
-        t = s + k * dt
-        step = sqrt2dt * (coeffs.sigma_diag(t, X) * paths[:, k + 1])
-        if coeffs.b is not None:
-            step = step + dt * coeffs.b(t, X)
-        Xn = X + step
-        frozen |= ~np.isfinite(Xn).all(axis=1)
-        if frozen.any():
-            Xn[frozen] = X[frozen]
-        X = Xn
-        paths[:, k + 1] = X
-    return PathEnsemble(paths, s, dt, seed, coeffs.family_tag, dict(coeffs.params), frozen)
+    return next(_coupled_ensembles([(coeffs, x0)], s, T, dt, n_paths, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -504,24 +515,22 @@ def approximation_cauchy_report(
 ) -> CauchyReport:
     """Empirical-law Cauchy table across the mollification index.
 
-    Simulates each index with the same seed (coupled noise), measures the
-    sliced W1 distance between consecutive terminal marginals, and regresses
-    the sup moment on the index to detect growth.  A nonincreasing distance
-    trend shows as rank correlation <= 0.
+    Builds every index's coefficients, then steps them all from one draw of
+    the seed's streams (coupled noise), measures the sliced W1 distance between
+    consecutive terminal marginals, and regresses the sup moment on the index
+    to detect growth.  A nonincreasing distance trend shows as rank correlation <= 0.
     """
     n_list = list(n_list)
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise SdeParameterError("n_list must be increasing with at least 3 entries")
-    terminals, sups, errs = [], [], []
-    for n in n_list:
-        coeffs = build_coefficients(family_tag, n=n, **family_params)
-        ens = euler_maruyama(coeffs, x0, 0.0, T, dt, n_paths, seed)
+    members = [(build_coefficients(family_tag, n=n, **family_params), x0) for n in n_list]
+    terminals, stats = [], []
+    for ens in _coupled_ensembles(members, 0.0, T, dt, n_paths, seed):
         terminals.append(ens.paths[ens.alive(), -1, :])
-        m, e = sup_moment(ens)
-        sups.append(m)
-        errs.append(e)
-    distances = [sliced_wasserstein1(terminals[i], terminals[i + 1])
-                 for i in range(len(n_list) - 1)]
+        stats.append(sup_moment(ens))
+        del ens  # free this index's paths before the next is stepped
+    sups, errs = map(list, zip(*stats))
+    distances = [sliced_wasserstein1(a, b) for a, b in zip(terminals, terminals[1:])]
     if len(set(distances)) == 1:
         rho = 0.0  # no trend at the noise floor (identical laws)
     else:
@@ -555,23 +564,25 @@ def uniqueness_perturbation_report(
     eps_list = [float(e) for e in eps_list]
     coeffs = build_coefficients(family_tag, **family_params)
     x0 = _start_point(x0, coeffs.d)
-    base = euler_maruyama(coeffs, x0, 0.0, T, dt, n_paths, seed)
-    rows = []
+    members = [(coeffs, x0)]
     for eps in eps_list:
         shifted = x0.copy()
         shifted[0] += eps
-        pert = euler_maruyama(coeffs, shifted, 0.0, T, dt, n_paths, seed)
+        members.append((coeffs, shifted))
+    ensembles = _coupled_ensembles(members, 0.0, T, dt, n_paths, seed)
+    base = next(ensembles)
+    sups = []
+    for pert in ensembles:
         # the difference paths overwrite pert's, frozen if either run froze; a live
         # difference that overflows is rejected by sup_moment
         with np.errstate(over="ignore"):
             np.subtract(base.paths, pert.paths, out=pert.paths)
         pert.frozen |= base.frozen
-        divergence, stderr = sup_moment(pert)
-        rows.append({"eps": eps, "divergence": divergence, "stderr": stderr})
-    eps_arr = [r["eps"] for r in rows]
-    div_arr = [r["divergence"] for r in rows]
-    pos = [i for i, e in enumerate(eps_arr) if e > 0]
-    rho = (_spearman([eps_arr[i] for i in pos], [div_arr[i] for i in pos])
+        sups.append(sup_moment(pert))
+        del pert  # free this start's paths before the next is stepped
+    rows = [{"eps": e, "divergence": m, "stderr": se} for e, (m, se) in zip(eps_list, sups)]
+    pos = [i for i, e in enumerate(eps_list) if e > 0]
+    rho = (_spearman([eps_list[i] for i in pos], [sups[i][0] for i in pos])
            if len(pos) >= 2 else 1.0)
     return {"rows": rows, "spearman_eps_vs_divergence": rho,
             "floor_hits": coeffs.floor_hits}

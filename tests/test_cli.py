@@ -177,6 +177,23 @@ class TestConfigValidation:
         with pytest.raises(cli.ValidationError):
             cli.load_config(cfg, "degiorgi", 0, None)
 
+    # bytes that are not UTF-8, nesting past the recursion limit, an integer past
+    # Python's 4300-digit conversion limit: each used to escape with a traceback
+    @pytest.mark.parametrize("content", [
+        b'{"kind": "norms", "seed": "\xff"}',
+        b"[" * 200000 + b"]" * 200000,
+        b'{"kind": "norms", "seed": ' + b"1" * 4301 + b"}",
+    ], ids=["not-utf8", "nested-200000", "int-4301-digits"])
+    def test_malformed_config_file_is_validation(self, tmp_path, capsys, content):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(content)
+        out = tmp_path / "o"
+        assert cli.main(["norms", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err
+        assert "Traceback" not in err
+        assert json.loads((out / "error.json").read_text())["error"] == "validation"
+
     def test_memory_error_is_numerical(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate the path array")
@@ -346,6 +363,19 @@ class TestExperiments:
         assert names[0] == names[1] == sorted(written | {"report.json"})
         for name in names[0]:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_sde_reports_floor_hits(self, tmp_path):
+        # the raw Prop. 6.1 field clamps |x| at the floor; every path starts there
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "sde", "parameters": {
+            "family": "prop-6.1", "d": 3, "alpha": 0.3, "n": "inf", "x0": [0, 0, 0]}}))
+        reports = []
+        for argv in (["--config", str(cfg)], []):
+            out = tmp_path / str(len(reports))
+            assert cli.main(["sde", *argv, "--seed", "42", "--out", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert reports[0]["floor_hits"] > 0
+        assert reports[1]["parameters"]["family"] == "brownian" and reports[1]["floor_hits"] == 0
 
     def test_pde_solution_export(self, tmp_path):
         out = tmp_path / "pde"

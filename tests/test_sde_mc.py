@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -736,6 +737,90 @@ class TestCauchyAndUniqueness:
         divs = [r["divergence"] for r in out["rows"]]
         assert all(a > b for a, b in zip(divs, divs[1:]))
         assert out["spearman_eps_vs_divergence"] >= 0.99
+
+
+# criterion 11's Cauchy table at a fifth of its paths
+CAUCHY_ARGS = ("example-6.1", [1, 2, 4, 8, 16], [1.8, 0.0, 0.0], 0.3, 0.005, 4000, 99)
+CAUCHY_KW = dict(d=3, R=1.0, alpha=0.1)
+
+
+def _coupled_members():
+    """Members sharing d = 3: a freezing drift, the raw Prop. 6.1 field from the floor."""
+    return [(sde.build_coefficients("brownian", d=3), np.zeros(3)),
+            (_freezing_coeffs(3), np.zeros(3)),
+            (sde.build_coefficients("prop-6.1", d=3, alpha=0.3, beta=0.2, lam=1.0, n=INF),
+             np.zeros(3)),
+            (_freezing_coeffs(3), [0.1, 0.0, 0.0])]
+
+
+class TestCoupledEnsembles:
+    """Coupled members share one draw and are each bitwise their lone ensemble."""
+
+    def test_one_draw_per_report(self, monkeypatch):
+        calls = []
+        draw = sde._path_noise
+        monkeypatch.setattr(sde, "_path_noise", lambda seed, out: (calls.append(seed),
+                                                                   draw(seed, out)))
+        sde.approximation_cauchy_report(*CAUCHY_ARGS, **CAUCHY_KW)
+        assert calls == [99]
+        sde.uniqueness_perturbation_report([1e-1, 1e-2, 1e-3, 1e-4, 0.0], np.full(3, 0.5), 0.2,
+                                           0.005, 300, 13, family_tag="prop-6.1", d=3,
+                                           alpha=0.3, beta=0.2, lam=1.0, n=INF)
+        assert calls == [99, 13]
+
+    @pytest.mark.parametrize("n_paths", [150, 0])
+    def test_members_are_their_lone_ensembles(self, n_paths):
+        coupled = _coupled_members()
+        ensembles = sde._coupled_ensembles(coupled, 0.0, 0.5, 1.0 / 256, n_paths, 3)
+        n_frozen = []
+        for (coeffs, x0), ens, (lone_coeffs, _) in zip(coupled, ensembles, _coupled_members(),
+                                                       strict=True):
+            lone = sde.euler_maruyama(lone_coeffs, x0, 0.0, 0.5, 1.0 / 256, n_paths, 3)
+            assert ens.paths.shape == lone.paths.shape == (n_paths, 129, 3)
+            assert ens.paths.tobytes() == lone.paths.tobytes()
+            assert ens.frozen.tobytes() == lone.frozen.tobytes()
+            assert coeffs.floor_hits == lone_coeffs.floor_hits
+            n_frozen.append(ens.n_frozen)
+        if n_paths:
+            assert n_frozen[0] == n_frozen[2] == 0 and 0 < n_frozen[1] < n_paths
+            assert coupled[2][0].floor_hits >= n_paths
+
+    def test_cauchy_report_matches_separate_runs(self):
+        rep = sde.approximation_cauchy_report(*CAUCHY_ARGS, **CAUCHY_KW)
+        family, n_list, x0, T, dt, n_paths, seed = CAUCHY_ARGS
+        terminals, sups = [], []
+        for n in n_list:
+            coeffs = sde.build_coefficients(family, n=n, **CAUCHY_KW)
+            ens = sde.euler_maruyama(coeffs, x0, 0.0, T, dt, n_paths, seed)
+            terminals.append(ens.paths[ens.alive(), -1, :])
+            sups.append(sde.sup_moment(ens))
+        assert rep.distances == [sde.sliced_wasserstein1(a, b)
+                                 for a, b in zip(terminals, terminals[1:])]
+        assert list(zip(rep.sup_moments, rep.sup_stderrs)) == sups
+
+    def test_invalid_later_index_raises_before_the_draw(self, monkeypatch):
+        monkeypatch.setattr(sde, "_path_noise", lambda *a, **k: pytest.fail("paths were drawn"))
+        for dt in (0.005, 0.5):  # every index is built before dt is checked
+            with pytest.raises(co.CutoffFamilyError, match="mollification index"):
+                sde.approximation_cauchy_report("example-6.1", [1, 2, math.nan], [1.8, 0, 0],
+                                                0.3, dt, 100, 99, **CAUCHY_KW)
+
+    def test_peak_memory(self):
+        # the draws and the member being stepped; the perturbation table also keeps its base
+        nbytes = 4000 * 61 * 3 * 8
+        tracemalloc.start()
+        try:
+            sde.approximation_cauchy_report(*CAUCHY_ARGS, **CAUCHY_KW)
+            _, cauchy_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sde.uniqueness_perturbation_report([1e-1, 1e-2, 1e-3, 0.0], [1.8, 0.0, 0.0], 0.3,
+                                               0.005, 4000, 99, family_tag="example-6.1",
+                                               **CAUCHY_KW)
+            _, perturbation_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cauchy_peak < 2.5 * nbytes
+        assert perturbation_peak < 3.5 * nbytes
 
 
 class TestSpearman:
