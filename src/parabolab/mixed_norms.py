@@ -498,14 +498,10 @@ def _strides(f: GridFunction, lattice_step: float) -> tuple[int, list[int]]:
     return st_t, st_x
 
 
-def _block_rows(row_size: int) -> int:
-    """Leading-axis slices of ``row_size`` float64 entries per ``BLOCK_BYTES`` block (>= 1)."""
-    return max(1, BLOCK_BYTES // (row_size * 8))
-
-
 def _blocks(n: int, row_size: int):
-    """Consecutive slices of ``range(n)``, ``_block_rows(row_size)`` rows each (the last fewer)."""
-    step = _block_rows(row_size)
+    """Consecutive slices of ``range(n)``, each as many rows of ``row_size`` float64
+    entries as fit in ``BLOCK_BYTES`` (at least one), the last fewer."""
+    step = max(1, BLOCK_BYTES // (row_size * 8))
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
@@ -710,18 +706,17 @@ def _sampled_localized_norm(f: GridFunction, fn: Callable, spec: MixedNormSpec,
                             lattice_step: float) -> float:
     """:func:`localized_norm` of ``fn(t, X)`` sampled on ``f``'s grid, never held whole.
 
-    The samples are drawn in time blocks of about ``BLOCK_BYTES`` into one
-    buffer, each block checked finite (a non-finite sample raises
-    :class:`GridError`, as wrapping the whole sample would) and folded into
-    the running window sums before the next is drawn.  Equals
+    The samples are drawn in time blocks of about ``BLOCK_BYTES``, each block
+    checked finite (a non-finite sample raises :class:`GridError`, as wrapping
+    the whole sample would) and folded into the running window sums before the
+    next is drawn.  Equals
     ``localized_norm(f.with_values(f.sample(fn)), spec, lattice_step)`` bit for bit.
     """
     ts, X = f.t_centers(), f.meshgrid()
-    buf = np.empty((_block_rows(f.values[0].size),) + f.nx)
 
     def blocks():
         for rows in _blocks(f.nt, f.values[0].size):
-            block = _sample_rows(fn, ts[rows], X, buf[:rows.stop - rows.start])
+            block = _sample_rows(fn, ts[rows], X)
             _require_finite(block)
             yield block
 

@@ -16,6 +16,7 @@ copies of the path array; frozen paths are reduced too and dropped afterwards.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -212,6 +213,27 @@ def _start_point(x0, d: int) -> np.ndarray:
     return np.broadcast_to(x0, (d,))
 
 
+def _real_list(values, name: str, finite: bool = False) -> list:
+    """``values`` as a list of real numbers (bools are not), finite ones if ``finite``.
+
+    Anything else raises :class:`SdeParameterError` naming ``name``.
+    """
+    kind = "finite real numbers" if finite else "real numbers"
+    try:
+        values = list(values)
+    except TypeError:  # not iterable
+        raise SdeParameterError(f"{name} must be a list of {kind}, got {values!r}") from None
+    for v in values:
+        try:
+            ok = (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                  and (not finite or math.isfinite(v)))
+        except OverflowError:  # an int past the float range
+            ok = False
+        if not ok:
+            raise SdeParameterError(f"{name} must hold {kind}, got {v!r}")
+    return values
+
+
 def _coupled_ensembles(members, s: float, T: float, dt: float, n_paths: int, seed: int):
     """One :class:`PathEnsemble` per ``(coeffs, x0)`` member (all of one ``d``), from one draw.
 
@@ -278,18 +300,6 @@ def _row_blocks(ens: PathEnsemble):
     return mn._blocks(ens.n_paths, (ens.n_steps + 1) * ens.d)
 
 
-def _block_scratch(ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """A ``(rows, n_steps + 1, d)`` path buffer and a ``(rows, n_steps + 1)`` sum buffer.
-
-    ``rows`` is the block length of :func:`_row_blocks`.  A block that size
-    is above the allocator's mmap threshold, so a fresh temporary per lag or
-    block would be a fresh mapping faulted in page by page; the statistics
-    fill these through ``out=`` instead.
-    """
-    rows = min(mn._block_rows((ens.n_steps + 1) * ens.d), ens.n_paths)
-    return np.empty((rows, ens.n_steps + 1, ens.d)), np.empty((rows, ens.n_steps + 1))
-
-
 def _live(alive: np.ndarray) -> np.ndarray:
     """The mask ``alive`` of the paths a statistic keeps; a statistic over none is an error."""
     if not alive.any():
@@ -297,18 +307,19 @@ def _live(alive: np.ndarray) -> np.ndarray:
     return alive
 
 
-def _sup_sq_norm(P: np.ndarray, sq: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Per path, ``max_t |P_t|^2``, through the scratch buffers ``sq`` and ``sums``.
+def _sup_sq_norm(P: np.ndarray) -> np.ndarray:
+    """Per path, ``max_t |P_t|^2``; ``P`` is a block of whole paths, frozen or not.
 
-    ``P`` is a block of whole paths, frozen or not, each reduced on its own row:
-    squared into the first ``len(P)`` rows of ``sq`` (``P`` itself may serve),
-    summed over the last axis into those of ``sums``; the square root commutes
-    with the max bitwise.
+    The coordinate squares are summed one axis at a time into a fresh
+    per-block temporary.  numpy sums fewer than eight terms of a last axis in
+    this order, so for d < 8 this is bitwise ``np.square(P).sum(axis=2)``
+    (from eight on its pairwise sum may round differently); the square root
+    commutes with the max bitwise.
     """
-    sq, sums = sq[:len(P)], sums[:len(P)]
-    np.square(P, out=sq)
-    np.add.reduce(sq, axis=2, out=sums)
-    return sums.max(axis=1)
+    sq = np.square(P[..., 0])
+    for k in range(1, P.shape[2]):
+        sq += np.square(P[..., k])
+    return sq.max(axis=1)
 
 
 def _finite_squares(blocks, alive: np.ndarray) -> np.ndarray:
@@ -367,7 +378,7 @@ class ModulusReport:
     intercept: float
 
 
-def _lag_best(P: np.ndarray, order: list, diff: np.ndarray, sums: np.ndarray) -> np.ndarray:
+def _lag_best(P: np.ndarray, order: list) -> np.ndarray:
     """Per lag m in ``order`` (sorted), per path: ``max_(t, j<=m) |P_(t+j) - P_t|^2``.
 
     One pass per lag j = 1..max(order), a running max over the passes.
@@ -377,36 +388,31 @@ def _lag_best(P: np.ndarray, order: list, diff: np.ndarray, sums: np.ndarray) ->
     j = 1
     for i, m in enumerate(order):
         while j <= m:
-            D = diff[:len(P), :-j]
-            np.subtract(P[:, j:, :], P[:, :-j, :], out=D)
-            np.maximum(best, _sup_sq_norm(D, D, sums[:, :-j]), out=best)
+            np.maximum(best, _sup_sq_norm(P[:, j:] - P[:, :-j]), out=best)
             j += 1
         out[i] = best
     return out
 
 
-def _range_best(P: np.ndarray, order: list, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+def _range_best(P: np.ndarray, order: list) -> np.ndarray:
     """:func:`_lag_best` of ``(k, n + 1)`` scalar paths, from ranges of windows of m + 1 points.
 
-    ``hi`` and ``lo`` are pairs of ``(k', n + 1)`` buffers (k' >= k) that
-    the window maxima and minima ping-pong between.  The window ``[t, t+w+s]``
-    is the union of ``[t, t+w]`` and ``[t+s, t+s+w]`` for s <= w + 1, so each
-    doubling pass is one ``np.maximum`` and one ``np.minimum``.
+    The window ``[t, t+w+s]`` is the union of ``[t, t+w]`` and
+    ``[t+s, t+s+w]`` for s <= w + 1, so each doubling pass is one
+    ``np.maximum`` and one ``np.minimum``.
     """
-    k, n1 = P.shape
-    out = np.empty((len(order), k))
-    cur_hi = cur_lo = P
-    w, free = 0, 0  # window width reached; the buffer of each pair not holding it
+    n1 = P.shape[1]
+    out = np.empty((len(order), P.shape[0]))
+    hi = lo = P
+    w = 0  # window width reached
     for i, m in enumerate(order):
         while w < m:
             s = min(w + 1, m - w)
             width = n1 - w - s
-            cur_hi = np.maximum(cur_hi[:, :width], cur_hi[:, s:s + width],
-                                out=hi[free, :k, :width])
-            cur_lo = np.minimum(cur_lo[:, :width], cur_lo[:, s:s + width],
-                                out=lo[free, :k, :width])
-            w, free = w + s, 1 - free
-        out[i] = np.subtract(cur_hi, cur_lo, out=hi[free, :k, :n1 - w]).max(axis=1)
+            hi = np.maximum(hi[:, :width], hi[:, s:s + width])
+            lo = np.minimum(lo[:, :width], lo[:, s:s + width])
+            w += s
+        out[i] = (hi - lo).max(axis=1)
     return np.square(out, out=out)
 
 
@@ -436,12 +442,10 @@ def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
         raise SdeParameterError(f"delta={deltas.max()} does not fit in the horizon "
                                 f"of {ens.n_steps} steps")
     order = sorted(set(lags))
-    diff, sums = _block_scratch(ens)
     if ens.d == 1:
-        hi, lo = np.empty((2, 2) + sums.shape)
-        blocks = (_range_best(ens.paths[rows, :, 0], order, hi, lo) for rows in _row_blocks(ens))
+        blocks = (_range_best(ens.paths[rows, :, 0], order) for rows in _row_blocks(ens))
     else:
-        blocks = (_lag_best(ens.paths[rows], order, diff, sums) for rows in _row_blocks(ens))
+        blocks = (_lag_best(ens.paths[rows], order) for rows in _row_blocks(ens))
     roots = np.sqrt(np.sqrt(_finite_squares(blocks, ens.alive())))
     moments, errs = np.array([_mean_stderr(roots[order.index(m)]) for m in lags]).T
     slope, intercept = np.polyfit(np.log(deltas), np.log(moments), 1)
@@ -450,8 +454,7 @@ def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
 
 def sup_moment(ens: PathEnsemble) -> tuple[float, float]:
     """(mean, stderr) of ``sup_t |X_t|`` over the non-frozen paths."""
-    sq, sums = _block_scratch(ens)
-    sup_sq = _finite_squares((_sup_sq_norm(ens.paths[rows], sq, sums) for rows in _row_blocks(ens)),
+    sup_sq = _finite_squares((_sup_sq_norm(ens.paths[rows]) for rows in _row_blocks(ens)),
                              ens.alive())
     return _mean_stderr(np.sqrt(sup_sq))
 
@@ -520,7 +523,7 @@ def approximation_cauchy_report(
     consecutive terminal marginals, and regresses the sup moment on the index
     to detect growth.  A nonincreasing distance trend shows as rank correlation <= 0.
     """
-    n_list = list(n_list)
+    n_list = _real_list(n_list, "n_list")
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise SdeParameterError("n_list must be increasing with at least 3 entries")
     members = [(build_coefficients(family_tag, n=n, **family_params), x0) for n in n_list]
@@ -561,7 +564,7 @@ def uniqueness_perturbation_report(
     eps = 0 reproduces the base ensemble bitwise, so the divergence vanishes
     exactly there; the table must decrease as eps does (rank test).
     """
-    eps_list = [float(e) for e in eps_list]
+    eps_list = [float(e) for e in _real_list(eps_list, "eps_list", finite=True)]
     coeffs = build_coefficients(family_tag, **family_params)
     x0 = _start_point(x0, coeffs.d)
     members = [(coeffs, x0)]

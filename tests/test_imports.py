@@ -229,13 +229,29 @@ def block_row_walkers(source):
     return sorted(walkers)
 
 
+def block_bytes_readers(source):
+    """Names of the functions that read ``BLOCK_BYTES``; ``<module>`` for a read outside one."""
+    readers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name == "BLOCK_BYTES" and isinstance(child.ctx, ast.Load):
+                readers.add(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(readers)
+
+
 def test_one_block_walker():
-    # mixed_norms._blocks turns BLOCK_BYTES into row ranges; every other reader
-    # of _block_rows only sizes a buffer with it
+    # mixed_norms._blocks turns BLOCK_BYTES into row ranges, and nothing else
+    # reads it: no module sizes a scratch buffer from the block rule
     sources = {p.stem: p.read_text() for p in MODULES}
     assert {stem: block_row_walkers(s) for stem, s in sources.items()
             if block_row_walkers(s)} == {"mixed_norms": ["_blocks"]}
-    assert [stem for stem, s in sources.items() if name_uses(s, "BLOCK_BYTES")] == ["mixed_norms"]
+    assert {stem: block_bytes_readers(s) for stem, s in sources.items()
+            if block_bytes_readers(s)} == {"mixed_norms": ["_blocks"]}
 
 
 def test_block_walker_detector_sees_row_ranges():
@@ -248,6 +264,20 @@ def test_block_walker_detector_sees_row_ranges():
               "    for lo in range(0, len(u), mn.BLOCK_BYTES // 8):\n"
               "        yield u[lo]\n")
     assert block_row_walkers(source) == ["_blocks", "walk"]
+
+
+def test_block_bytes_reader_detector_sees_every_read():
+    source = ("BLOCK_BYTES = 1 << 19\n"
+              "LIMIT = 2 * BLOCK_BYTES\n"
+              "def scratch(n):\n"
+              "    return np.empty(mn.BLOCK_BYTES // 8)\n"
+              "def outer():\n"
+              "    def inner():\n"
+              "        return BLOCK_BYTES\n"
+              "    return inner\n"
+              "def patch():\n"
+              "    mn.BLOCK_BYTES = 64\n")
+    assert block_bytes_readers(source) == ["<module>", "inner", "scratch"]
 
 
 def _scipy_after(statement):

@@ -451,11 +451,11 @@ def _freezing_ensemble(d, n_paths, seed):
 
 @pytest.fixture(scope="module")
 def blocked_ensembles():
-    brownian = sde.euler_maruyama(sde.build_coefficients("brownian", d=1), [0.0], 0.0, 0.5,
-                                  1.0 / 256, 211, 8)
+    brownian = {d: sde.euler_maruyama(sde.build_coefficients("brownian", d=d), np.zeros(d), 0.0,
+                                      0.5, 1.0 / 256, n, 8) for d, n in [(1, 211), (2, 173)]}
     frozen = {d: _freezing_ensemble(d, n, 3) for d, n in [(1, 300), (3, 150)]}
     assert all(0 < ens.n_frozen < ens.n_paths for ens in frozen.values())
-    return {"d1": brownian, "d1-frozen": frozen[1], "d3-frozen": frozen[3]}
+    return {"d1": brownian[1], "d2": brownian[2], "d1-frozen": frozen[1], "d3-frozen": frozen[3]}
 
 
 class TestBlockedStatistics:
@@ -473,7 +473,7 @@ class TestBlockedStatistics:
         [4, 1, 32, 1, 4, 2],
         [3, 1, 7, 128, 7, 100],
     ], ids=["sorted", "unsorted", "repeated", "full-horizon"])
-    @pytest.mark.parametrize("name", ["d1", "d1-frozen", "d3-frozen"])
+    @pytest.mark.parametrize("name", ["d1", "d2", "d1-frozen", "d3-frozen"])
     def test_modulus_matches_one_shot(self, blocked_ensembles, block_bytes, name, lags):
         ens = blocked_ensembles[name]
         deltas = np.array(lags) * ens.dt
@@ -483,7 +483,7 @@ class TestBlockedStatistics:
         assert np.array_equal(rep.stderrs, errs)
         assert (rep.slope, rep.intercept) == (slope, intercept)
 
-    @pytest.mark.parametrize("name", ["d1", "d1-frozen", "d3-frozen"])
+    @pytest.mark.parametrize("name", ["d1", "d2", "d1-frozen", "d3-frozen"])
     def test_sup_moment_matches_one_shot(self, blocked_ensembles, block_bytes, name):
         ens = blocked_ensembles[name]
         sups = _one_shot_sups(ens.paths[ens.alive()])
@@ -512,6 +512,25 @@ class TestBlockedStatistics:
         for i in range(4):
             gen = np.random.Generator(np.random.Philox(key=np.array([5, i], dtype=np.uint64)))
             assert np.array_equal(noise[i], gen.standard_normal((30, 3)))
+
+
+# a long scalar ensemble and a wide one in d = 3, each tens of blocks
+@pytest.mark.parametrize("d, n_paths, n_steps", [(1, 2000, 4096), (3, 20000, 100)])
+def test_statistics_peak_memory_is_a_few_blocks(d, n_paths, n_steps):
+    ens = sde.euler_maruyama(sde.build_coefficients("brownian", d=d), np.zeros(d), 0.0, 1.0,
+                             1.0 / n_steps, n_paths, 7)
+    lags = [1, 2, 4, 8, 16, 32]
+    # the blocks in flight, plus the per-path results of every lag and the sups
+    bound = 4 * mn.BLOCK_BYTES + 8 * n_paths * (len(lags) + 1)
+    for stat in (lambda: sde.sup_moment(ens),
+                 lambda: sde.modulus_report(ens, np.array(lags) * ens.dt)):
+        tracemalloc.start()
+        try:
+            stat()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 # frozen rows: the first path, a run in the middle and the last; "mixed" gives each row
@@ -697,6 +716,21 @@ class TestDegenerateStatistics:
 
 
 class TestCauchyAndUniqueness:
+    @pytest.mark.parametrize("report, values", [
+        ("uniqueness", ["a"]), ("uniqueness", [1j]), ("uniqueness", None),
+        ("uniqueness", [math.nan]),
+        ("cauchy", [1, 2, "x"]), ("cauchy", [1, 2, 3j]), ("cauchy", None),
+    ], ids=["eps-str", "eps-complex", "eps-none", "eps-nan", "n-str", "n-complex", "n-none"])
+    def test_malformed_list_rejected_before_the_draw(self, report, values, monkeypatch):
+        monkeypatch.setattr(sde, "_path_noise", lambda *a, **k: pytest.fail("paths were drawn"))
+        with pytest.raises(sde.SdeParameterError, match="(eps|n)_list must"):
+            if report == "uniqueness":
+                sde.uniqueness_perturbation_report(values, np.zeros(2), 0.2, 0.01, 10, 4,
+                                                   family_tag="brownian", d=2)
+            else:
+                sde.approximation_cauchy_report("brownian", values, np.zeros(2), 0.2, 0.01, 10,
+                                                4, d=2)
+
     def test_identical_laws_zero_distance(self):
         rep = sde.approximation_cauchy_report("brownian", [1, 2, 4], np.zeros(2), 0.2,
                                               0.01, 300, 5, d=2)
