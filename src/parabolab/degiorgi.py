@@ -32,7 +32,7 @@ from . import mixed_norms as mn
 from .embeddings import ExponentConfig, PreconditionError, in_script_I
 from .errors import NumericalError
 from .mixed_norms import INF, Cylinder, GridFunction, MixedNormSpec
-from .pde_solver import CoefficientField
+from .pde_solver import CoefficientField, _cell_forcing
 
 __all__ = [
     "DiagnosticAnomaly",
@@ -278,7 +278,7 @@ def energy_estimate_diagnostic(
     wterm = val + val
     f_norm = 0.0
     if field.forcing is not None:
-        f_gf = u._with_owned(u.sample(field.forcing))
+        f_gf = u._with_owned(u.sample(_cell_forcing(field)))
         f_norm = mn.cylinder_norm(f_gf, MixedNormSpec(cfg.p4, cfg.q4, "time-outer"), Q2)
     ind = u._with_owned((w.values > 0).astype(float))
     ind_norm = mn.cylinder_norm(ind, MixedNormSpec(pairs["r3"], pairs["s3"], "time-outer"), Q2)
@@ -331,7 +331,7 @@ def local_max_diagnostic(u: GridFunction, field: CoefficientField, cfg: Exponent
     upp = float((np.abs(vals2) ** p).sum() * (u.dt * u.cell_volume)) ** (1.0 / p)
     f_norm = 0.0
     if field.forcing is not None:
-        f_norm = mn.cylinder_norm(u._with_owned(u.sample(field.forcing)),
+        f_norm = mn.cylinder_norm(u._with_owned(u.sample(_cell_forcing(field))),
                                   MixedNormSpec(cfg.p4, cfg.q4, "time-outer"), Q2)
     rhs = upp + f_norm
     if rhs == 0.0 and lhs > 0.0:

@@ -83,7 +83,8 @@ class CoefficientField:
     ``a``; there are no cross terms, so the solver's M-matrix
     comparison/positivity structure holds for every field, and the package
     holds no ``(d, d)`` matrix form of ``a``.  ``b1``/``b2`` map
-    ``(t, X) -> (..., d)``; ``forcing`` maps ``(t, X) -> (...)``.
+    ``(t, X) -> (..., d)``; ``forcing`` maps ``(t, X) -> (...)``, one value per
+    cell, which is checked wherever it is sampled (:func:`_cell_forcing`).
     """
 
     name: str
@@ -100,6 +101,22 @@ class CoefficientField:
         if self.b2 is not None:
             out += self.b2(t, X)
         return out
+
+
+def _cell_forcing(field: CoefficientField) -> Callable:
+    """``field.forcing`` as it is sampled: one value per cell of ``X``, else :class:`mn.GridError`.
+
+    A call must return the shape ``X.shape[:-1]``; a scalar or any other
+    shape is rejected rather than broadcast.
+    """
+    def forcing(t, X):
+        f = field.forcing(t, X)
+        if np.shape(f) != X.shape[:-1]:
+            raise mn.GridError(f"forcing of field {field.name!r} must give one value per cell, "
+                               f"shape {X.shape[:-1]}, got shape {np.shape(f)}")
+        return f
+
+    return forcing
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +468,8 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
     Raises SolverError if an implicit solve misses ``LINEAR_TOL``, or if a
     step breaks ``max|u^(n+1)| <= max|u^n| + dt max|f(t_n)|`` by more than
     that solve's residual tolerance (as does a NaN, or an inf under a finite
-    tolerance).
+    tolerance).  A forcing that does not give one value per cell raises
+    ``mn.GridError``.
 
     Working memory beside the factorization is the output array, filled step
     by step and handed to the returned grid without a copy, plus a few
@@ -476,6 +494,7 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
     lu = splinalg.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
 
+    forcing = None if field.forcing is None else _cell_forcing(field)
     u = np.asarray(u0.values[0], dtype=float).copy()
     u_max = float(np.abs(u).max())
     out = np.empty((n_steps + 1,) + nx)
@@ -491,8 +510,8 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
                 raise SolverConfigError(f"summed Courant number sum_k dt|b_k|/dx_k = "
                                         f"{courant:.3f} exceeds {CFL_LIMIT} at t = {t:g}")
             rhs += cfg.dt * _upwind_drift(u, b_vals, dx, nbrs)
-        if field.forcing is not None:
-            f_vals = field.forcing(t, X)
+        if forcing is not None:
+            f_vals = forcing(t, X)
             rhs += cfg.dt * f_vals
             bound += cfg.dt * float(np.abs(f_vals).max())
         sol = lu.solve(rhs.ravel())
@@ -543,7 +562,7 @@ def weak_residual(u: GridFunction, field: CoefficientField, test_bank) -> float:
     del a_vals
     f_vals = None
     if field.forcing is not None:
-        f_vals = u.sample(field.forcing)
+        f_vals = u.sample(_cell_forcing(field))
     meas = u.dt * u.cell_volume
     for phi in test_bank:
         if phi.values.shape != u.values.shape:
@@ -605,7 +624,7 @@ def max_principle_report(u: GridFunction, field: CoefficientField, cfg: Exponent
     vn = mn.v_norm(uT, cfg.kappa, lattice_step)
     if field.forcing is None:
         return MaxPrincipleReport(u_inf, vn, 0.0, None)
-    f_norm = mn._sampled_localized_norm(uT, field.forcing,
+    f_norm = mn._sampled_localized_norm(uT, _cell_forcing(field),
                                         MixedNormSpec(cfg.p4, cfg.q4, "time-outer"), lattice_step)
     if f_norm == 0.0:
         return MaxPrincipleReport(u_inf, vn, 0.0, None)

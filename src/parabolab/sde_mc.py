@@ -78,6 +78,11 @@ SDE_FAMILIES = {
 }
 
 
+def _unit_diffusion(t, X):
+    """``sigma = I``; with no drift, :func:`_coupled_ensembles` sums such a member's steps at once."""
+    return np.ones(X.shape)
+
+
 def build_coefficients(
     family_tag: str,
     d: int | None = None,
@@ -98,8 +103,7 @@ def build_coefficients(
     """
     params = {"R": R, "alpha": alpha, "beta": beta, "lambda": lam, "n": n}
     if family_tag == "brownian":
-        d = d or 1
-        return SdeCoefficients(d, family_tag, params, pde.identity_field(d).a_diag)
+        return SdeCoefficients(d or 1, family_tag, params, _unit_diffusion)
 
     if family_tag in ("example-6.1", "prop-6.1"):
         d = d or 3
@@ -239,6 +243,12 @@ def _coupled_ensembles(members, s: float, T: float, dt: float, n_paths: int, see
 
     All is checked before the draw.  Each member but the last steps a copy of the draws, so
     each is bitwise its lone :func:`euler_maruyama` ensemble, freed when its caller drops it.
+
+    A member with ``_unit_diffusion``, no drift and a finite ``x0`` is a random walk: its
+    scaled draws are summed in place by one ``np.cumsum``, whose adds run left to right as
+    the loop's do, so every ``X_k`` is bitwise the loop's.  Its increments are at most about
+    0.15 |xi| (dt <= 1e-2), so no partial sum overflows and no path freezes.  Any other
+    member, a custom callable that returns ones included, takes the step loop.
     """
     if not 0 < dt <= 1e-2 + 1e-15:
         raise SdeParameterError("dt must be positive and <= 1e-2")
@@ -253,19 +263,24 @@ def _coupled_ensembles(members, s: float, T: float, dt: float, n_paths: int, see
     for i, (coeffs, x0) in enumerate(members):
         paths = draws if i == len(members) - 1 else draws.copy()
         frozen = np.zeros(n_paths, dtype=bool)
-        X = np.tile(x0, (n_paths, 1))
-        paths[:, 0] = X
-        for k in range(n_steps if n_paths else 0):  # an empty ensemble takes no steps
-            t = s + k * dt
-            step = sqrt2dt * (coeffs.sigma_diag(t, X) * paths[:, k + 1])
-            if coeffs.b is not None:
-                step = step + dt * coeffs.b(t, X)
-            Xn = X + step
-            frozen |= ~np.isfinite(Xn).all(axis=1)
-            if frozen.any():
-                Xn[frozen] = X[frozen]
-            X = Xn
-            paths[:, k + 1] = X
+        if coeffs.sigma_diag is _unit_diffusion and coeffs.b is None and np.isfinite(x0).all():
+            paths[:, 1:] *= sqrt2dt
+            paths[:, 0] = x0
+            np.cumsum(paths, axis=1, out=paths)
+        else:
+            X = np.tile(x0, (n_paths, 1))
+            paths[:, 0] = X
+            for k in range(n_steps if n_paths else 0):  # an empty ensemble takes no steps
+                t = s + k * dt
+                step = sqrt2dt * (coeffs.sigma_diag(t, X) * paths[:, k + 1])
+                if coeffs.b is not None:
+                    step = step + dt * coeffs.b(t, X)
+                Xn = X + step
+                frozen |= ~np.isfinite(Xn).all(axis=1)
+                if frozen.any():
+                    Xn[frozen] = X[frozen]
+                X = Xn
+                paths[:, k + 1] = X
         yield PathEnsemble(paths, s, dt, seed, coeffs.family_tag, dict(coeffs.params), frozen)
         del paths
 
@@ -285,7 +300,10 @@ def euler_maruyama(
     frozen at its last finite state and excluded from statistics (the count is
     carried on the ensemble).  One pass: every path's normal draws are written
     into the path array itself, then the whole ensemble is stepped together and
-    each step overwrites its draws, so no second path-sized array is held.
+    each step overwrites its draws, so no second path-sized array is held.  The
+    Brownian family (unit diffusion, no drift) from a finite ``x0`` is a random
+    walk, summed from its scaled draws by one cumulative sum in place of the
+    step loop, bitwise the loop's paths.
     """
     return next(_coupled_ensembles([(coeffs, x0)], s, T, dt, n_paths, seed))
 
@@ -293,11 +311,6 @@ def euler_maruyama(
 # ---------------------------------------------------------------------------
 # path statistics
 # ---------------------------------------------------------------------------
-
-
-def _row_blocks(ens: PathEnsemble):
-    """Slices of consecutive paths, about ``mn.BLOCK_BYTES`` each; ``ens.paths[rows]`` is a view."""
-    return mn._blocks(ens.n_paths, (ens.n_steps + 1) * ens.d)
 
 
 def _live(alive: np.ndarray) -> np.ndarray:
@@ -322,20 +335,29 @@ def _sup_sq_norm(P: np.ndarray) -> np.ndarray:
     return sq.max(axis=1)
 
 
-def _finite_squares(blocks, alive: np.ndarray) -> np.ndarray:
-    """The squared norms of the paths ``alive`` selects, from blocks over every path.
+def _finite_squares(ens: PathEnsemble, stat: Callable) -> np.ndarray:
+    """``stat``'s squared norms of the live paths, from blocks of whole paths, frozen or not.
 
-    ``blocks`` yields per-path values in path order, paths on the last axis;
-    they are joined and the frozen paths dropped afterwards, as in
-    :func:`krylov_functional`.  Frozen paths may hold anything, so ``blocks``
-    is consumed with overflow and invalid-value warnings off; a live square
-    that is not finite raises :class:`SdeParameterError`: a coordinate or
-    increment above about 1.3e154 (or a non-finite one in a loaded ensemble)
-    would otherwise turn the statistic into inf or NaN.
+    ``stat`` maps a view ``ens.paths[rows]`` of about ``mn.BLOCK_BYTES`` of
+    consecutive paths to their values, paths on the last axis; each block's
+    values are written into one array over every path, and the frozen paths
+    dropped once afterwards (no selection when every path is live), as in
+    :func:`krylov_functional`.  Frozen paths may hold anything, so ``stat``
+    runs with overflow and invalid-value warnings off; a live square that is
+    not finite raises :class:`SdeParameterError`: a coordinate or increment
+    above about 1.3e154 (or a non-finite one in a loaded ensemble) would
+    otherwise turn the statistic into inf or NaN.
     """
-    _live(alive)
+    alive = _live(ens.alive())
+    sq = None
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.concatenate(list(blocks), axis=-1)[..., alive]
+        for rows in mn._blocks(ens.n_paths, (ens.n_steps + 1) * ens.d):
+            block = stat(ens.paths[rows])
+            if sq is None:
+                sq = np.empty(block.shape[:-1] + (ens.n_paths,))
+            sq[..., rows] = block
+    if not alive.all():
+        sq = sq[..., alive]
     if not np.isfinite(sq).all():
         raise SdeParameterError("a live path's squared norm is not finite: a coordinate or "
                                 "increment is above about 1.3e154, past the float range "
@@ -443,10 +465,11 @@ def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
                                 f"of {ens.n_steps} steps")
     order = sorted(set(lags))
     if ens.d == 1:
-        blocks = (_range_best(ens.paths[rows, :, 0], order) for rows in _row_blocks(ens))
+        roots = _finite_squares(ens, lambda P: _range_best(P[:, :, 0], order))
     else:
-        blocks = (_lag_best(ens.paths[rows], order) for rows in _row_blocks(ens))
-    roots = np.sqrt(np.sqrt(_finite_squares(blocks, ens.alive())))
+        roots = _finite_squares(ens, lambda P: _lag_best(P, order))
+    np.sqrt(roots, out=roots)  # the fourth root in place: no second copy of the values
+    np.sqrt(roots, out=roots)
     moments, errs = np.array([_mean_stderr(roots[order.index(m)]) for m in lags]).T
     slope, intercept = np.polyfit(np.log(deltas), np.log(moments), 1)
     return ModulusReport(deltas, moments, errs, float(slope), float(intercept))
@@ -454,9 +477,7 @@ def modulus_report(ens: PathEnsemble, delta_grid) -> ModulusReport:
 
 def sup_moment(ens: PathEnsemble) -> tuple[float, float]:
     """(mean, stderr) of ``sup_t |X_t|`` over the non-frozen paths."""
-    sup_sq = _finite_squares((_sup_sq_norm(ens.paths[rows]) for rows in _row_blocks(ens)),
-                             ens.alive())
-    return _mean_stderr(np.sqrt(sup_sq))
+    return _mean_stderr(np.sqrt(_finite_squares(ens, _sup_sq_norm)))
 
 
 def sliced_wasserstein1(A: np.ndarray, B: np.ndarray) -> float:

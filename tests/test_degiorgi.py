@@ -253,6 +253,13 @@ class TestLocalMaxDiagnostic:
         lhs, rhs, ratio = dg.local_max_diagnostic(u, field, exp_cfg, 2.0)
         assert lhs == 0.0 and ratio == pytest.approx(0.0)
 
+    def test_scalar_forcing_rejected(self, exp_cfg):
+        u = mn.from_callable(lambda t, X: np.ones(X.shape[:-1]), (-4.2, 4.2), 42,
+                             [(-2.2, 2.2)], (32,))
+        field = pde.identity_field(1, forcing=lambda t, X: 1.0)
+        with pytest.raises(mn.GridError, match="one value per cell"):
+            dg.local_max_diagnostic(u, field, exp_cfg, 2.0)
+
     def test_scaling_invariance(self, padded_heat_run, exp_cfg):
         u, field = padded_heat_run
         lhs, rhs, ratio = dg.local_max_diagnostic(u, field, exp_cfg, 2.0)

@@ -391,6 +391,41 @@ class TestMaxPrinciple:
         assert rep.ratio is None
 
 
+# a forcing must give one value per cell: a scalar, or one value per axis, is rejected
+BAD_FORCINGS = {"scalar": lambda t, X: 1.0, "per-axis": lambda t, X: np.ones(X.shape)}
+
+
+class TestForcingShape:
+    """Each entry point that samples a forcing rejects one without a value per cell."""
+
+    @staticmethod
+    def _case(forcing):
+        """The forcing's field, an initial condition and an unforced run from it."""
+        u0 = pde.spatial_initial_condition(lambda X: np.sin(np.pi * X[..., 0]),
+                                           [(0, 1)], (16,), "periodic")
+        u = pde.solve(pde.identity_field(1), u0, pde.SolverConfig(dt=0.01, T=0.2))
+        return pde.identity_field(1, forcing=BAD_FORCINGS[forcing]), u0, u
+
+    @pytest.mark.parametrize("forcing", BAD_FORCINGS)
+    def test_solve(self, forcing):
+        field, u0, _ = self._case(forcing)
+        with pytest.raises(mn.GridError, match="one value per cell"):
+            pde.solve(field, u0, pde.SolverConfig(dt=0.01, T=0.2))
+
+    @pytest.mark.parametrize("forcing", BAD_FORCINGS)
+    def test_weak_residual(self, forcing):
+        field, _, u = self._case(forcing)
+        with pytest.raises(mn.GridError, match="one value per cell"):
+            pde.weak_residual(u, field, [u.with_values(np.zeros(u.values.shape))])
+
+    @pytest.mark.parametrize("forcing", BAD_FORCINGS)
+    def test_max_principle_report(self, forcing):
+        field, _, u = self._case(forcing)
+        cfg = ExponentConfig(d=1, p0=INF, p4=4.0, q4=INF)
+        with pytest.raises(mn.GridError, match="one value per cell"):
+            pde.max_principle_report(u, field, cfg, 0.2)
+
+
 def test_build_field_catalog():
     assert "example-6.1" in pde.PDE_FIXTURES
     with pytest.raises(pde.CoefficientError):

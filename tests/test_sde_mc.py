@@ -514,12 +514,16 @@ class TestBlockedStatistics:
             assert np.array_equal(noise[i], gen.standard_normal((30, 3)))
 
 
-# a long scalar ensemble and a wide one in d = 3, each tens of blocks
-@pytest.mark.parametrize("d, n_paths, n_steps", [(1, 2000, 4096), (3, 20000, 100)])
-def test_statistics_peak_memory_is_a_few_blocks(d, n_paths, n_steps):
+# a long scalar ensemble and a wide one in d = 3, each tens of blocks; with 32 distinct lags
+# the per-lag values alone are about ten blocks
+@pytest.mark.parametrize("d, n_paths, n_steps, lags", [
+    (1, 2000, 4096, [1, 2, 4, 8, 16, 32]),
+    (3, 20000, 100, [1, 2, 4, 8, 16, 32]),
+    (3, 20000, 100, list(range(1, 33))),
+], ids=["long-d1", "wide-d3", "wide-d3-32-lags"])
+def test_statistics_peak_memory_is_a_few_blocks(d, n_paths, n_steps, lags):
     ens = sde.euler_maruyama(sde.build_coefficients("brownian", d=d), np.zeros(d), 0.0, 1.0,
                              1.0 / n_steps, n_paths, 7)
-    lags = [1, 2, 4, 8, 16, 32]
     # the blocks in flight, plus the per-path results of every lag and the sups
     bound = 4 * mn.BLOCK_BYTES + 8 * n_paths * (len(lags) + 1)
     for stat in (lambda: sde.sup_moment(ens),
@@ -646,6 +650,65 @@ class TestInPlaceStepping:
                                            chunk=16)
         assert np.array_equal(ens.paths, paths)
         assert np.array_equal(ens.frozen, frozen)
+
+
+def _loop_brownian(d):
+    """Brownian coefficients through a callable of their own, which takes the step loop."""
+    return sde.SdeCoefficients(d, "custom", {}, sigma_diag=lambda t, X: np.ones(X.shape))
+
+
+# start points and path counts, per d: the loop keeps a non-finite start's row at x0
+WALK_STARTS = {"scalar": (0.7, 60), "near-max": (1.7e308, 60), "one-inf": ("inf", 60),
+               "nan": (math.nan, 60), "no-paths": (0.0, 0)}
+
+
+class TestRandomWalk:
+    """The Brownian family is summed as a random walk, bitwise the step loop's paths."""
+
+    @pytest.mark.parametrize("start", WALK_STARTS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_brownian_is_the_loop(self, d, start):
+        x0, n_paths = WALK_STARTS[start]
+        if x0 == "inf":
+            x0 = np.zeros(d)
+            x0[-1] = math.inf
+        walk = sde.euler_maruyama(sde.build_coefficients("brownian", d=d), x0, 0.0, 0.5,
+                                  1.0 / 256, n_paths, 3)
+        loop = sde.euler_maruyama(_loop_brownian(d), x0, 0.0, 0.5, 1.0 / 256, n_paths, 3)
+        assert walk.paths.shape == (n_paths, 129, d)
+        assert walk.paths.tobytes() == loop.paths.tobytes()
+        assert walk.frozen.tobytes() == loop.frozen.tobytes()
+        assert walk.n_frozen == (n_paths if start in ("one-inf", "nan") else 0)
+
+    def test_finite_start_never_evaluates_sigma(self, monkeypatch):
+        def unit_diffusion(t, X):
+            raise AssertionError("sigma was evaluated")
+
+        monkeypatch.setattr(sde, "_unit_diffusion", unit_diffusion)
+        c = sde.build_coefficients("brownian", d=2)
+        sde.euler_maruyama(c, [0.0, 1.0], 0.0, 0.1, 0.01, 5, 1)
+        with pytest.raises(AssertionError, match="sigma was evaluated"):
+            sde.euler_maruyama(c, [0.0, math.inf], 0.0, 0.1, 0.01, 5, 1)
+
+    def test_coupled_with_loop_members(self):
+        walk = sde.build_coefficients("brownian", d=2)
+        members = [(walk, [0.3, 0.0]), (_loop_brownian(2), [0.3, 0.0]), (walk, [math.nan, 0.0]),
+                   (walk, -0.2)]
+        ensembles = list(sde._coupled_ensembles(members, 0.0, 0.5, 1.0 / 256, 40, 5))
+        for (_, x0), ens in zip(members, ensembles, strict=True):
+            loop = sde.euler_maruyama(_loop_brownian(2), x0, 0.0, 0.5, 1.0 / 256, 40, 5)
+            assert ens.paths.tobytes() == loop.paths.tobytes()
+            assert ens.frozen.tobytes() == loop.frozen.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_uniqueness_rows_match_the_loop(self, d, monkeypatch):
+        args = ([1e-1, 1e-2, 1e-3, 0.0], np.full(d, 0.5), 0.5, 1.0 / 256, 200, 11)
+        walk = sde.uniqueness_perturbation_report(*args, family_tag="brownian", d=d)
+        monkeypatch.setattr(sde, "build_coefficients", lambda *a, **kw: _loop_brownian(d))
+        loop = sde.uniqueness_perturbation_report(*args, family_tag="brownian", d=d)
+        assert walk["rows"] == loop["rows"]
+        assert walk["spearman_eps_vs_divergence"] == loop["spearman_eps_vs_divergence"]
+        assert walk["rows"][-1]["divergence"] == 0.0
 
 
 def _all_frozen():
