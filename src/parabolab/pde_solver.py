@@ -494,7 +494,6 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
     lu = splinalg.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
 
-    forcing = None if field.forcing is None else _cell_forcing(field)
     u = np.asarray(u0.values[0], dtype=float).copy()
     u_max = float(np.abs(u).max())
     out = np.empty((n_steps + 1,) + nx)
@@ -510,8 +509,8 @@ def solve(field: CoefficientField, u0: GridFunction, cfg: SolverConfig) -> GridF
                 raise SolverConfigError(f"summed Courant number sum_k dt|b_k|/dx_k = "
                                         f"{courant:.3f} exceeds {CFL_LIMIT} at t = {t:g}")
             rhs += cfg.dt * _upwind_drift(u, b_vals, dx, nbrs)
-        if forcing is not None:
-            f_vals = forcing(t, X)
+        if field.forcing is not None:
+            f_vals = _cell_forcing(field)(t, X)
             rhs += cfg.dt * f_vals
             bound += cfg.dt * float(np.abs(f_vals).max())
         sol = lu.solve(rhs.ravel())

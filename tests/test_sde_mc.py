@@ -520,7 +520,7 @@ class TestBlockedStatistics:
     (1, 2000, 4096, [1, 2, 4, 8, 16, 32]),
     (3, 20000, 100, [1, 2, 4, 8, 16, 32]),
     (3, 20000, 100, list(range(1, 33))),
-], ids=["long-d1", "wide-d3", "wide-d3-32-lags"])
+], ids=["1-2000-4096", "3-20000-100", "3-20000-100-32-lags"])
 def test_statistics_peak_memory_is_a_few_blocks(d, n_paths, n_steps, lags):
     ens = sde.euler_maruyama(sde.build_coefficients("brownian", d=d), np.zeros(d), 0.0, 1.0,
                              1.0 / n_steps, n_paths, 7)
@@ -657,9 +657,11 @@ def _loop_brownian(d):
     return sde.SdeCoefficients(d, "custom", {}, sigma_diag=lambda t, X: np.ones(X.shape))
 
 
-# start points and path counts, per d: the loop keeps a non-finite start's row at x0
-WALK_STARTS = {"scalar": (0.7, 60), "near-max": (1.7e308, 60), "one-inf": ("inf", 60),
-               "nan": (math.nan, 60), "no-paths": (0.0, 0)}
+# start points, as functions of d, and path counts: the loop keeps a non-finite start's row
+# at x0
+WALK_STARTS = {"scalar": (lambda d: 0.7, 60), "near-max": (lambda d: 1.7e308, 60),
+               "one-inf": (lambda d: np.r_[np.zeros(d - 1), math.inf], 60),
+               "nan": (lambda d: math.nan, 60), "no-paths": (lambda d: 0.0, 0)}
 
 
 class TestRandomWalk:
@@ -668,10 +670,8 @@ class TestRandomWalk:
     @pytest.mark.parametrize("start", WALK_STARTS)
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_brownian_is_the_loop(self, d, start):
-        x0, n_paths = WALK_STARTS[start]
-        if x0 == "inf":
-            x0 = np.zeros(d)
-            x0[-1] = math.inf
+        start_point, n_paths = WALK_STARTS[start]
+        x0 = start_point(d)
         walk = sde.euler_maruyama(sde.build_coefficients("brownian", d=d), x0, 0.0, 0.5,
                                   1.0 / 256, n_paths, 3)
         loop = sde.euler_maruyama(_loop_brownian(d), x0, 0.0, 0.5, 1.0 / 256, n_paths, 3)
@@ -689,16 +689,6 @@ class TestRandomWalk:
         sde.euler_maruyama(c, [0.0, 1.0], 0.0, 0.1, 0.01, 5, 1)
         with pytest.raises(AssertionError, match="sigma was evaluated"):
             sde.euler_maruyama(c, [0.0, math.inf], 0.0, 0.1, 0.01, 5, 1)
-
-    def test_coupled_with_loop_members(self):
-        walk = sde.build_coefficients("brownian", d=2)
-        members = [(walk, [0.3, 0.0]), (_loop_brownian(2), [0.3, 0.0]), (walk, [math.nan, 0.0]),
-                   (walk, -0.2)]
-        ensembles = list(sde._coupled_ensembles(members, 0.0, 0.5, 1.0 / 256, 40, 5))
-        for (_, x0), ens in zip(members, ensembles, strict=True):
-            loop = sde.euler_maruyama(_loop_brownian(2), x0, 0.0, 0.5, 1.0 / 256, 40, 5)
-            assert ens.paths.tobytes() == loop.paths.tobytes()
-            assert ens.frozen.tobytes() == loop.frozen.tobytes()
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_uniqueness_rows_match_the_loop(self, d, monkeypatch):
