@@ -138,6 +138,7 @@ def load_config(path, kind: str, seed, out) -> ExperimentConfig:
         if isinstance(val, str) and val == "inf":
             val = INF
         params[key] = schema[key][1](key, val)
+    params = {key: val(params) if callable(val) else val for key, val in params.items()}
     cfg_seed = raw.get("seed", 0)
     if seed is not None:
         cfg_seed = seed
@@ -341,7 +342,8 @@ def run_acceptance(config: ExperimentConfig, outdir: Path) -> dict:
 
 
 # kind -> (runner, {parameter: (default, check)}); a None default leaves the
-# parameter out of ``parameters`` unless the config gives it
+# parameter out of ``parameters`` unless the config gives it, and a callable
+# default is computed from the other parameters
 EXPERIMENTS = {
     "norms": (run_norms, {
         "fixture": ("constant", _choice(*NORM_FIXTURES)),
@@ -393,7 +395,7 @@ EXPERIMENTS = {
         "n_paths": (2000, _positive(0, 10**6, integer=True)),
         "dt": (0.01, _positive(0, 1e-2)),
         "T": (0.5, _positive(0, FINITE_MAX)),
-        "x0": ([0.0, 0.0], _numeric_list),
+        "x0": (lambda params: [0.0] * params["d"], _numeric_list),
     }),
     "acceptance": (run_acceptance, {
         "criteria": (None, _index_list(len(acceptance.CRITERIA))),

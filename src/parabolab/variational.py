@@ -270,32 +270,39 @@ def _value_and_gradient(h, w, alphas, ps, m):
 
     The rows come in ``len(h)`` contiguous blocks of ``m``, block j belonging
     to a problem with interval length ``h[j]`` and weights ``w[j]`` (N, K).
-    The matvec runs once per block, so every row gets the bits of a solve of
-    its own problem; every other operation is elementwise or along the last
-    axis.
+    Each component's matvecs run as one stacked matmul of the (P, m, K) rows
+    against the (P, K, 1) weights, which makes one gemv per block, so every
+    row gets the bits of a solve of its own problem; every other operation is
+    elementwise or along the last axis.  The bits hold only for blocks of the
+    lone run's ``m``: a gemv row's bits can depend on how many rows the matrix
+    has (on OpenBLAS 0.3.31 over a third of the rows of single-row and subset
+    products differed from the full block's), so callers drop whole problems,
+    never single rows.
     """
     h_rows = np.repeat(h, m)[:, None]
-    blocks = [slice(j * m, (j + 1) * m) for j in range(len(h))]
-    terms = [(a, p, a / h_rows, w[:, i], np.repeat(w[:, i], m, axis=0))
+    terms = [(a, p, a / h_rows, np.ascontiguousarray(w[:, i, :, None]),
+              np.repeat(w[:, i], m, axis=0))
              for i, (a, p) in enumerate(zip(alphas, ps))]
 
     def value_and_gradient(x):
         F, grad, s = np.zeros(x.shape[0]), np.zeros_like(x), x / h_rows
         for a, p, a_h, wi, wi_rows in terms:
             sa, T = s**a, np.empty(x.shape[0])
-            for b, wij in zip(blocks, wi):
-                np.matmul(sa[b], wij, out=T[b])
+            np.matmul(sa.reshape(-1, m, x.shape[1]), wi, out=T.reshape(-1, m, 1))
             F += T ** (1.0 / p)
             pos = T > 0  # a component with T_i = 0 adds nothing to the gradient
             coef = np.where(pos, np.where(pos, T, 1.0) ** (1.0 / p - 1.0) / p, 0.0)
-            grad += coef[:, None] * a_h * s ** (a - 1.0) * wi_rows
+            term = s ** (a - 1.0)
+            term *= coef[:, None] * a_h
+            term *= wi_rows
+            grad += term
         return F, grad
 
     return value_and_gradient
 
 
-def _fw_gap(grad, x):
-    return np.einsum("sk,sk->s", grad, x) - grad.min(axis=1)
+def _fw_gap(grad, x, g_min):
+    return np.einsum("sk,sk->s", grad, x) - g_min
 
 
 def _oracle(probs: list[VariationalProblem], knot_count: int = 41) -> list[OracleResult]:
@@ -303,7 +310,15 @@ def _oracle(probs: list[VariationalProblem], knot_count: int = 41) -> list[Oracl
 
     The problems must share ``alphas`` and ``ps``.  Each result is bit for bit
     the one the problem gets alone; its ``iterations`` counts the loop steps
-    in which any of its starts was active.
+    in which any of its starts was active.  A problem leaves the loop once
+    every one of its starts has stopped: its rows go to the result arrays and
+    the map to F and its gradient is rebuilt for the problems left, so no
+    step is spent on a finished problem.  Each step runs one stacked matmul
+    per component over the live problems' row blocks.  Single starts are
+    never dropped: a gemv row's bits can depend on how many rows the matrix
+    has, so each live problem keeps all its rows and every matvec its
+    lone-run shape.  Accepted steps are copied in place, and the rows'
+    gradient minimum serves both the gap test and the next step.
     """
     knot_count = mn._count(knot_count, 2, 400, FeasibilityError)
     if not probs:
@@ -316,49 +331,75 @@ def _oracle(probs: list[VariationalProblem], knot_count: int = 41) -> list[Oracl
     h = np.array([k[1] - k[0] for k in knots])
     w = np.stack([_interval_weights(q, k) for q, k in zip(probs, knots)])  # (P, N, K)
     explicit = [explicit_cutoff(q).resampled(knot_count) for q in probs]
-    # the random starts do not depend on [tau, delta]: one draw serves every problem
-    randoms = [s.values for s in random_feasible_profiles(0.0, 1.0, knot_count, 20, 20250809)]
+    # the random starts do not depend on [tau, delta]: one draw serves every problem, the
+    # stream and values of random_feasible_profiles(0, 1, knot_count, 20, 20250809)
+    interior = np.random.default_rng(20250809).uniform(0.0, 1.0, size=(20, knot_count - 2))
+    randoms = np.column_stack([np.ones(20), np.sort(interior, axis=1)[:, ::-1], np.zeros(20)])
     linear = np.linspace(1.0, 0.0, knot_count)
     x = -np.diff(np.stack([v for e in explicit for v in (*randoms, e.values, linear)]), axis=1)
     # stepping log(x) is the same update without underflow to 0/0
     logx = np.log(np.maximum(x, np.finfo(float).tiny))
-    m = x.shape[0] // len(probs)  # starts per problem
+    n_probs, K = len(probs), knot_count - 1
+    m = x.shape[0] // n_probs  # starts per problem
     value_and_gradient = _value_and_gradient(h, w, alphas, ps, m)
     F, grad = value_and_gradient(x)
-    eta = np.ones(x.shape[0])
-    active = _fw_gap(grad, x) > GAP_TOL * F
-    # a start, once stopped, stays stopped: its count of active steps is its last step
-    steps_active = np.zeros(x.shape[0], dtype=int)
+    eta, active = np.ones(x.shape[0]), np.ones(x.shape[0], dtype=bool)
+    # by problem, the rows and step count it finishes with; the loop steps the live ones
+    x_end, grad_end = np.empty((n_probs, m, K)), np.empty((n_probs, m, K))
+    F_end, iterations = np.empty((n_probs, m)), np.zeros(n_probs, dtype=int)
+    live = np.arange(n_probs)
     step = 0
-    while active.any() and step < MAX_ITERATIONS:
+    while True:
+        # row extremes over a transposed copy: numpy reduces axis 0 a whole row at a
+        # time, faster than row by row, and min and max are exact in any order (no
+        # -0.0 arises: the gradient is a sum started at +0.0, the trial a difference)
+        g_rows = np.ascontiguousarray(grad.T)
+        g_min, g_max = g_rows.min(axis=0), g_rows.max(axis=0)
+        active &= (_fw_gap(grad, x, g_min) > GAP_TOL * F) & (eta >= ETA_MIN)
+        # a problem stays while any of its starts is active, so its step count is the last step
+        done = ~active.reshape(-1, m).any(axis=1) | (step >= MAX_ITERATIONS)
+        if done.any():
+            gone = live[done]
+            x_end[gone], F_end[gone] = x.reshape(-1, m, K)[done], F.reshape(-1, m)[done]
+            grad_end[gone], iterations[gone] = grad.reshape(-1, m, K)[done], step
+            live, rows = live[~done], np.repeat(~done, m)
+            x, logx, F, grad, g_min, g_max, eta, active = (
+                a[rows] for a in (x, logx, F, grad, g_min, g_max, eta, active))
+            if not live.size:
+                break
+            value_and_gradient = _value_and_gradient(h[live], w[live], alphas, ps, m)
         step += 1
-        steps_active += active
-        g_min = grad.min(axis=1, keepdims=True)
-        g_span = grad.max(axis=1, keepdims=True) - g_min
-        trial = logx - eta[:, None] * (grad - g_min) / np.where(g_span > 0, g_span, 1.0)
-        trial -= trial.max(axis=1, keepdims=True)
+        g_span = g_max - g_min
+        trial = grad - g_min[:, None]
+        trial *= eta[:, None]
+        trial /= np.where(g_span > 0, g_span, 1.0)[:, None]
+        np.subtract(logx, trial, out=trial)
+        trial -= np.ascontiguousarray(trial.T).max(axis=0)[:, None]
         x_trial = np.exp(trial)
         x_trial /= x_trial.sum(axis=1, keepdims=True)
         F_trial, grad_trial = value_and_gradient(x_trial)
         accept = active & (F_trial <= F)
-        logx[accept], x[accept] = trial[accept], x_trial[accept]
-        F[accept], grad[accept] = F_trial[accept], grad_trial[accept]
-        eta = np.where(accept, 1.5 * eta, np.where(active, 0.5 * eta, eta))
-        active &= (_fw_gap(grad, x) > GAP_TOL * F) & (eta >= ETA_MIN)
+        np.copyto(logx, trial, where=accept[:, None])
+        np.copyto(x, x_trial, where=accept[:, None])
+        np.copyto(F, F_trial, where=accept)
+        np.copyto(grad, grad_trial, where=accept[:, None])
+        eta *= np.where(accept, 1.5, np.where(active, 0.5, 1.0))
 
     convex = bool(np.all(alphas >= ps))
-    iterations = steps_active.reshape(len(probs), m).max(axis=1)
+    # every problem's K simplex vertices, evaluated in one stacked call
+    vertices = np.eye(K)
+    at_vertices = _value_and_gradient(h, w, alphas, ps, K)
+    F_vertex, grad_vertex = at_vertices(np.tile(vertices, (n_probs, 1)))
     results = []
     for j, (prob, exp_prof) in enumerate(zip(probs, explicit)):
-        rows = slice(j * m, (j + 1) * m)
-        at_vertices = _value_and_gradient(h[j:j + 1], w[j:j + 1], alphas, ps, knot_count - 1)
-        candidates = np.vstack([x[rows], np.eye(knot_count - 1)])
-        F_vertex, grad_vertex = at_vertices(candidates[m:])
-        F_all, grad_all = np.concatenate([F[rows], F_vertex]), np.vstack([grad[rows], grad_vertex])
+        at = slice(j * K, (j + 1) * K)
+        candidates = np.vstack([x_end[j], vertices])
+        F_all = np.concatenate([F_end[j], F_vertex[at]])
+        grad_all = np.vstack([grad_end[j], grad_vertex[at]])
         best = int(np.argmin(np.where(np.isfinite(F_all), F_all, np.inf)))
         drops = candidates[best]
         # the gap at the winning simplex point, where the drops are not yet rounded into a profile
-        gap = float(_fw_gap(grad_all[best, None], drops[None])[0])
+        gap = float(_fw_gap(grad_all[best, None], drops[None], grad_all[best].min())[0])
         # tail sums keep the small drops near the zero end exactly
         vals = np.clip(np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]]), 0.0, 1.0)
         vals[0] = 1.0
@@ -368,8 +409,8 @@ def _oracle(probs: list[VariationalProblem], knot_count: int = 41) -> list[Oracl
         if not math.isfinite(value) or exp_val < value:
             value, profile = exp_val, exp_prof
             x_out = -np.diff(profile.values)[None]
-            at_point = _value_and_gradient(h[j:j + 1], w[j:j + 1], alphas, ps, 1)
-            gap = float(_fw_gap(at_point(x_out)[1], x_out)[0])
+            grad_out = _value_and_gradient(h[j:j + 1], w[j:j + 1], alphas, ps, 1)(x_out)[1]
+            gap = float(_fw_gap(grad_out, x_out, grad_out.min(axis=1))[0])
         results.append(OracleResult(value, profile, gap, int(iterations[j]),
                                     bool(gap <= GAP_TOL * value),
                                     value - gap if convex else None))
@@ -395,6 +436,11 @@ def oracle_infimum(prob: VariationalProblem, knot_count: int = 41) -> OracleResu
     the discrete infimum from below; otherwise the gap measures stationarity
     and ``lower`` is None.  This is the one-problem batch of the loop that
     also serves :func:`calibrate_sa3_constant` and :func:`sa3_gap_sweep`.
+    In a batch, a problem leaves the loop once all its starts have stopped,
+    and each component's matvecs run as one stacked matmul with a block of
+    rows per live problem.  A stopped start keeps its row until its whole
+    problem is done: a gemv row's bits can depend on how many rows the
+    matrix has, so every block keeps the shape of the lone run.
     """
     return _oracle([prob], knot_count)[0]
 

@@ -76,6 +76,22 @@ class TestConfigValidation:
         err = json.loads((tmp_path / "o" / "error.json").read_text())
         assert err["error"] == "validation" and "x0" in err["message"]
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_sde_start_defaults_to_the_origin_in_d(self, tmp_path, d):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "sde", "parameters": {"d": d, "n_paths": 50}}))
+        out = tmp_path / "o"
+        assert cli.main(["sde", "--config", str(cfg), "--seed", "42", "--out", str(out)]) == 0
+        params = json.loads((out / "report.json").read_text())["parameters"]
+        assert params["d"] == d and params["x0"] == [0.0] * d
+
+    def test_sde_default_start_keeps_the_config_hash(self):
+        # the hash of the default run when its x0 default was the fixed [0.0, 0.0]
+        config = cli.load_config(None, "sde", 42, "o")
+        assert config.parameters["d"] == 2 and config.parameters["x0"] == [0.0, 0.0]
+        assert cli.config_hash(config) == (
+            "6edffcc8e9636c4e0544d56e537de9000512ecb0ea4c1c01f36df0fba061b6d2")
+
     @pytest.mark.parametrize("kind, params", [
         ("pde", {"T": "inf"}),
         ("sde", {"T": "inf"}),

@@ -279,6 +279,77 @@ class TestBatchedOracle:
         assert calls["_oracle"] == 2
 
 
+STARTS = 22  # rows per problem in the loop: twenty random starts, the explicit and the linear
+
+
+def _record_evaluations(monkeypatch):
+    """Wrap ``vr._value_and_gradient``; the list gets ``(m, x)`` of every evaluation."""
+    calls = []
+    build = vr._value_and_gradient
+
+    def recording_build(h, w, alphas, ps, m):
+        value_and_gradient = build(h, w, alphas, ps, m)
+
+        def recorded(x):
+            calls.append((m, x.copy()))  # the loop updates its arrays in place
+            return value_and_gradient(x)
+        return recorded
+
+    monkeypatch.setattr(vr, "_value_and_gradient", recording_build)
+    return calls
+
+
+def _loop_rows(calls):
+    return [x.shape[0] for m, x in calls if m == STARTS]
+
+
+class TestFinishedProblemsLeave:
+    def test_rows_evaluated_follow_the_live_problems(self, monkeypatch):
+        monkeypatch.setattr(vr, "MAX_ITERATIONS", 70)
+        calls = _record_evaluations(monkeypatch)
+        batch = vr._oracle(_calibration_style(2), vr.SA3_KNOTS)
+        its = [r.iterations for r in batch]
+        assert len(set(its)) > 1 and max(its) == 70
+        # evaluation 0 is every start; step s evaluates the problems still live at step s
+        rows = _loop_rows(calls)
+        assert rows == [STARTS * sum(it >= s for it in its) for s in range(max(its) + 1)]
+        first_done = min(its)
+        assert rows[first_done + 1] < rows[first_done] == STARTS * len(its)
+
+    @pytest.mark.parametrize("cap", [None, 70])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_problem_bitwise_as_alone_in_any_order(self, monkeypatch, n, cap):
+        if cap is not None:
+            monkeypatch.setattr(vr, "MAX_ITERATIONS", cap)
+        probs = _calibration_style(n)
+        alone = [_bits(vr.oracle_infimum(prob, vr.SA3_KNOTS)) for prob in probs]
+        orders = [list(range(8))[::-1], [3, 0, 6, 1, 7, 4, 2, 5],
+                  list(np.random.default_rng(n).permutation(8))]
+        for order in orders:
+            batch = vr._oracle([probs[i] for i in order], vr.SA3_KNOTS)
+            assert [_bits(r) for r in batch] == [alone[i] for i in order], order
+
+    def test_problem_converged_at_step_zero_never_steps(self, monkeypatch):
+        # alpha = p = 1 makes F linear: constant weights make every start a minimizer
+        flat = const_problem(alpha=1.0, p=1.0)
+        ramp = vr.problem_from_callables(0.0, 1.0, [1.0], [1.0], [1.0], [lambda s: 1.0 + s])
+        alone = [vr.oracle_infimum(prob, 33) for prob in (flat, ramp)]
+        assert alone[0].iterations == 0 < alone[1].iterations
+        calls = _record_evaluations(monkeypatch)
+        batch = vr._oracle([flat, ramp], 33)
+        assert [_bits(r) for r in batch] == [_bits(r) for r in alone]
+        assert _loop_rows(calls) == [2 * STARTS] + [STARTS] * alone[1].iterations
+
+    @pytest.mark.parametrize("knot_count", [2, 3, 25, 33, 41])
+    def test_random_starts_are_the_feasible_profiles(self, monkeypatch, knot_count):
+        calls = _record_evaluations(monkeypatch)
+        vr.oracle_infimum(const_problem(), knot_count)
+        profiles = vr.random_feasible_profiles(0.0, 1.0, knot_count, 20, 20250809)
+        drops = -np.diff(np.stack([p.values for p in profiles]), axis=1)
+        m, x = calls[0]
+        assert m == STARTS and x[:20].tobytes() == drops.tobytes()
+
+
 class TestPinnedValues:
     # Taken before the calibration and the gap sweep ran batched, with numpy
     # 2.4.6 on OpenBLAS 0.3.31 (Haswell kernels).  raw_max goes through BLAS
